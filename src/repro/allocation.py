@@ -18,9 +18,8 @@ spreaded a *workload-dependent* energy trade-off (Fig. 7).
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import ConfigurationError, PlacementError
 from .platform.specs import ChipSpec
@@ -89,6 +88,90 @@ def utilized_pmd_count(
     return min(nthreads, spec.n_pmds)
 
 
+class FreeCores:
+    """The free cores of a partly occupied chip, consumed pick by pick.
+
+    A PMD is a contiguous core range, so both strategies' picks have a
+    closed form over two ascending lists — the free cores of partly used
+    PMDs, and the fully free PMDs:
+
+    * clustered takes the free cores of partly used PMDs, then the cores
+      of fully free PMDs, each in ascending order — every thread lands
+      next to a busy or already chosen sibling when one exists,
+      minimising newly utilized PMDs;
+    * spreaded takes the first core of each fully free PMD in ascending
+      order, then every other free core in ascending order — one thread
+      per fresh PMD while one remains, maximising PMD isolation.
+
+    Either way fully free PMDs are opened lowest first, so a take pops
+    from the fronts of the two lists (a spreaded one also merges the
+    opened PMDs' other cores into the first), and placing a whole
+    running set through one instance — the daemon's planner — costs
+    O(cores). Both orders equal a greedy scan that re-ranks every free
+    core for every placed thread, which the tests keep as the oracle.
+    """
+
+    __slots__ = ("spec", "_partial", "_fresh")
+
+    def __init__(self, spec: ChipSpec, free_cores: Iterable[int]):
+        cores = sorted(set(free_cores))
+        if cores and (cores[0] < 0 or cores[-1] >= spec.n_cores):
+            bad = cores[0] if cores[0] < 0 else cores[-1]
+            raise ConfigurationError(f"{spec.name}: core {bad} out of range")
+        cpp = spec.cores_per_pmd
+        pmd_free = [0] * spec.n_pmds
+        for core in cores:
+            pmd_free[core // cpp] += 1
+        self.spec = spec
+        #: Free cores of partly used PMDs, ascending.
+        self._partial = [c for c in cores if pmd_free[c // cpp] < cpp]
+        #: Fully free PMDs, ascending.
+        self._fresh = [p for p, n in enumerate(pmd_free) if n == cpp]
+
+    def take(self, nthreads: int, allocation: Allocation) -> Tuple[int, ...]:
+        """Choose ``nthreads`` free cores under a strategy and occupy them.
+
+        Raises :class:`ConfigurationError` for ``nthreads < 1`` or an
+        unknown strategy, and :class:`PlacementError` when not enough
+        cores are free.
+        """
+        if nthreads < 1:
+            raise ConfigurationError(
+                f"{self.spec.name}: cannot place {nthreads} threads"
+            )
+        cpp = self.spec.cores_per_pmd
+        partial, fresh = self._partial, self._fresh
+        nfree = len(partial) + cpp * len(fresh)
+        if nfree < nthreads:
+            raise PlacementError(
+                f"need {nthreads} cores but only {nfree} free"
+            )
+        if allocation is Allocation.CLUSTERED:
+            chosen = partial[:nthreads]
+            del partial[:nthreads]
+            while len(chosen) < nthreads:
+                # The partly used PMDs are full: open the lowest fully
+                # free one. Only the last PMD opened can stay partly used.
+                base = fresh.pop(0) * cpp
+                used = min(cpp, nthreads - len(chosen))
+                chosen.extend(range(base, base + used))
+                partial.extend(range(base + used, base + cpp))
+        elif allocation is Allocation.SPREADED:
+            opened = fresh[:nthreads]
+            del fresh[:nthreads]
+            chosen = [p * cpp for p in opened]
+            # The opened PMDs' other cores are partly used from now on.
+            for pmd in opened:
+                partial.extend(range(pmd * cpp + 1, (pmd + 1) * cpp))
+            partial.sort()
+            rest = nthreads - len(chosen)
+            chosen.extend(partial[:rest])
+            del partial[:rest]
+        else:
+            raise ConfigurationError(f"unknown allocation {allocation!r}")
+        return tuple(chosen)
+
+
 def pick_free_cores(
     spec: ChipSpec,
     free_cores: Sequence[int],
@@ -97,73 +180,13 @@ def pick_free_cores(
 ) -> Tuple[int, ...]:
     """Choose ``nthreads`` cores out of ``free_cores`` under a strategy.
 
-    Unlike :func:`cores_for`, this works on a partially-occupied chip:
-
-    * clustered prefers cores on PMDs that already have a chosen/busy
-      sibling, minimising newly-utilized PMDs;
-    * spreaded prefers cores on entirely-free PMDs, maximising PMD
-      isolation for the placed threads.
-
-    Raises :class:`PlacementError` when not enough cores are free.
+    Unlike :func:`cores_for`, this works on a partially-occupied chip;
+    :class:`FreeCores` gives each strategy's order. Raises
+    :class:`ConfigurationError` for a core id outside the chip or
+    ``nthreads < 1``, and :class:`PlacementError` when not enough cores
+    are free.
     """
-    free = sorted(set(free_cores))
-    if len(free) < nthreads:
-        raise PlacementError(
-            f"need {nthreads} cores but only {len(free)} free"
-        )
-    free_set = set(free)
-    siblings = _sibling_map(spec)
-    chosen: List[int] = []
-    for _ in range(nthreads):
-        if allocation is Allocation.CLUSTERED:
-            core = _best_clustered_core(spec, siblings, free_set, chosen)
-        else:
-            core = _best_spreaded_core(spec, siblings, free_set, chosen)
-        chosen.append(core)
-        free_set.remove(core)
-    return tuple(chosen)
-
-
-def _siblings(spec: ChipSpec, core: int) -> Tuple[int, ...]:
-    pmd = spec.pmd_of_core(core)
-    return tuple(c for c in spec.cores_of_pmd(pmd) if c != core)
-
-
-@functools.lru_cache(maxsize=16)
-def _sibling_map(spec: ChipSpec) -> Tuple[Tuple[int, ...], ...]:
-    """core id -> the other cores of its PMD, for every core.
-
-    The greedy placement ranks every free core once per placed thread,
-    so the sibling lookup sits on the daemon's replanning hot path;
-    the map is a pure function of the (immutable, hashable) spec.
-    """
-    return tuple(_siblings(spec, c) for c in range(spec.n_cores))
-
-
-def _best_clustered_core(spec, siblings, free_set, chosen) -> int:
-    # Prefer a free core whose sibling is already busy or chosen (its PMD
-    # is utilized anyway), then the lowest-numbered free core.
-    def rank(core: int) -> Tuple[int, int]:
-        sibling_free = all(s in free_set for s in siblings[core])
-        return (1 if sibling_free else 0, core)
-
-    return min(free_set, key=rank)
-
-
-def _best_spreaded_core(spec, siblings, free_set, chosen) -> int:
-    # Prefer a free core on a PMD whose siblings are all free and not
-    # already chosen (a fresh PMD), then the lowest-numbered free core.
-    chosen_pmds = {spec.pmd_of_core(c) for c in chosen}
-
-    def rank(core: int) -> Tuple[int, int]:
-        pmd = spec.pmd_of_core(core)
-        fresh = (
-            pmd not in chosen_pmds
-            and all(s in free_set for s in siblings[core])
-        )
-        return (0 if fresh else 1, core)
-
-    return min(free_set, key=rank)
+    return FreeCores(spec, free_cores).take(nthreads, allocation)
 
 
 def _check_nthreads(spec: ChipSpec, nthreads: int) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..allocation import Allocation, pick_free_cores
+from ..allocation import Allocation, FreeCores
 from ..errors import PlacementError
 from ..platform.chip import ChipState
 from ..platform.specs import ChipSpec
@@ -117,24 +117,20 @@ class PlacementEngine:
             p for p in processes
             if p.observed_class is WorkloadClass.MEMORY_INTENSIVE
         ]
-        free = list(range(self.spec.n_cores))
+        free = FreeCores(self.spec, range(self.spec.n_cores))
         plan = PlacementPlan()
         for process in sorted(
             cpu_group, key=lambda p: (-p.nthreads, p.pid)
         ):
-            cores = pick_free_cores(
-                self.spec, free, process.nthreads, Allocation.CLUSTERED
+            plan.assignments[process.pid] = free.take(
+                process.nthreads, Allocation.CLUSTERED
             )
-            plan.assignments[process.pid] = cores
-            free = [c for c in free if c not in cores]
         for process in sorted(
             mem_group, key=lambda p: (-p.nthreads, p.pid)
         ):
-            cores = pick_free_cores(
-                self.spec, free, process.nthreads, Allocation.SPREADED
+            plan.assignments[process.pid] = free.take(
+                process.nthreads, Allocation.SPREADED
             )
-            plan.assignments[process.pid] = cores
-            free = [c for c in free if c not in cores]
         self._fill_frequencies(plan, processes)
         self._fill_voltage(plan)
         return plan

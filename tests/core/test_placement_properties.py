@@ -1,15 +1,18 @@
 """Property-based tests on the placement engine's invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.placement import PlacementEngine
-from repro.platform.specs import xgene3_spec
+from repro.platform.specs import get_spec, xgene3_spec
 from repro.sim.process import SimProcess, WorkloadClass
 from repro.workloads.suites import get_benchmark
+from tests.allocation_oracle import greedy_plan
 
 SPEC3 = xgene3_spec()
 ENGINE = PlacementEngine(SPEC3)
+SPEC_XL = get_spec("xgene3-xl")
 
 _CLASSES = (
     WorkloadClass.CPU_INTENSIVE,
@@ -20,14 +23,14 @@ _NAMES = ("namd", "CG", "milc", "EP", "gcc")
 
 
 @st.composite
-def process_sets(draw):
-    """Random process mixes that fit on the 32-core chip."""
+def process_sets(draw, spec=SPEC3):
+    """Random process mixes that fit on ``spec`` (default: the 32-core chip)."""
     processes = []
     used = 0
     count = draw(st.integers(0, 10))
     for pid in range(count):
         nthreads = draw(st.integers(1, 8))
-        if used + nthreads > SPEC3.n_cores:
+        if used + nthreads > spec.n_cores:
             break
         used += nthreads
         proc = SimProcess(
@@ -124,3 +127,17 @@ class TestPlanInvariants:
         retuned = ENGINE.retune(processes)
         for proc in processes:
             assert retuned.assignments[proc.pid] == tuple(proc.cores)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [ENGINE, PlacementEngine(SPEC_XL)],
+    ids=["xgene3", "xgene3-xl"],
+)
+class TestPlanMatchesGreedyOracle:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_assignments_equal_sequential_greedy_picks(self, engine, data):
+        processes = data.draw(process_sets(engine.spec))
+        plan = engine.plan(processes)
+        assert plan.assignments == greedy_plan(engine.spec, processes)

@@ -211,3 +211,22 @@ def test_verify_job_gates_on_structured_manifest(workflow):
     paths = str(uploads[0]["with"]["path"])
     assert "manifest_cold.json" in paths
     assert "manifest_warm.json" in paths
+
+
+def test_perfbench_reference_job_checks_both_chips(workflow):
+    job = workflow["jobs"]["perfbench-reference"]
+    assert job["timeout-minutes"] <= 30
+    text = _steps_text(job)
+    # run-all output of the paper chip and of the 64-core spec-file chip,
+    # where placement has real choices, is checked against the pinned
+    # per-section references.
+    for workload in ("xgene2-cold", "xgene3-xl-cold"):
+        assert (
+            f"python3 perfbench/run.py --workload {workload} --seconds 1"
+            in text
+        )
+    # The job fails unless the result line reports a correct run with
+    # no failed operation.
+    assert "tail -n 1" in text
+    assert 'result["correct"] is True' in text
+    assert 'result["failed"] == 0' in text
