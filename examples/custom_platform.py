@@ -1,92 +1,32 @@
 #!/usr/bin/env python3
 """Run the whole pipeline on a platform you define yourself.
 
-The library is not hard-wired to the paper's two chips: register a spec,
-a ground-truth Vmin table, power constants (and optionally thermal
-constants) for your own machine, then characterize it, build its policy
-table and run the daemon — exactly as for the X-Genes.
+The library is not hard-wired to the paper's two chips: describe your
+own machine in a spec file (datasheet, ground-truth Vmin surface, power
+and thermal constants), register it, then characterize it, build its
+policy table and run the daemon — exactly as for the X-Genes.
 
-This example models a fictive 16-core "Hydra-16" ARM server (8 PMDs,
-2.6 GHz, 920 mV nominal) and reproduces the paper's headline comparison
-on it.
+This example registers a fictive 16-core "Hydra-16" ARM server (8 PMDs,
+2.6 GHz, 920 mV nominal) from ``hydra16.toml`` next to this script and
+reproduces the paper's headline comparison on it.
 
 Run:  python examples/custom_platform.py
 """
 
+from pathlib import Path
+
 from repro.allocation import Allocation
 from repro.core import VminPolicyTable, run_evaluation
-from repro.platform.specs import (
-    CacheSpec,
-    ChipSpec,
-    FrequencyClass,
-    register_platform,
-)
-from repro.platform.thermal import ThermalParams, register_thermal_params
-from repro.power.model import PowerParams, register_power_params
-from repro.units import ghz, mhz
+from repro.platform.registry import load_platform_file, register_model
+from repro.platform.specs import get_spec
 from repro.vmin import VminCampaign
-from repro.vmin.model import register_vmin_table
-
-
-def hydra16_spec() -> ChipSpec:
-    return ChipSpec(
-        name="Hydra-16",
-        n_cores=16,
-        cores_per_pmd=2,
-        fmax_hz=ghz(2.6),
-        fmin_hz=mhz(325),
-        nominal_voltage_mv=920,
-        min_voltage_mv=600,
-        tdp_w=60.0,
-        technology_nm=14,
-        caches=CacheSpec(
-            l1i_bytes=48 * 1024,
-            l1d_bytes=32 * 1024,
-            l2_bytes_per_pmd=512 * 1024,
-            l3_bytes=16 * 1024 * 1024,
-            l3_in_pcp_domain=True,
-        ),
-        memory_bandwidth_bps=50e9,
-        clock_division_below_half=True,
-    )
-
-
-def register_hydra16() -> str:
-    """Register spec + Vmin + power + thermal; returns the registry key."""
-    key = register_platform(hydra16_spec)
-    spec = hydra16_spec()
-    register_vmin_table(
-        spec,
-        {
-            # 8 PMDs -> four droop classes (1, 2, 4, 8 PMDs).
-            FrequencyClass.HIGH: (800, 815, 830, 845),
-            FrequencyClass.SKIP: (775, 790, 805, 820),
-            FrequencyClass.DIVIDE: (700, 715, 730, 745),
-        },
-    )
-    register_power_params(
-        spec.name,
-        PowerParams(
-            uncore_w=3.0,
-            core_dyn_max_w=2.0,
-            core_leak_w=0.22,
-            pmd_overhead_w=0.40,
-            uncore_on_rail=True,
-            leak_exponent=2.8,
-            idle_activity=0.12,
-            external_w=1.5,
-        ),
-    )
-    register_thermal_params(
-        spec.name,
-        ThermalParams(resistance_c_per_w=0.8, time_constant_s=12.0),
-    )
-    return key
 
 
 def main() -> None:
-    key = register_hydra16()
-    spec = hydra16_spec()
+    key = register_model(
+        load_platform_file(Path(__file__).with_name("hydra16.toml"))
+    )
+    spec = get_spec(key)
     print(f"Registered custom platform {spec.name!r} as {key!r}.\n")
 
     print("Characterizing (Section III protocol) ...")

@@ -76,22 +76,6 @@ DEFAULT_PLATFORM: Dict[str, str] = {
 }
 
 
-def _platform_choices() -> List[str]:
-    """Every resolvable platform: registry keys plus legacy factories."""
-    from .platform.registry import platform_keys
-    from .platform.specs import PLATFORMS
-
-    return sorted(set(platform_keys()) | set(PLATFORMS))
-
-
-def _policy_choices() -> List[str]:
-    """Every resolvable policy: registry keys plus the paper aliases."""
-    from .core.configurations import CONFIG_POLICY_KEYS
-    from .policies.registry import policy_keys
-
-    return sorted(set(policy_keys()) | set(CONFIG_POLICY_KEYS))
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -101,6 +85,9 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
+    from .platform.registry import platform_keys
+    from .policies.registry import policy_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate tables/figures of the HPCA'19 DVFS paper.",
@@ -113,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--platform",
-        choices=_platform_choices(),
+        choices=platform_keys(),
         default=None,
         help="platform override (default: the paper's platform)",
     )
     parser.add_argument(
         "--policy",
-        choices=_policy_choices(),
+        choices=sorted(policy_names()),
         default=None,
         help="policy registry key threaded through the policy-aware "
         "experiments (default: the paper's own configurations)",

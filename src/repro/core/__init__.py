@@ -14,7 +14,6 @@ from .classifier import (
 )
 from .configurations import (
     CONFIG_NAMES,
-    CONFIG_POLICY_KEYS,
     ConfigurationRow,
     EvaluationResult,
     make_policy,
@@ -37,7 +36,6 @@ from .policy import DEFAULT_GUARD_MV, PolicyEntry, VminPolicyTable
 
 __all__ = [
     "CONFIG_NAMES",
-    "CONFIG_POLICY_KEYS",
     "ClassChange",
     "ClassificationSample",
     "ConfigurationRow",

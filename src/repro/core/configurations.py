@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..platform.chip import Chip
 from ..platform.specs import ChipSpec, get_spec
-from ..policies.registry import resolve_policy
+from ..policies.registry import CONFIG_POLICY_KEYS, resolve_policy
 from ..policies.surfaces import Policy
 from ..power.energy import penalty_percent, savings_percent
 from ..sim.system import ServerSystem, SystemResult
@@ -33,17 +33,7 @@ from ..workloads.generator import ServerWorkloadGenerator, Workload
 from .policy import VminPolicyTable
 
 #: Configuration names in the paper's table order.
-CONFIG_NAMES: Tuple[str, ...] = (
-    "baseline", "safe_vmin", "placement", "optimal"
-)
-
-#: Paper configuration name -> policy registry key.
-CONFIG_POLICY_KEYS: Dict[str, str] = {
-    "baseline": "baseline-ondemand",
-    "safe_vmin": "safe-vmin",
-    "placement": "daemon-placement",
-    "optimal": "daemon",
-}
+CONFIG_NAMES: Tuple[str, ...] = tuple(CONFIG_POLICY_KEYS)
 
 
 def make_policy(
@@ -57,8 +47,7 @@ def make_policy(
     ``safe_vmin`` / ``placement`` / ``optimal``) or any policy registry
     key. ``policy`` optionally shares a prebuilt safe-Vmin table.
     """
-    key = CONFIG_POLICY_KEYS.get(config, config)
-    return resolve_policy(key, spec, table=policy)
+    return resolve_policy(config, spec, table=policy)
 
 
 def run_configuration(

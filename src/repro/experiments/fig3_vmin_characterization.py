@@ -15,11 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..allocation import Allocation
 from ..analysis.tables import format_table
-from ..platform.registry import (
-    CharacterizationGrid,
-    default_characterization_grid,
-    model_for_spec,
-)
+from ..platform.registry import CharacterizationGrid, model_for_spec
 from ..platform.specs import ChipSpec, get_spec
 from ..units import fmt_freq
 from ..vmin.characterize import VminCampaign
@@ -31,13 +27,9 @@ def characterization_grid(spec: ChipSpec) -> CharacterizationGrid:
     """Thread/frequency grid of a platform's Fig. 3 campaign.
 
     Declared in the platform's bundle (``[characterization]`` in its
-    spec file); platforms registered without a bundle get a derived
-    grid instead of silently borrowing another chip's.
+    spec file).
     """
-    model = model_for_spec(spec)
-    if model is not None:
-        return model.characterization
-    return default_characterization_grid(spec)
+    return model_for_spec(spec).characterization
 
 
 @dataclass(frozen=True)

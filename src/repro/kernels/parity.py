@@ -56,10 +56,6 @@ PARITY: Dict[str, str] = {
 
 #: scalar callables with no batched mirror, and why none is needed.
 SCALAR_ONLY: Dict[str, str] = {
-    "repro.vmin.model.register_vmin_table": (
-        "registry mutation (adds a chip table); not a numeric"
-        " evaluation"
-    ),
     "repro.vmin.model.variation_attenuation": (
         "closed-form scalar already inlined by evaluate_grid's"
         " per-point compiler"
@@ -87,10 +83,6 @@ SCALAR_ONLY: Dict[str, str] = {
     "repro.vmin.faults.FaultModel.probability_all_pass": (
         "(1 - pfail) ** runs convenience; batched callers compose"
         " pfail_grid with analytic_failure_counts"
-    ),
-    "repro.power.model.register_power_params": (
-        "registry mutation (adds chip power params); not a numeric"
-        " evaluation"
     ),
     "repro.power.model.PowerModel.core_dynamic_w": (
         "component term folded into chip_power_grid"

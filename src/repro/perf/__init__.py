@@ -9,7 +9,6 @@ from .contention import (
     l2_sharing_factor,
 )
 from .model import (
-    MEM_TIME_SCALE,
     ExecutionState,
     ThreadWork,
     bandwidth_demand_gbs,
@@ -24,7 +23,6 @@ from .model import (
 __all__ = [
     "ExecutionState",
     "L2_SHARING_PENALTY",
-    "MEM_TIME_SCALE",
     "STALL_ACTIVITY",
     "ThreadWork",
     "bandwidth_capacity_gbs",

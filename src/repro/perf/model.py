@@ -19,32 +19,18 @@ threads; *replicated* (SPEC) runs execute N full units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
+from ..platform.registry import model_for_spec
 from ..platform.specs import ChipSpec
 from ..workloads.profiles import REFERENCE_FREQ_HZ, BenchmarkProfile
 from .contention import STALL_ACTIVITY, l2_sharing_factor
 
-#: Programmatic overrides of the memory-path slowdown by chip display
-#: name. The built-in chips' calibration lives in their declarative
-#: bundles (``platform/defs/*.toml``, ``[perf] mem_time_scale``); this
-#: dict takes precedence over the bundle registry.
-MEM_TIME_SCALE: Dict[str, float] = {}
-_DEFAULT_MEM_SCALE = 1.0
-
 
 def mem_time_scale(spec: ChipSpec) -> float:
     """Memory-path slowdown of a chip relative to the reference."""
-    override = MEM_TIME_SCALE.get(spec.name)
-    if override is not None:
-        return override
-    from ..platform.registry import model_for_spec
-
-    model = model_for_spec(spec)
-    if model is not None:
-        return model.perf.mem_time_scale
-    return _DEFAULT_MEM_SCALE
+    return model_for_spec(spec).perf.mem_time_scale
 
 
 @dataclass(frozen=True)

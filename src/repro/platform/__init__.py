@@ -36,7 +36,6 @@ from .registry import (
 from .slimpro import SlimPro, VoltageTransition
 from .thermal import (
     LEAKAGE_TEMP_COEFF_PER_C,
-    THERMAL_PARAMS,
     VMIN_TEMP_SENSITIVITY_MV_PER_C,
     ThermalModel,
     ThermalParams,
@@ -46,7 +45,6 @@ from .specs import (
     CacheSpec,
     ChipSpec,
     FrequencyClass,
-    PLATFORMS,
     get_spec,
     xgene2_spec,
     xgene3_spec,
@@ -69,13 +67,11 @@ __all__ = [
     "FrequencyTransition",
     "KernelModuleReader",
     "LEAKAGE_TEMP_COEFF_PER_C",
-    "PLATFORMS",
     "PerfCalibration",
     "PerfToolReader",
     "PlatformModel",
     "Pmu",
     "SlimPro",
-    "THERMAL_PARAMS",
     "ThermalModel",
     "ThermalParams",
     "VMIN_TEMP_SENSITIVITY_MV_PER_C",

@@ -14,9 +14,12 @@ distribution knobs, fault/pfail parameters, power coefficients, thermal
 constants and workload calibration hooks — under one stable key
 (``xgene2``, ``xgene3``, ``xgene3-xl``). The built-in bundles are
 defined *declaratively* in ``platform/defs/*.toml`` and loaded on first
-use; a new chip is a new spec file, no code. Consumers resolve their
-coefficients from the bundle once, outside any hot loop, and keep their
-legacy ``register_*`` override hooks for programmatic customization.
+use; a new chip is a new spec file, no code, registered with
+``register_model(load_platform_file(path))``. The registered bundle is
+the only source of per-chip parameters: each consumer reads its section
+through :func:`model_for_spec` once, outside any hot loop, and a chip
+with no registered bundle is a :class:`ConfigurationError`, never a
+silent default.
 
 The ``repro platform list|show|validate`` CLI (``platform.cli``) fronts
 this module.
@@ -24,24 +27,27 @@ this module.
 
 from __future__ import annotations
 
+import functools
 import json
+import tomllib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Tuple,
     Union,
+    get_type_hints,
 )
 
 from ..errors import ConfigurationError
 from ..units import HertzInt, Millivolts, ghz, hz_to_ghz
-from . import _toml
-from .specs import CacheSpec, ChipSpec, FrequencyClass, _platform_key
+from .specs import CacheSpec, ChipSpec, FrequencyClass
 from .thermal import ThermalParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -129,6 +135,10 @@ _BY_SPEC_NAME: Dict[str, str] = {}
 _BUILTINS_LOADED = False
 
 
+def _platform_key(name: str) -> str:
+    return name.lower().replace("-", "").replace("_", "").replace(" ", "")
+
+
 def builtin_defs_dir() -> Path:
     """Directory holding the shipped declarative spec files."""
     return Path(__file__).resolve().parent / "defs"
@@ -197,90 +207,135 @@ def get_platform(name: str) -> PlatformModel:
     return model
 
 
-def model_for_spec(spec: ChipSpec) -> Optional[PlatformModel]:
-    """Bundle whose chip matches ``spec``'s display name, or ``None``.
+def model_for_spec(spec: ChipSpec) -> PlatformModel:
+    """Registered bundle whose chip matches ``spec``'s display name.
 
-    This is the fallback the per-layer models use when no explicit
-    parameters (and no legacy ``register_*`` override) are given.
+    Every per-chip layer (Vmin surface, variation, droop, faults, power,
+    thermal, perf calibration, the Fig. 3 grid) reads its parameters
+    through this lookup. Raises :class:`ConfigurationError` naming the
+    chip when no bundle is registered for it.
     """
-    return try_get_platform(spec.name)
+    model = try_get_platform(spec.name)
+    if model is None:
+        raise ConfigurationError(
+            f"no platform bundle registered for chip {spec.name!r}; "
+            "register one with register_model(load_platform_file(path))"
+        )
+    return model
 
 
 def platform_key_for_spec(spec: ChipSpec) -> str:
     """Registry key of a spec's platform; empty string if unregistered."""
-    model = model_for_spec(spec)
+    model = try_get_platform(spec.name)
     return model.key if model is not None else ""
-
-
-def default_characterization_grid(spec: ChipSpec) -> CharacterizationGrid:
-    """Fallback Fig. 3 grid for platforms without a declared one.
-
-    Thread counts halve from the full chip (at most three rungs);
-    frequencies cover the top step plus the half-clock point, which
-    spans every frequency class the chip exposes.
-    """
-    threads: List[int] = []
-    count = spec.n_cores
-    while count >= 1 and len(threads) < 3:
-        threads.append(count)
-        count //= 2
-    steps = spec.frequency_steps()
-    freqs = [steps[-1]]
-    if spec.half_frequency_hz in steps:
-        freqs.append(spec.half_frequency_hz)
-    return CharacterizationGrid(threads=tuple(threads), freqs_hz=tuple(freqs))
 
 
 # -- declarative (de)serialization --------------------------------------------
 
 
-def _params_from(cls: Any, section: str, data: Mapping[str, Any]) -> Any:
+def _table(value: Any, section: str) -> Dict[str, Any]:
+    """A spec-file table as a fresh dict; any other shape is refused."""
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(
+            f"[{section}] must be a table, not {type(value).__name__}"
+        )
+    return dict(value)
+
+
+def _require(data: Mapping[str, Any], section: str) -> Dict[str, Any]:
+    if section not in data:
+        raise ConfigurationError(f"spec is missing the [{section}] table")
+    return _table(data[section], section)
+
+
+def _array(
+    value: Any, section: str, name: str, convert: Callable[[Any], Any]
+) -> Tuple[Any, ...]:
+    """A spec-file array of numbers, each passed through ``convert``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(
+            f"[{section}] {name} must be an array, not {type(value).__name__}"
+        )
     try:
-        return cls(**data)
+        return tuple(convert(item) for item in value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"[{section}] {name} must be an array of numbers"
+        ) from None
+
+
+def _scalar_ok(value: Any, expected: Any) -> bool:
+    """Whether ``value`` fits a scalar field type; other fields pass."""
+    if expected not in (bool, int, float, str):
+        return True
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+#: Resolved field types per parameter dataclass (resolving is slow).
+_field_types = functools.cache(get_type_hints)
+
+
+def _params_from(cls: Any, section: str, data: Any) -> Any:
+    fields = _table(data, section)
+    hints = _field_types(cls)
+    for name, value in fields.items():
+        expected = hints.get(name)
+        if not _scalar_ok(value, expected):
+            raise ConfigurationError(
+                f"[{section}] {name} must be {expected.__name__}, "
+                f"not {type(value).__name__}"
+            )
+    try:
+        return cls(**fields)
     except TypeError as exc:
         raise ConfigurationError(f"[{section}]: {exc}") from None
 
 
-def _require(data: Mapping[str, Any], section: str) -> Any:
-    if section not in data:
-        raise ConfigurationError(f"spec is missing the [{section}] table")
-    return data[section]
-
-
 def model_from_dict(data: Mapping[str, Any]) -> PlatformModel:
-    """Build a :class:`PlatformModel` from parsed spec-file data."""
+    """Build a :class:`PlatformModel` from parsed spec-file data.
+
+    Every wrong shape (a scalar where a table or array belongs, a string
+    where a number belongs) raises :class:`ConfigurationError` naming
+    its section.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError("spec must be a table of sections")
     platform = _require(data, "platform")
     key = str(platform.get("key", ""))
     if not key:
         raise ConfigurationError("[platform] needs a non-empty 'key'")
 
-    chip = dict(_require(data, "chip"))
+    chip = _require(data, "chip")
     caches_data = chip.pop("caches", None)
     if caches_data is None:
         raise ConfigurationError("spec is missing the [chip.caches] table")
     caches = _params_from(CacheSpec, "chip.caches", caches_data)
-    spec = _params_from(
-        ChipSpec, "chip", {**chip, "caches": caches}
-    )
+    spec = _params_from(ChipSpec, "chip", {**chip, "caches": caches})
 
-    vmin = dict(_require(data, "vmin"))
+    vmin = _require(data, "vmin")
     base_data = vmin.pop("base_mv", None)
     if base_data is None:
         raise ConfigurationError("spec is missing the [vmin.base_mv] table")
     base: Dict[FrequencyClass, Tuple[int, ...]] = {}
-    for class_name, row in base_data.items():
+    for class_name, row in _table(base_data, "vmin.base_mv").items():
         try:
             freq_class = FrequencyClass(class_name)
         except ValueError:
             raise ConfigurationError(
                 f"[vmin.base_mv]: unknown frequency class {class_name!r}"
             ) from None
-        base[freq_class] = tuple(int(v) for v in row)
+        base[freq_class] = _array(row, "vmin.base_mv", class_name, int)
 
-    variation_data = dict(vmin.pop("variation", {}))
+    variation_data = _table(vmin.pop("variation", {}), "vmin.variation")
     paper = variation_data.pop("paper_offsets_mv", None)
     if paper is not None:
-        variation_data["paper_offsets_mv"] = tuple(float(v) for v in paper)
+        variation_data["paper_offsets_mv"] = _array(
+            paper, "vmin.variation", "paper_offsets_mv", float
+        )
     variation = _params_from(
         VariationParams, "vmin.variation", variation_data
     )
@@ -298,15 +353,15 @@ def model_from_dict(data: Mapping[str, Any]) -> PlatformModel:
     perf = _params_from(PerfCalibration, "perf", data.get("perf", {}))
 
     char = _require(data, "characterization")
-    try:
-        grid = CharacterizationGrid(
-            threads=tuple(int(t) for t in char["threads"]),
-            freqs_hz=tuple(ghz(step) for step in char["freqs_ghz"]),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"[characterization] needs {exc.args[0]!r}"
-        ) from None
+    for name in ("threads", "freqs_ghz"):
+        if name not in char:
+            raise ConfigurationError(f"[characterization] needs {name!r}")
+    grid = CharacterizationGrid(
+        threads=_array(char["threads"], "characterization", "threads", int),
+        freqs_hz=_array(
+            char["freqs_ghz"], "characterization", "freqs_ghz", ghz
+        ),
+    )
 
     return PlatformModel(
         key=key,
@@ -366,13 +421,13 @@ def load_platform_file(path: Union[str, Path]) -> PlatformModel:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     try:
         if path.suffix.lower() == ".json":
             data = json.loads(text)
         else:
-            data = _toml.loads(text)
+            data = tomllib.loads(text)
     except ValueError as exc:
         raise ConfigurationError(f"{path.name}: {exc}") from exc
     try:

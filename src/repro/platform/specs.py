@@ -173,9 +173,7 @@ def xgene2_spec() -> ChipSpec:
     The numbers live in the declarative bundle ``platform/defs/xgene2.toml``;
     this factory is kept as the stable programmatic entry point.
     """
-    from .registry import get_platform
-
-    return get_platform("xgene2").spec
+    return get_spec("xgene2")
 
 
 def xgene3_spec() -> ChipSpec:
@@ -184,62 +182,15 @@ def xgene3_spec() -> ChipSpec:
     The numbers live in the declarative bundle ``platform/defs/xgene3.toml``;
     this factory is kept as the stable programmatic entry point.
     """
-    from .registry import get_platform
-
-    return get_platform("xgene3").spec
-
-
-#: Registry of platform factories by short name.
-PLATFORMS = {
-    "xgene2": xgene2_spec,
-    "xgene3": xgene3_spec,
-}
-
-
-def _platform_key(name: str) -> str:
-    return name.lower().replace("-", "").replace("_", "").replace(" ", "")
-
-
-def register_platform(factory, name: str = "") -> str:
-    """Register a custom platform spec factory.
-
-    ``factory`` is a zero-argument callable returning a
-    :class:`ChipSpec`; the registry key defaults to the spec's own name.
-    To run the full pipeline on a custom platform, also register its
-    electrical and power behaviour:
-    :func:`repro.vmin.model.register_vmin_table`,
-    :func:`repro.power.model.register_power_params` and (optionally)
-    :func:`repro.platform.thermal.register_thermal_params`.
-    Returns the registry key. Re-registering a key overwrites it.
-    """
-    spec = factory()
-    if not isinstance(spec, ChipSpec):
-        raise ConfigurationError(
-            "platform factory must return a ChipSpec"
-        )
-    key = _platform_key(name or spec.name)
-    if not key:
-        raise ConfigurationError("platform name must be non-empty")
-    PLATFORMS[key] = factory
-    return key
+    return get_spec("xgene3")
 
 
 def get_spec(name: str) -> ChipSpec:
-    """Look up a platform spec by short name (``xgene2`` / ``xgene3-xl``).
+    """Chip of a registered platform bundle, by key or display name.
 
-    Factories registered via :func:`register_platform` take precedence;
-    everything else resolves through the declarative bundle registry
+    Shorthand for ``get_platform(name).spec``
     (:mod:`repro.platform.registry`).
     """
-    key = _platform_key(name)
-    if key in PLATFORMS:
-        return PLATFORMS[key]()
-    from .registry import platform_keys, try_get_platform
+    from .registry import get_platform
 
-    model = try_get_platform(name)
-    if model is not None:
-        return model.spec
-    known = sorted(set(PLATFORMS) | set(platform_keys()))
-    raise ConfigurationError(
-        f"unknown platform {name!r}; known: {known}"
-    )
+    return get_platform(name).spec

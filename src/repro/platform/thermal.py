@@ -19,7 +19,7 @@ the machine runs hot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
 from .specs import ChipSpec
@@ -43,20 +43,6 @@ class ThermalParams:
             raise ConfigurationError("thermal constants must be positive")
 
 
-#: Programmatic overrides by chip display name. The built-in chips'
-#: thermal constants live in their declarative bundles
-#: (``platform/defs/*.toml``); this dict only holds parameters
-#: registered via :func:`register_thermal_params` and takes precedence
-#: over the bundle registry.
-THERMAL_PARAMS: Dict[str, ThermalParams] = {}
-
-def register_thermal_params(spec_name: str, params: ThermalParams) -> None:
-    """Register the thermal constants of a custom platform."""
-    if not spec_name:
-        raise ConfigurationError("spec_name must be non-empty")
-    THERMAL_PARAMS[spec_name] = params
-
-
 #: Leakage grows ~2x per 35 degC: exp(k*dT) with k = ln(2)/35.
 LEAKAGE_TEMP_COEFF_PER_C = 0.0198
 
@@ -74,17 +60,9 @@ class ThermalModel:
         ambient_c: Optional[float] = None,
     ):
         if params is None:
-            params = THERMAL_PARAMS.get(spec.name)
-        if params is None:
             from .registry import model_for_spec
 
-            model = model_for_spec(spec)
-            if model is not None:
-                params = model.thermal
-        if params is None:
-            raise ConfigurationError(
-                f"no thermal parameters for platform {spec.name!r}"
-            )
+            params = model_for_spec(spec).thermal
         self.spec = spec
         self.params = params
         self.ambient_c = (

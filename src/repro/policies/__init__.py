@@ -60,8 +60,10 @@ _EXPORTS: Dict[str, str] = {
     "Ed2pClockPlan": "ed2p",
     "ed2p_clock_plan": "ed2p",
     "PolicyStack": "arbitration",
+    "CONFIG_POLICY_KEYS": "registry",
     "PolicyDescriptor": "registry",
     "policy_keys": "registry",
+    "policy_names": "registry",
     "policy_descriptors": "registry",
     "get_policy_descriptor": "registry",
     "resolve_policy": "registry",

@@ -21,7 +21,6 @@ import sys
 from typing import List, Optional
 
 from ..analysis.tables import format_table
-from ..core.configurations import CONFIG_POLICY_KEYS
 from ..errors import ConfigurationError
 from ..platform.specs import get_spec
 from .registry import (
@@ -84,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_key(name: str) -> str:
-    """Registry key of a policy name or paper configuration alias."""
-    return CONFIG_POLICY_KEYS.get(name, name)
-
-
 def _cmd_list() -> int:
     for key in policy_keys():
         descriptor = get_policy_descriptor(key)
@@ -98,7 +92,7 @@ def _cmd_list() -> int:
 
 def _cmd_show(key: str, platform: str) -> int:
     spec = get_spec(platform)
-    rows = describe_policy(_resolve_key(key), spec)
+    rows = describe_policy(key, spec)
     width = max(len(field) for field, _ in rows)
     for field, value in rows:
         print(f"{field:<{width}}  {value}")
@@ -114,11 +108,10 @@ def _cmd_compare(
     from ..sim.system import ServerSystem
     from ..workloads.generator import ServerWorkloadGenerator
 
+    # Canonical keys: fails fast on unknown names and dedups aliases.
     requested = [
-        _resolve_key(k) for k in (keys or DEFAULT_COMPARE_KEYS)
+        get_policy_descriptor(k).key for k in (keys or DEFAULT_COMPARE_KEYS)
     ]
-    for key in requested:
-        get_policy_descriptor(key)  # fail fast on unknown keys
     configs = list(dict.fromkeys(["baseline-ondemand", *requested]))
     spec = get_spec(platform)
     workload = ServerWorkloadGenerator(

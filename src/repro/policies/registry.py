@@ -17,10 +17,10 @@ by hand; they resolve them here by key, exactly the way
   which have no event loop to run a live policy in.
 
 The paper's four evaluation configurations keep their historical names
-(``baseline``/``safe_vmin``/``placement``/``optimal``) as aliases in
-:mod:`repro.core.configurations`; everything else — including the
-ED²P-derived governor and the power cappers — exists only under its
-registry key.
+(``baseline``/``safe_vmin``/``placement``/``optimal``) as aliases
+(:data:`CONFIG_POLICY_KEYS`) that every lookup here accepts; everything
+else — including the ED²P-derived governor and the power cappers —
+exists only under its registry key.
 """
 
 from __future__ import annotations
@@ -156,12 +156,31 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
     ),
 )
 
+#: Paper configuration name -> policy registry key, in the paper's table
+#: order (Section VI.B).
+CONFIG_POLICY_KEYS: Dict[str, str] = {
+    "baseline": "baseline-ondemand",
+    "safe_vmin": "safe-vmin",
+    "placement": "daemon-placement",
+    "optimal": "daemon",
+}
+
 _BY_KEY: Dict[str, PolicyDescriptor] = {d.key: d for d in _DESCRIPTORS}
+#: Every resolvable name: the registry keys plus the paper aliases.
+_BY_NAME: Dict[str, PolicyDescriptor] = {
+    **_BY_KEY,
+    **{alias: _BY_KEY[key] for alias, key in CONFIG_POLICY_KEYS.items()},
+}
 
 
 def policy_keys() -> Tuple[str, ...]:
     """All registered policy keys, in registry order."""
     return tuple(d.key for d in _DESCRIPTORS)
+
+
+def policy_names() -> Tuple[str, ...]:
+    """Every name the lookups accept: the keys, then the paper aliases."""
+    return tuple(_BY_NAME)
 
 
 def policy_descriptors() -> Tuple[PolicyDescriptor, ...]:
@@ -170,9 +189,9 @@ def policy_descriptors() -> Tuple[PolicyDescriptor, ...]:
 
 
 def get_policy_descriptor(key: str) -> PolicyDescriptor:
-    """Descriptor for ``key``; raises on unknown keys."""
+    """Descriptor for a registry key or paper alias; raises on unknowns."""
     try:
-        return _BY_KEY[key]
+        return _BY_NAME[key]
     except KeyError:
         raise ConfigurationError(
             f"unknown policy {key!r}; known: {', '.join(policy_keys())}"

@@ -8,11 +8,10 @@ from .energy import (
     penalty_percent,
     savings_percent,
 )
-from .model import POWER_PARAMS, PowerBreakdown, PowerModel, PowerParams
+from .model import PowerBreakdown, PowerModel, PowerParams
 
 __all__ = [
     "EnergyMeter",
-    "POWER_PARAMS",
     "PowerBreakdown",
     "PowerModel",
     "PowerParams",

@@ -23,10 +23,11 @@ claims* rest only on ratios between configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..errors import ConfigurationError
 from ..platform.chip import ChipState
+from ..platform.registry import model_for_spec
 from ..platform.specs import ChipSpec
 from ..units import Hertz, Millivolts, Watts
 
@@ -62,21 +63,6 @@ class PowerParams:
     external_w: float = 0.0
 
 
-#: Programmatic overrides by chip display name. The built-in chips'
-#: calibrated coefficients live in their declarative bundles
-#: (``platform/defs/*.toml``); this dict only holds parameters
-#: registered via :func:`register_power_params` and takes precedence
-#: over the bundle registry.
-POWER_PARAMS: Dict[str, PowerParams] = {}
-
-
-def register_power_params(spec_name: str, params: PowerParams) -> None:
-    """Register the power-model constants of a custom platform."""
-    if not spec_name:
-        raise ConfigurationError("spec_name must be non-empty")
-    POWER_PARAMS[spec_name] = params
-
-
 @dataclass(frozen=True)
 class PowerBreakdown:
     """One power evaluation split into its physical parts, in watts."""
@@ -103,20 +89,10 @@ class PowerModel:
     """Evaluates chip power for an operating point and per-core loads."""
 
     def __init__(self, spec: ChipSpec, params: Optional[PowerParams] = None):
-        if params is None:
-            params = POWER_PARAMS.get(spec.name)
-        if params is None:
-            from ..platform.registry import model_for_spec
-
-            model = model_for_spec(spec)
-            if model is not None:
-                params = model.power
-        if params is None:
-            raise ConfigurationError(
-                f"no power parameters for platform {spec.name!r}"
-            )
         self.spec = spec
-        self.params = params
+        self.params = (
+            params if params is not None else model_for_spec(spec).power
+        )
 
     # -- component models ---------------------------------------------------
 

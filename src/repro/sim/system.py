@@ -28,15 +28,13 @@ behaviour profile. A refresh whose inputs did not change reuses the
 cached results, which are bit-identical to a recomputation; only the
 finish/phase times (which depend on the advancing clock) are recomputed,
 and their cancel+schedule pair is elided when the recomputed time equals
-the scheduled one. ``ServerSystem(full_refresh=True)`` — or the
-``REPRO_SIM_FULL_REFRESH=1`` environment variable — disables all of it
-and runs the original recompute-everything path; the equivalence
+the scheduled one. ``ServerSystem(full_refresh=True)`` disables all of
+it and runs the original recompute-everything path; the equivalence
 property suite asserts both modes produce identical results.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -115,19 +113,14 @@ class SystemResult:
         return sum(p.migrations for p in self.processes)
 
 
-def _full_refresh_forced() -> bool:
-    """True when the environment forces the recompute-everything oracle."""
-    return os.environ.get("REPRO_SIM_FULL_REFRESH", "") not in ("", "0")
-
-
 class ServerSystem:
     """Replays one workload on one chip under one control policy.
 
-    ``full_refresh=True`` (or ``REPRO_SIM_FULL_REFRESH=1`` in the
-    environment) disables the incremental refresh, the execution-state
-    cache, reschedule elision and same-timestamp event coalescing, and
-    recomputes the entire system state after every event — the original
-    hot path, kept as the ground-truth oracle for equivalence tests.
+    ``full_refresh=True`` disables the incremental refresh, the
+    execution-state cache, reschedule elision and same-timestamp event
+    coalescing, and recomputes the entire system state after every
+    event — the original hot path, kept as the ground-truth oracle for
+    equivalence tests.
     """
 
     def __init__(
@@ -158,7 +151,7 @@ class ServerSystem:
         self.vmin_model = vmin_model or VminModel.for_chip(chip)
         self.droop_model = droop_model or DroopModel(chip.spec)
         self.fault_policy = fault_policy
-        self.full_refresh = full_refresh or _full_refresh_forced()
+        self.full_refresh = full_refresh
         #: Coalescing batches same-time events behind one refresh; the
         #: ``raise`` policy must keep the old one-refresh-per-event flow
         #: so a crash surfaces at the same mid-batch instant it used to.

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..platform.pmu import DROOP_BINS_MV
+from ..platform.registry import DroopParams, model_for_spec
 from ..platform.specs import ChipSpec, FrequencyClass
 
 
@@ -109,46 +110,26 @@ class DroopActivity:
 class DroopModel:
     """Generates droop-detection counts per million cycles (Fig. 6)."""
 
-    #: Baseline detections per 1 M cycles in a configuration's own
-    #: (maximum-magnitude) bin, before workload activity scaling.
-    BASE_RATE_PER_MCYCLES = 40.0
-    #: Rate multiplier per bin *below* the configuration's own bin —
-    #: smaller droops are more frequent.
-    LOWER_BIN_MULTIPLIER = 2.5
-    #: Residual rate in bins above the configuration's ceiling (near
-    #: zero: Fig. 6 shows "almost zero droops" there).
-    ABOVE_CEILING_RATE = 0.02
-
     #: Bound on the memoized jitter-free rate table (distinct activity
     #: floats seen over a run); cleared wholesale when exceeded.
     FLAT_RATE_CACHE_MAX = 1024
 
-    def __init__(self, spec: ChipSpec, seed: int = 0, params=None):
+    def __init__(
+        self,
+        spec: ChipSpec,
+        seed: int = 0,
+        params: Optional[DroopParams] = None,
+    ):
         self.spec = spec
         self._seed = seed
         if params is None:
-            from ..platform.registry import model_for_spec
-
-            model = model_for_spec(spec)
-            params = model.droop if model is not None else None
-        if params is not None:
-            # Instance attributes shadow the class-level defaults, so
-            # chips whose bundle repeats the defaults behave (and hash)
-            # exactly as before.
-            self.BASE_RATE_PER_MCYCLES = params.base_rate_per_mcycles
-            self.LOWER_BIN_MULTIPLIER = params.lower_bin_multiplier
-            self.ABOVE_CEILING_RATE = params.above_ceiling_rate
-            self._freq_scale = {
-                FrequencyClass.HIGH: 1.0,
-                FrequencyClass.SKIP: params.freq_scale_skip,
-                FrequencyClass.DIVIDE: params.freq_scale_divide,
-            }
-        else:
-            self._freq_scale = {
-                FrequencyClass.HIGH: 1.0,
-                FrequencyClass.SKIP: 0.55,
-                FrequencyClass.DIVIDE: 0.2,
-            }
+            params = model_for_spec(spec).droop
+        self.params = params
+        self._freq_scale = {
+            FrequencyClass.HIGH: 1.0,
+            FrequencyClass.SKIP: params.freq_scale_skip,
+            FrequencyClass.DIVIDE: params.freq_scale_divide,
+        }
         #: (utilized_pmds, freq_class, activity) -> jitter-free rates.
         #: The jitter-free computation is pure, so memoizing it returns
         #: the exact same floats the direct evaluation would; the fluid
@@ -188,18 +169,20 @@ class DroopModel:
         )
         rates: Dict[Tuple[int, int], float] = {}
         freq_scale = self._freq_scale[freq_class]
+        params = self.params
+        above_ceiling = params.above_ceiling_rate
         for index, bin_ in enumerate(DROOP_BINS_MV):
             if index > ceiling:
-                rate = self.ABOVE_CEILING_RATE
+                rate = above_ceiling
             else:
                 depth = ceiling - index
                 rate = (
-                    self.BASE_RATE_PER_MCYCLES
-                    * (self.LOWER_BIN_MULTIPLIER ** depth)
+                    params.base_rate_per_mcycles
+                    * (params.lower_bin_multiplier ** depth)
                     * activity
                     * freq_scale
                 )
-            if rng is not None and rate > self.ABOVE_CEILING_RATE:
+            if rng is not None and rate > above_ceiling:
                 rate *= 1.0 + 0.25 * (rng.random() - 0.5)
             rates[bin_] = rate
         if not jitter:

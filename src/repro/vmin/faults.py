@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..errors import (
     ConfigurationError,
@@ -28,6 +28,8 @@ from ..errors import (
     ThreadHang,
 )
 from ..platform.pmu import DROOP_BINS_MV
+from ..platform.registry import FaultParams, model_for_spec
+from ..platform.specs import ChipSpec
 from ..units import Millivolts
 
 #: Outcome tags produced by :meth:`FaultModel.sample_outcome`.
@@ -79,20 +81,20 @@ class FaultModel:
     WIDTH_STEP_MV = 7.0
     MIN_WIDTH_MV = 20.0
 
-    def __init__(self, params=None, spec=None):
+    def __init__(
+        self,
+        params: Optional[FaultParams] = None,
+        spec: Optional[ChipSpec] = None,
+    ):
         """Fault model with a chip's unsafe-region geometry.
 
-        ``params`` (a :class:`repro.platform.registry.FaultParams`)
-        wins; otherwise ``spec``'s declarative bundle is consulted.
-        With neither, the class-level defaults apply — and chips whose
-        bundle repeats the defaults behave (and hash in the Vmin cache)
-        exactly as a default-constructed model.
+        ``params`` wins; otherwise ``spec``'s registered bundle supplies
+        them. With neither, the class-level defaults apply — and chips
+        whose bundle repeats the defaults behave (and hash in the Vmin
+        cache) exactly as a default-constructed model.
         """
         if params is None and spec is not None:
-            from ..platform.registry import model_for_spec
-
-            model = model_for_spec(spec)
-            params = model.faults if model is not None else None
+            params = model_for_spec(spec).faults
         if params is not None:
             self.MAX_WIDTH_MV = params.max_width_mv
             self.WIDTH_STEP_MV = params.width_step_mv

@@ -20,74 +20,15 @@ campaign (Section III); here the same relationships are encoded as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..errors import ConfigurationError
 from ..platform.chip import Chip, ChipState
+from ..platform.registry import model_for_spec
 from ..platform.specs import ChipSpec, FrequencyClass
 from ..units import HertzInt, Millivolts
 from .droop import droop_bin_index, droop_ladder
 from .variation import CoreVariationMap, make_variation_map
-
-#: Programmatic base-table overrides by chip display name. The built-in
-#: chips' tables live in the declarative bundles (``platform/defs``);
-#: this dict only holds tables registered via :func:`register_vmin_table`
-#: and takes precedence over the bundle registry.
-_BASE_TABLES: Dict[str, Dict[FrequencyClass, Tuple[int, ...]]] = {}
-
-
-def _resolve_base_table(
-    spec: ChipSpec,
-) -> Dict[FrequencyClass, Tuple[int, ...]]:
-    """Base-Vmin table of a chip: override first, then its bundle."""
-    table = _BASE_TABLES.get(spec.name)
-    if table is not None:
-        return table
-    from ..platform.registry import model_for_spec
-
-    model = model_for_spec(spec)
-    if model is not None:
-        return model.vmin_base_mv
-    raise ConfigurationError(
-        f"no Vmin table for platform {spec.name!r}"
-    )
-
-
-def register_vmin_table(
-    spec: ChipSpec,
-    table: Dict[FrequencyClass, Tuple[int, ...]],
-) -> None:
-    """Register the ground-truth base-Vmin table of a custom platform.
-
-    ``table`` maps each reachable frequency class to one base Vmin per
-    droop class (ordered mild to severe; the droop-class count follows
-    :func:`repro.vmin.droop.droop_ladder`). Values are validated to fit
-    under the nominal voltage and to be monotone per row.
-    """
-    n_classes = len(droop_ladder(spec))
-    if FrequencyClass.HIGH not in table or FrequencyClass.SKIP not in table:
-        raise ConfigurationError(
-            "table needs at least the HIGH and SKIP frequency classes"
-        )
-    for freq_class, row in table.items():
-        if len(row) != n_classes:
-            raise ConfigurationError(
-                f"{spec.name}: row {freq_class.value} needs "
-                f"{n_classes} droop classes, got {len(row)}"
-            )
-        if list(row) != sorted(row):
-            raise ConfigurationError(
-                f"{spec.name}: row {freq_class.value} must be "
-                f"monotone in the droop class"
-            )
-        if max(row) > spec.nominal_voltage_mv:
-            raise ConfigurationError(
-                f"{spec.name}: Vmin above the nominal voltage"
-            )
-    _BASE_TABLES[spec.name] = {
-        freq_class: tuple(int(v) for v in row)
-        for freq_class, row in table.items()
-    }
 
 
 def variation_attenuation(n_active_cores: int) -> float:
@@ -131,7 +72,7 @@ class VminModel:
     ):
         self.spec = spec
         self.variation = variation or make_variation_map(spec, silicon_seed)
-        self._table = _resolve_base_table(spec)
+        self._table = model_for_spec(spec).vmin_base_mv
         self._n_classes = len(droop_ladder(spec))
 
     @classmethod

@@ -18,20 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..platform.registry import model_for_spec
 from ..platform.specs import ChipSpec
-
-#: Envelope for chips without a declarative bundle, mV (Section III.A
-#: reports family envelopes of ~30 and ~12 mV; registered bundles carry
-#: their own ``variation.max_offset_mv``).
-_DEFAULT_MAX_OFFSET_MV = 25.0
-
-
-def _variation_params(spec: ChipSpec):
-    """Bundle variation parameters of a chip, or ``None``."""
-    from ..platform.registry import model_for_spec
-
-    model = model_for_spec(spec)
-    return model.variation if model is not None else None
 
 
 @dataclass(frozen=True)
@@ -81,10 +69,7 @@ class CoreVariationMap:
 
 def max_core_offset_mv(spec: ChipSpec) -> float:
     """Largest static offset possible for a chip family, in mV."""
-    params = _variation_params(spec)
-    if params is not None:
-        return params.max_offset_mv
-    return _DEFAULT_MAX_OFFSET_MV
+    return model_for_spec(spec).variation.max_offset_mv
 
 
 def variation_rng(spec: ChipSpec, silicon_seed: int) -> random.Random:
@@ -116,13 +101,12 @@ def make_variation_map(
     stream means the caller wants the draw, not the hand-laid table);
     by default the stream is derived via :func:`variation_rng`.
     """
+    params = model_for_spec(spec).variation
     if rng is None:
-        if silicon_seed == 0:
-            params = _variation_params(spec)
-            if params is not None and params.paper_offsets_mv is not None:
-                return CoreVariationMap(spec.name, params.paper_offsets_mv)
+        if silicon_seed == 0 and params.paper_offsets_mv is not None:
+            return CoreVariationMap(spec.name, params.paper_offsets_mv)
         rng = variation_rng(spec, silicon_seed)
-    limit = max_core_offset_mv(spec)
+    limit = params.max_offset_mv
     offsets = []
     for pmd in range(spec.n_pmds):
         pmd_bias = rng.uniform(0.0, limit * 0.8)

@@ -10,17 +10,21 @@ stays inside the TDP envelope.
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.fig3_vmin_characterization import (
+    characterization_grid,
+)
+from repro.perf.model import mem_time_scale
+from repro.platform.cli import platform_main
 from repro.platform.registry import (
-    default_characterization_grid,
     get_platform,
     load_platform_file,
-    model_for_spec,
     model_from_dict,
     model_to_dict,
     platform_key_for_spec,
@@ -30,10 +34,12 @@ from repro.platform.registry import (
     validate_model,
 )
 from repro.platform.specs import FrequencyClass, get_spec
+from repro.platform.thermal import ThermalModel
 from repro.power.model import PowerModel
 from repro.units import ghz
 from repro.vmin.droop import DroopModel, droop_ladder
 from repro.vmin.faults import FaultModel
+from repro.vmin.model import VminModel
 from repro.vmin.variation import make_variation_map
 
 ALL_KEYS = platform_keys()
@@ -67,8 +73,6 @@ class TestSpecFiles:
 
     def test_json_shape_round_trips(self, model):
         # model_to_dict output must survive JSON (the .json loader path).
-        import json
-
         data = json.loads(json.dumps(model_to_dict(model)))
         assert model_from_dict(data) == model
 
@@ -211,11 +215,123 @@ class TestRejection:
         with pytest.raises(ConfigurationError):
             model_from_dict(data)
 
+    def test_row_not_spanning_droop_ladder_fails_validation(self):
+        data = copy.deepcopy(model_to_dict(get_platform("xgene2")))
+        data["vmin"]["base_mv"]["high"] = [870, 890]
+        problems = validate_model(model_from_dict(data))
+        assert "vmin.base_mv.high has 2 droop classes, chip has 3" in problems
 
-class TestDerivedGrid:
-    def test_unregistered_spec_gets_derived_grid(self, spec2):
-        clone = spec2.__class__(**{**spec2.__dict__, "name": "Clone-8"})
-        assert model_for_spec(clone) is None
-        grid = default_characterization_grid(clone)
-        assert all(1 <= t <= clone.n_cores for t in grid.threads)
-        assert set(grid.freqs_hz) <= set(clone.frequency_steps())
+    @pytest.mark.parametrize("row", ["high", "skip"])
+    def test_table_missing_core_class_fails_validation(self, row):
+        data = copy.deepcopy(model_to_dict(get_platform("xgene2")))
+        del data["vmin"]["base_mv"][row]
+        problems = validate_model(model_from_dict(data))
+        assert f"vmin.base_mv is missing the {row!r} row" in problems
+
+    def test_garbled_spec_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "garbled.toml"
+        path.write_text("[platform\nkey = \"x\"\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="^garbled.toml: "):
+            load_platform_file(path)
+
+
+def _set(*path_and_value):
+    """Mutation that sets one nested spec-file entry."""
+    *path, value = path_and_value
+
+    def mutate(data):
+        for name in path[:-1]:
+            data = data[name]
+        data[path[-1]] = value
+
+    return mutate
+
+
+#: Wrong-shaped spec-file value -> the section its error must name.
+WRONG_SHAPES = {
+    "threads-scalar": (
+        _set("characterization", "threads", 5), "[characterization]"
+    ),
+    "threads-strings": (
+        _set("characterization", "threads", ["a"]), "[characterization]"
+    ),
+    "freqs-scalar": (
+        _set("characterization", "freqs_ghz", 2.4), "[characterization]"
+    ),
+    "base-row-scalar": (
+        _set("vmin", "base_mv", "high", 870), "[vmin.base_mv]"
+    ),
+    "base-table-scalar": (_set("vmin", "base_mv", 870), "[vmin.base_mv]"),
+    "paper-offsets-scalar": (
+        _set("vmin", "variation", "paper_offsets_mv", 2.0),
+        "[vmin.variation]",
+    ),
+    "platform-scalar": (_set("platform", 1), "[platform]"),
+    "vmin-scalar": (_set("vmin", 1), "[vmin]"),
+    "variation-scalar": (_set("vmin", "variation", 1), "[vmin.variation]"),
+    "characterization-scalar": (
+        _set("characterization", 1), "[characterization]"
+    ),
+    "chip-scalar": (_set("chip", 1), "[chip]"),
+    "chip-count-string": (_set("chip", "n_cores", "8"), "[chip]"),
+    "power-coefficient-string": (
+        _set("power", "uncore_w", "0.7"), "[power]"
+    ),
+}
+
+
+class TestWrongShapes:
+    """Wrong-shaped values fail as configuration errors, never crashes."""
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_validate_reports_error_naming_the_section(
+        self, shape, tmp_path, capsys
+    ):
+        mutate, section = WRONG_SHAPES[shape]
+        data = copy.deepcopy(model_to_dict(get_platform("xgene2")))
+        mutate(data)
+        with pytest.raises(ConfigurationError) as excinfo:
+            model_from_dict(data)
+        assert section in str(excinfo.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert platform_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}: ERROR bad.json: {section}" in out
+
+
+#: Every consumer that reads a section of the chip's bundle.
+BUNDLE_READERS = {
+    "VminModel": VminModel,
+    "PowerModel": PowerModel,
+    "ThermalModel": ThermalModel,
+    "DroopModel": DroopModel,
+    "FaultModel": lambda spec: FaultModel(spec=spec),
+    "make_variation_map": make_variation_map,
+    "mem_time_scale": mem_time_scale,
+    "characterization_grid": characterization_grid,
+}
+
+
+class TestUnregisteredChip:
+    """A chip with no registered bundle is an error, never a default."""
+
+    @pytest.fixture
+    def clone(self, spec2):
+        return spec2.__class__(**{**spec2.__dict__, "name": "Clone-8"})
+
+    @pytest.mark.parametrize("reader", sorted(BUNDLE_READERS))
+    def test_reader_names_the_chip(self, reader, clone):
+        with pytest.raises(ConfigurationError, match="'Clone-8'"):
+            BUNDLE_READERS[reader](clone)
+
+    def test_explicit_params_need_no_bundle(self, clone):
+        bundle = get_platform("xgene2")
+        assert PowerModel(clone, params=bundle.power).params is bundle.power
+        assert (
+            ThermalModel(clone, params=bundle.thermal).params
+            is bundle.thermal
+        )
+        assert DroopModel(clone, params=bundle.droop).params is bundle.droop
+        faults = FaultModel(params=bundle.faults, spec=clone)
+        assert faults.MAX_WIDTH_MV == bundle.faults.max_width_mv

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.platform.thermal import (
-    THERMAL_PARAMS,
-    ThermalModel,
-    ThermalParams,
-)
+from repro.platform.thermal import ThermalModel, ThermalParams
 
 
 @pytest.fixture
@@ -97,16 +93,6 @@ class TestDerivedEffects:
             ThermalModel(spec2).params.resistance_c_per_w
             > ThermalModel(spec3).params.resistance_c_per_w
         )
-
-    def test_registered_override_wins(self, spec2):
-        custom = ThermalParams(
-            resistance_c_per_w=9.0, time_constant_s=1.0
-        )
-        THERMAL_PARAMS[spec2.name] = custom
-        try:
-            assert ThermalModel(spec2).params is custom
-        finally:
-            del THERMAL_PARAMS[spec2.name]
 
     def test_unknown_platform_needs_params(self, spec2):
         bad = spec2.__class__(**{**spec2.__dict__, "name": "Mystery"})

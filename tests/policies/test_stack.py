@@ -7,13 +7,16 @@ from repro.errors import ConfigurationError
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec
 from repro.policies.arbitration import PolicyStack
+from repro.policies.cli import policy_main
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.ed2p import Ed2pPolicy
 from repro.policies.governors import BaselinePolicy, PowersavePolicy
 from repro.policies.registry import (
+    CONFIG_POLICY_KEYS,
     describe_policy,
     get_policy_descriptor,
     policy_keys,
+    policy_names,
     rail_mode,
     resolve_policy,
 )
@@ -167,6 +170,26 @@ class TestRegistry:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             get_policy_descriptor("overclock-everything")
+
+    def test_paper_aliases_resolve_to_registry_keys(self):
+        for alias, key in CONFIG_POLICY_KEYS.items():
+            assert get_policy_descriptor(alias).key == key
+            assert resolve_policy(alias, SPEC2, table=TABLE2).key == key
+        assert rail_mode("optimal") == "safe"
+        assert policy_names() == (*policy_keys(), *CONFIG_POLICY_KEYS)
+
+    def test_show_resolves_an_alias(self, capsys):
+        assert policy_main(["show", "optimal"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.split() == ["key", "daemon"]
+
+    def test_compare_dedups_aliases_on_canonical_keys(self, capsys):
+        assert policy_main(
+            ["compare", "optimal", "daemon", "--duration", "300"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        policies = [line.split()[0] for line in lines[3:]]
+        assert policies == ["baseline-ondemand", "daemon"]
 
     def test_rail_modes(self):
         assert rail_mode("baseline-ondemand") == "nominal"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.platform.chip import ChipState
-from repro.power.model import POWER_PARAMS, PowerModel
+from repro.power.model import PowerModel
 from repro.units import ghz
 
 
@@ -161,17 +161,3 @@ class TestChipPower:
         # But explicit params work.
         model = PowerModel(bad, params=PowerModel(spec2).params)
         assert model.idle_power_w(idle_state(bad)) > 0
-
-    def test_registered_override_wins(self, spec2):
-        custom = PowerModel(spec2).params.__class__(
-            uncore_w=1.0,
-            core_dyn_max_w=1.0,
-            core_leak_w=0.1,
-            pmd_overhead_w=0.1,
-            uncore_on_rail=False,
-        )
-        POWER_PARAMS[spec2.name] = custom
-        try:
-            assert PowerModel(spec2).params is custom
-        finally:
-            del POWER_PARAMS[spec2.name]

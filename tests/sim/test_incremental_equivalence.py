@@ -150,24 +150,6 @@ class TestIncrementalEquivalence:
         )
         assert fast == oracle
 
-    def test_env_var_forces_oracle(self, monkeypatch):
-        workload = Workload(
-            jobs=(JobSpec(0, "mcf", 1, 0.0),),
-            duration_s=60.0,
-            max_cores=8,
-            seed=0,
-        )
-        monkeypatch.setenv("REPRO_SIM_FULL_REFRESH", "1")
-        system = ServerSystem(
-            Chip(SPEC2), workload, BaselinePolicy()
-        )
-        assert system.full_refresh
-        monkeypatch.setenv("REPRO_SIM_FULL_REFRESH", "0")
-        system = ServerSystem(
-            Chip(SPEC2), workload, BaselinePolicy()
-        )
-        assert not system.full_refresh
-
 
 class TestIncrementalDeterminism:
     def test_same_seed_runs_are_byte_identical(self):

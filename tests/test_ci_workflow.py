@@ -43,7 +43,7 @@ def test_workflow_parses_with_expected_jobs(workflow):
 
 def test_test_job_matrix_covers_supported_pythons(workflow):
     matrix = workflow["jobs"]["test"]["strategy"]["matrix"]
-    assert matrix["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
+    assert matrix["python-version"] == ["3.11", "3.12", "3.13"]
     assert "python -m pytest -x -q" in _steps_text(workflow["jobs"]["test"])
 
 
