@@ -12,7 +12,9 @@ evaluation pipeline:
   lower bound on what incrementality can save.
 
 Both assert the replay's invariants so a future regression cannot trade
-correctness for speed silently.
+correctness for speed silently. The daemon-on replay is also timed on
+the 64-core ``xgene3-xl``, the chip with the most per-process ×
+per-core work per event.
 
 A third bench pins the control-plane refactor's overhead claim: the
 engine's single contact surface with a policy (fresh
@@ -27,6 +29,7 @@ policed by ``compare_benchmarks.py``.
 import time
 
 from repro.core.configurations import run_configuration
+from repro.core.policy import VminPolicyTable
 from repro.platform.chip import Chip
 from repro.platform.specs import get_spec
 from repro.policies.actuation import apply_action
@@ -57,21 +60,41 @@ def workload3():
     return generator.generate(EVALUATION_DURATION_S)
 
 
-def test_sim_daemon_on_xgene3(benchmark, workload3, policy3):
-    """Daemon-on replay: monitor ticks dominate the event stream."""
+@pytest.fixture(scope="module")
+def workload3_xl():
+    """One deterministic 900 s server workload for the 64-core chip."""
+    spec = get_spec("xgene3-xl")
+    generator = ServerWorkloadGenerator(
+        max_cores=spec.n_cores, seed=EVALUATION_SEED
+    )
+    return generator.generate(EVALUATION_DURATION_S)
+
+
+def _time_daemon_on(benchmark, platform, workload, table):
     result = run_once(
         benchmark,
         run_configuration,
-        "xgene3",
-        workload3,
+        platform,
+        workload,
         "optimal",
-        policy=policy3,
+        policy=table,
     )
     assert result.violations == []
     assert all(p.finish_s is not None for p in result.processes)
     assert result.energy_j > 0
     benchmark.extra_info["processes"] = len(result.processes)
     benchmark.extra_info["makespan_s"] = result.makespan_s
+
+
+def test_sim_daemon_on_xgene3(benchmark, workload3, policy3):
+    """Daemon-on replay: monitor ticks dominate the event stream."""
+    _time_daemon_on(benchmark, "xgene3", workload3, policy3)
+
+
+def test_sim_daemon_on_xgene3_xl(benchmark, workload3_xl):
+    """Daemon-on replay on 64 cores: the most per-core work per event."""
+    table = VminPolicyTable.from_characterization(get_spec("xgene3-xl"))
+    _time_daemon_on(benchmark, "xgene3-xl", workload3_xl, table)
 
 
 def test_sim_ondemand_baseline_xgene3(benchmark, workload3, policy3):

@@ -64,34 +64,32 @@ class L3RateClassifier:
         """Rate below which a memory process becomes CPU-intensive."""
         return self.threshold * (1.0 - self.hysteresis)
 
+    def decide(
+        self,
+        rate_per_mcycles: float,
+        previous: WorkloadClass = WorkloadClass.UNKNOWN,
+    ) -> WorkloadClass:
+        """The class one measured L3C rate decides, allocation-free."""
+        if rate_per_mcycles < 0:
+            raise ConfigurationError("rate must be non-negative")
+        if previous is WorkloadClass.MEMORY_INTENSIVE:
+            bound = self.lower_bound
+        elif previous is WorkloadClass.CPU_INTENSIVE:
+            bound = self.upper_bound
+        else:
+            bound = self.threshold
+        if rate_per_mcycles > bound:
+            return WorkloadClass.MEMORY_INTENSIVE
+        return WorkloadClass.CPU_INTENSIVE
+
     def classify(
         self,
         rate_per_mcycles: float,
         previous: WorkloadClass = WorkloadClass.UNKNOWN,
     ) -> ClassificationSample:
         """Decide a process class from one measured L3C rate."""
-        if rate_per_mcycles < 0:
-            raise ConfigurationError("rate must be non-negative")
-        if previous is WorkloadClass.MEMORY_INTENSIVE:
-            decided = (
-                WorkloadClass.MEMORY_INTENSIVE
-                if rate_per_mcycles > self.lower_bound
-                else WorkloadClass.CPU_INTENSIVE
-            )
-        elif previous is WorkloadClass.CPU_INTENSIVE:
-            decided = (
-                WorkloadClass.MEMORY_INTENSIVE
-                if rate_per_mcycles > self.upper_bound
-                else WorkloadClass.CPU_INTENSIVE
-            )
-        else:
-            decided = (
-                WorkloadClass.MEMORY_INTENSIVE
-                if rate_per_mcycles > self.threshold
-                else WorkloadClass.CPU_INTENSIVE
-            )
         return ClassificationSample(
             rate_per_mcycles=rate_per_mcycles,
             previous=previous,
-            decided=decided,
+            decided=self.decide(rate_per_mcycles, previous),
         )

@@ -106,34 +106,41 @@ class MonitoringDaemon:
         Returns the processes whose class changed.
         """
         changes: List[ClassChange] = []
+        reader = self.reader
+        snapshots = self._snapshots
+        decide = self.classifier.decide
+        classified = 0
         for process in system.running_processes():
-            cycles, accesses = self.reader(process)
-            previous = self._snapshots.get(process.pid)
+            cycles, accesses = reader(process)
+            previous = snapshots.get(process.pid)
             if previous is None:
-                self._snapshots[process.pid] = (cycles, accesses)
+                snapshots[process.pid] = (cycles, accesses)
                 continue
             dcycles = cycles - previous[0]
             if dcycles < self.min_window_cycles * process.nthreads:
                 continue
             daccesses = max(0.0, accesses - previous[1])
             rate = 1e6 * daccesses / dcycles
-            self._snapshots[process.pid] = (cycles, accesses)
-            self.samples_taken += 1
-            telemetry.inc(metric_names.DAEMON_CLASSIFICATIONS)
-            sample = self.classifier.classify(rate, process.observed_class)
-            if sample.decided is not process.observed_class:
-                was_known = (
-                    process.observed_class is not WorkloadClass.UNKNOWN
-                )
-                process.observed_class = sample.decided
-                if was_known or sample.decided is not WorkloadClass.CPU_INTENSIVE:
-                    changes.append(ClassChange(process, sample))
-                    telemetry.inc(metric_names.DAEMON_CLASS_FLIPS)
-                elif sample.decided is WorkloadClass.CPU_INTENSIVE:
-                    # UNKNOWN -> CPU is not a behavioural change: new
-                    # processes are already treated as CPU-intensive
-                    # (the fail-safe default of Fig. 13).
-                    continue
+            snapshots[process.pid] = (cycles, accesses)
+            classified += 1
+            was = process.observed_class
+            decided = decide(rate, was)
+            if decided is was:
+                continue
+            process.observed_class = decided
+            # UNKNOWN -> CPU is not a behavioural change: new processes
+            # are already treated as CPU-intensive (the fail-safe
+            # default of Fig. 13).
+            if (
+                was is not WorkloadClass.UNKNOWN
+                or decided is not WorkloadClass.CPU_INTENSIVE
+            ):
+                sample = ClassificationSample(rate, was, decided)
+                changes.append(ClassChange(process, sample))
+                telemetry.inc(metric_names.DAEMON_CLASS_FLIPS)
+        if classified:
+            self.samples_taken += classified
+            telemetry.inc(metric_names.DAEMON_CLASSIFICATIONS, classified)
         return changes
 
     def utilized_pmds(self, system: "Observation") -> int:

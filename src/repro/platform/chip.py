@@ -13,6 +13,7 @@ Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
@@ -35,9 +36,12 @@ class ChipState:
     pmd_frequencies_hz: Tuple[int, ...]
     active_cores: FrozenSet[int]
 
-    @property
+    @cached_property
     def active_pmds(self) -> FrozenSet[int]:
-        """PMDs with at least one active core (the paper's 'utilized PMDs')."""
+        """PMDs with at least one active core (the paper's 'utilized PMDs').
+
+        Derived once per snapshot: the fields it reads are frozen.
+        """
         return frozenset(
             self.spec.pmd_of_core(core) for core in self.active_cores
         )

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Tuple
 
 from ..errors import ConfigurationError, FrequencyRangeError
 
@@ -119,12 +121,7 @@ class ChipSpec:
 
     def frequency_steps(self) -> Tuple[int, ...]:
         """All supported frequency settings, ascending (1/8 steps of fmax)."""
-        step = self.fmax_hz // self.n_freq_steps
-        return tuple(
-            step * i
-            for i in range(1, self.n_freq_steps + 1)
-            if step * i >= self.fmin_hz
-        )
+        return _frequency_grid(self.fmax_hz, self.n_freq_steps, self.fmin_hz)[0]
 
     def validate_frequency(self, freq_hz: int) -> None:
         """Raise :class:`FrequencyRangeError` for an unsupported setting."""
@@ -137,7 +134,12 @@ class ChipSpec:
 
     def nearest_frequency(self, freq_hz: float) -> int:
         """Snap an arbitrary request to the nearest supported step."""
-        steps = self.frequency_steps()
+        steps, exact = _frequency_grid(
+            self.fmax_hz, self.n_freq_steps, self.fmin_hz
+        )
+        step = exact.get(freq_hz)
+        if step is not None:
+            return step
         return min(steps, key=lambda f: (abs(f - freq_hz), f))
 
     def frequency_class(self, freq_hz: int) -> FrequencyClass:
@@ -165,6 +167,24 @@ class ChipSpec:
             raise ConfigurationError(f"{self.name}: PMD {pmd_id} out of range")
         base = pmd_id * self.cores_per_pmd
         return tuple(range(base, base + self.cores_per_pmd))
+
+
+@lru_cache(maxsize=64)
+def _frequency_grid(
+    fmax_hz: int, n_freq_steps: int, fmin_hz: int
+) -> Tuple[Tuple[int, ...], Mapping[int, int]]:
+    """A chip's frequency steps, ascending, and each step keyed by itself.
+
+    Memoized by the three spec fields it depends on, so CPPC requests
+    stop rebuilding the tuple and :class:`ChipSpec` itself stays free of
+    derived state (its fields key the Vmin cache). Both parts are
+    immutable, so every caller can share them.
+    """
+    step = fmax_hz // n_freq_steps
+    steps = tuple(
+        step * i for i in range(1, n_freq_steps + 1) if step * i >= fmin_hz
+    )
+    return steps, MappingProxyType({f: f for f in steps})
 
 
 def xgene2_spec() -> ChipSpec:

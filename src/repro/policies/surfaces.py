@@ -145,9 +145,9 @@ class Observation:
     # -- PMU / power ---------------------------------------------------------
 
     @property
-    def droop_events(self) -> Dict[int, int]:
-        """PMU droop-detection counters per severity bin."""
-        return self.system.chip.pmu.counts()
+    def droop_events(self) -> Dict[Tuple[int, int], float]:
+        """PMU droop-detection counts per ``(lo, hi)`` mV bin (a copy)."""
+        return dict(self.system.chip.pmu.droop_events)
 
     @property
     def energy_j(self) -> float:

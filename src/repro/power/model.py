@@ -180,26 +180,35 @@ class PowerModel:
                 "leakage multiplier must be positive"
             )
         spec = self.spec
+        params = self.params
         voltage = state.voltage_mv
         active_pmds = state.active_pmds
+        freqs = state.pmd_frequencies_hz
+        # core_dynamic_w's C * V^2 prefix, evaluated once: the per-core
+        # product below keeps its left-to-right order, so every term is
+        # bit-identical to a core_dynamic_w call.
+        dyn_scale = params.core_dyn_max_w * self._v_ratio(voltage) ** 2
+        fmax = spec.fmax_hz
+        per_pmd = spec.cores_per_pmd
         dynamic = 0.0
         for core_id in range(spec.n_cores):
-            freq = state.frequency_of_core(core_id)
+            pmd_id = core_id // per_pmd
             if core_id in core_activity:
                 activity = core_activity[core_id]
             else:
                 # Idle core: residual clock toggling; much less when the
                 # whole PMD is idle and its clock tree is gated.
-                activity = self.params.idle_activity
-                if spec.pmd_of_core(core_id) not in active_pmds:
-                    activity *= self.params.gate_factor
-            dynamic += self.core_dynamic_w(freq, voltage, activity)
+                activity = params.idle_activity
+                if pmd_id not in active_pmds:
+                    activity *= params.gate_factor
+            if activity < 0:
+                raise ConfigurationError("activity must be non-negative")
+            dynamic += dyn_scale * (freqs[pmd_id] / fmax) * activity
         leakage = (
             spec.n_cores * self.core_leakage_w(voltage)
             * leakage_multiplier
         )
         pmd_overhead = 0.0
-        active_pmds = state.active_pmds
         for pmd_id in range(spec.n_pmds):
             freq = state.pmd_frequencies_hz[pmd_id]
             pmd_overhead += self.pmd_overhead_w(

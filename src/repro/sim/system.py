@@ -31,6 +31,12 @@ and their cancel+schedule pair is elided when the recomputed time equals
 the scheduled one. ``ServerSystem(full_refresh=True)`` disables all of
 it and runs the original recompute-everything path; the equivalence
 property suite asserts both modes produce identical results.
+
+Every full recompute, in either mode, also builds one
+:class:`ReplayPlan` per running process: the constants the per-event
+loops (fluid integration, completion rescheduling, the behaviour-change
+scan) need until the next full recompute, so those loops do flat float
+arithmetic instead of per-core method calls.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
 from ..perf.model import ExecutionState, bandwidth_demand_gbs, execution_state
 from ..platform.chip import Chip, ChipState
+from ..platform.pmu import CoreCounters
 from ..platform.thermal import ThermalModel
 from ..policies.actuation import apply_action
 from ..policies.surfaces import Action, Observation, Policy, PolicyEvent
@@ -53,10 +60,10 @@ from ..power.model import PowerModel
 from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
 from ..workloads.generator import Workload
-from ..workloads.phases import resolve_benchmark
+from ..workloads.phases import phase_boundaries, resolve_benchmark
 from ..workloads.profiles import BenchmarkProfile
 from .engine import Event, EventQueue, SimClock
-from .process import SimProcess, WorkloadClass
+from .process import ProcessCounters, SimProcess, WorkloadClass
 from .scheduler import SpreadScheduler
 from .tracing import TimelineTrace, TraceSample
 
@@ -81,6 +88,40 @@ class ViolationRecord:
     def depth_mv(self) -> float:
         """How far below the safe Vmin the rail sat."""
         return self.required_mv - self.voltage_mv
+
+
+@dataclass(eq=False, slots=True)
+class ReplayPlan:
+    """What the per-event loops need of one running process.
+
+    Built at every full recompute from the chip snapshot and the
+    process's execution state, all of which stay fixed until the next
+    full recompute: occupancy, clocks and active behaviours are exactly
+    what forces one. The loops evaluate the same float expressions, in
+    the same order, as the per-process methods they replace
+    (:meth:`~repro.sim.process.ProcessCounters.advance`,
+    :meth:`~repro.platform.pmu.CoreCounters.advance`,
+    :meth:`~repro.sim.process.SimProcess.progress`,
+    :meth:`~repro.sim.process.SimProcess.next_phase_boundary`), so the
+    results are bit-identical.
+    """
+
+    process: SimProcess
+    counters: ProcessCounters
+    #: Slowest clock among the process's cores, Hz.
+    freq: int
+    #: ``l3_rate_per_mcycles * freq``: L3 accesses per second times 1e6.
+    l3_rate_freq: float
+    nthreads: int
+    duration_s: float
+    #: Effective switching activity of every thread.
+    activity: float
+    #: One (PMU registers, core clock in Hz) pair per held core.
+    cores: Tuple[Tuple[CoreCounters, int], ...]
+    #: Done-fraction phase boundaries; empty for static programs.
+    boundaries: Tuple[float, ...]
+    #: The behaviour profile active when the plan was built.
+    behaviour: BenchmarkProfile
 
 
 @dataclass(slots=True)
@@ -185,6 +226,9 @@ class ServerSystem:
         self.violations: List[ViolationRecord] = []
         self._finish_events: Dict[int, Event] = {}
         self._phase_events: Dict[int, Event] = {}
+        #: pid -> execution state at the last full recompute: what the
+        #: replay plans are built from, kept for the per-process loop
+        #: oracle the tests replay against them.
         self._proc_states: Dict[int, ExecutionState] = {}
         self._power_w = 0.0
         self._pending_arrivals = 0
@@ -204,20 +248,21 @@ class ServerSystem:
         #: Inputs of the last full refresh, reused verbatim while the
         #: version counters below say nothing relevant changed.
         self._state: Optional[ChipState] = None
-        self._freqs: Dict[int, int] = {}
-        self._behaviours: Dict[int, BenchmarkProfile] = {}
+        #: One replay plan per running process, in ``_running`` order,
+        #: and the subset whose programs have phase boundaries.
+        self._plans: List[ReplayPlan] = []
+        self._phased_plans: List[ReplayPlan] = []
         self._activity_map: Dict[int, float] = {}
         self._bw_util = 0.0
         self._required_base = 0.0
         self._occ_version = -1
         self._freq_version = -1
         self._volt_version = -1
-        #: Cached droop-generation inputs (derived from the chip state
-        #: and execution states, fixed between refreshes).
-        self._droop_pmds = 0
+        #: Droop plan: the fastest utilized clock and the droop rate of
+        #: each bin (empty when no PMD is utilized). Derived from the
+        #: chip state and execution states, fixed between full refreshes.
         self._droop_freq = 0
-        self._droop_class = None
-        self._droop_activity = 0.0
+        self._droop_rates: Tuple[Tuple[Tuple[int, int], float], ...] = ()
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
         #: execution state. Keys hold the behaviour object itself so
         #: its id() stays valid for the cache's lifetime.
@@ -448,36 +493,29 @@ class ServerSystem:
         if dt <= 0:
             self._sample_trace_until(time_s)
             return
-        oracle = self.full_refresh
-        if oracle:
-            state = self.chip.state()
-            running = self.running_processes()
-        else:
-            state = self._state if self._state is not None else self.chip.state()
-            running = self._running
-        proc_states = self._proc_states
-        freqs = self._freqs
-        pmu = self.chip.pmu
-        for process in running:
-            exec_state = proc_states[process.pid]
-            if oracle:
-                freq = self.process_frequency_hz(process)
-            else:
-                freq = freqs[process.pid]
-            cycles = freq * dt * process.nthreads
-            accesses = (
-                exec_state.l3_rate_per_mcycles * freq * dt / 1e6
-            ) * process.nthreads
-            process.counters.advance(cycles, accesses)
-            for core in process.cores:
-                core_freq = state.frequency_of_core(core)
-                pmu.core(core).advance(
-                    cycles=core_freq * dt,
-                    instructions=core_freq * dt * exec_state.effective_activity,
-                    l3_accesses=accesses / process.nthreads,
-                )
-            process.progress(dt / exec_state.duration_s)
-        self._accumulate_droops(state, running, dt)
+        for plan in self._plans:
+            nthreads = plan.nthreads
+            cycles = plan.freq * dt * nthreads
+            accesses = (plan.l3_rate_freq * dt / 1e6) * nthreads
+            counters = plan.counters
+            counters.cycles += cycles
+            counters.l3_accesses += accesses
+            per_thread = accesses / nthreads
+            activity = plan.activity
+            for regs, core_freq in plan.cores:
+                core_cycles = core_freq * dt
+                regs.cycles += core_cycles
+                regs.instructions += core_cycles * activity
+                regs.l3_accesses += per_thread
+            process = plan.process
+            process.remaining_fraction = max(
+                0.0, process.remaining_fraction - dt / plan.duration_s
+            )
+        if self._droop_rates:
+            droop_cycles = self._droop_freq * dt
+            droops = self.chip.pmu.droop_events
+            for bin_mv, rate in self._droop_rates:
+                droops[bin_mv] += rate * droop_cycles / 1e6
         self.meter.accumulate(self._power_w, dt)
         if self.thermal is not None:
             self.thermal.step(self._power_w, dt)
@@ -485,38 +523,6 @@ class ServerSystem:
                 (time_s, self.thermal.temperature_c)
             )
         self._sample_trace_until(time_s)
-
-    def _accumulate_droops(
-        self,
-        state: ChipState,
-        running: List[SimProcess],
-        dt: float,
-    ) -> None:
-        if self.full_refresh:
-            pmds = state.active_pmds
-            if not pmds:
-                return
-            n_pmds = len(pmds)
-            cycles = state.max_active_frequency() * dt
-            freq_class = state.worst_active_frequency_class()
-            activity = sum(
-                self._proc_states[p.pid].effective_activity for p in running
-            ) / max(1, len(running))
-        else:
-            n_pmds = self._droop_pmds
-            if not n_pmds:
-                return
-            cycles = self._droop_freq * dt
-            freq_class = self._droop_class
-            activity = self._droop_activity
-        events = self.droop_model.events_for_interval(
-            utilized_pmds=n_pmds,
-            cycles=cycles,
-            freq_class=freq_class,
-            activity=max(0.05, activity),
-        )
-        for bin_mv, count in events.items():
-            self.chip.pmu.record_droops(bin_mv, count)
 
     def _sample_trace_until(self, time_s: float) -> None:
         if self.trace is None:
@@ -587,17 +593,11 @@ class ServerSystem:
             self._recompute_all()
             return
         chip = self.chip
-        dirty = (
+        if (
             chip.occupancy_version != self._occ_version
             or chip.cppc.transition_count() != self._freq_version
-        )
-        if not dirty:
-            behaviours = self._behaviours
-            for process in self._running:
-                if process.current_profile() is not behaviours[process.pid]:
-                    dirty = True
-                    break
-        if dirty:
+            or self._behaviour_changed()
+        ):
             self._refreshes_full += 1
             self._recompute_all()
             return
@@ -613,8 +613,19 @@ class ServerSystem:
             # Temperature moves every interval: leakage and the thermal
             # Vmin shift must track it even on otherwise-clean refreshes.
             self._recompute_power(state)
-        self._reschedule_completions(self._running)
+        self._reschedule_completions()
         self._audit_cached(state)
+
+    def _behaviour_changed(self) -> bool:
+        """Whether a running process entered a new phase.
+
+        Static programs never change behaviour, so only the phased
+        plans are scanned.
+        """
+        for plan in self._phased_plans:
+            if plan.process.current_profile() is not plan.behaviour:
+                return True
+        return False
 
     def _recompute_all(self) -> None:
         """Full refresh: rebuild every derived quantity from the chip."""
@@ -625,34 +636,33 @@ class ServerSystem:
             running = self._running
         spec = self.spec
         demands: List[float] = []
-        freqs: Dict[int, int] = {}
-        behaviours: Dict[int, BenchmarkProfile] = {}
+        # Per process: its core clocks, the slowest one, its behaviour.
+        inputs: List[Tuple[Tuple[int, ...], int, BenchmarkProfile]] = []
         for process in running:
-            freq = min(state.frequency_of_core(c) for c in process.cores)
-            freqs[process.pid] = freq
+            core_freqs = tuple(map(state.frequency_of_core, process.cores))
+            freq = min(core_freqs)
             behaviour = process.current_profile()
-            behaviours[process.pid] = behaviour
+            inputs.append((core_freqs, freq, behaviour))
             demand = bandwidth_demand_gbs(behaviour, spec, freq)
             demands.extend([demand] * process.nthreads)
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
         activity_map: Dict[int, float] = {}
         cache = None if self.full_refresh else self._exec_cache
+        pmu = self.chip.pmu
         self._proc_states = {}
-        for process in running:
+        plans: List[ReplayPlan] = []
+        for process, (core_freqs, freq, behaviour) in zip(running, inputs):
             shares = self._shares_pmd(process)
-            behaviour = behaviours[process.pid]
             exec_state = None
-            key = (
-                behaviour, freqs[process.pid], process.nthreads, shares, crowd
-            )
+            key = (behaviour, freq, process.nthreads, shares, crowd)
             if cache is not None:
                 exec_state = cache.get(key)
             if exec_state is None:
                 exec_state = execution_state(
                     behaviour,
                     spec,
-                    freqs[process.pid],
+                    freq,
                     nthreads=process.nthreads,
                     shares_pmd=shares,
                     contention=crowd,
@@ -662,27 +672,70 @@ class ServerSystem:
                         cache.clear()
                     cache[key] = exec_state
             self._proc_states[process.pid] = exec_state
+            activity = exec_state.effective_activity
             for core in process.cores:
-                activity_map[core] = exec_state.effective_activity
+                activity_map[core] = activity
+            plan = ReplayPlan(
+                process=process,
+                counters=process.counters,
+                freq=freq,
+                l3_rate_freq=exec_state.l3_rate_per_mcycles * freq,
+                nthreads=process.nthreads,
+                duration_s=exec_state.duration_s,
+                activity=activity,
+                cores=tuple(zip(map(pmu.core, process.cores), core_freqs)),
+                boundaries=tuple(phase_boundaries(process.profile)),
+                behaviour=behaviour,
+            )
+            # The checks the per-interval advance/progress calls made:
+            # with dt > 0, every delta is non-negative iff these are.
+            if min(freq, plan.l3_rate_freq, activity, plan.duration_s) < 0:
+                raise SimulationError(
+                    f"pid {process.pid}: negative clock, L3 rate, "
+                    "activity or duration in the replay plan"
+                )
+            plans.append(plan)
+        self._plans = plans
+        self._phased_plans = [plan for plan in plans if plan.boundaries]
         self._state = state
-        self._freqs = freqs
-        self._behaviours = behaviours
         self._activity_map = activity_map
         self._bw_util = bw_util
         self._occ_version = self.chip.occupancy_version
         self._freq_version = self.chip.cppc.transition_count()
         self._volt_version = self.chip.slimpro.transition_count()
-        pmds = state.active_pmds
-        self._droop_pmds = len(pmds)
-        if pmds:
-            self._droop_freq = state.max_active_frequency()
-            self._droop_class = state.worst_active_frequency_class()
-            self._droop_activity = sum(
-                self._proc_states[p.pid].effective_activity for p in running
-            ) / max(1, len(running))
+        self._plan_droops(state, plans)
         self._recompute_power(state)
-        self._reschedule_completions(running)
+        self._reschedule_completions()
         self._audit_voltage(state, running)
+
+    def _plan_droops(self, state: ChipState, plans: List[ReplayPlan]) -> None:
+        """Fix the droop rates the next intervals accumulate at.
+
+        The rates are the jitter-free ones
+        :meth:`~repro.vmin.droop.DroopModel.events_for_interval` scales
+        by each interval's cycles, and every input they depend on is
+        fixed until the next full recompute.
+        """
+        pmds = state.active_pmds
+        if not pmds:
+            self._droop_rates = ()
+            return
+        activity = sum(plan.activity for plan in plans) / max(1, len(plans))
+        rates = self.droop_model.rates_per_mcycles(
+            len(pmds),
+            state.worst_active_frequency_class(),
+            max(0.05, activity),
+            jitter=False,
+        )
+        freq = state.max_active_frequency()
+        # The checks events_for_interval and record_droops made on every
+        # interval's cycles and counts, made once.
+        if freq < 0 or min(rates.values()) < 0:
+            raise SimulationError(
+                "negative clock or droop rate in the droop plan"
+            )
+        self._droop_freq = freq
+        self._droop_rates = tuple(rates.items())
 
     def _recompute_power(self, state: ChipState) -> None:
         leak_multiplier = (
@@ -704,18 +757,19 @@ class ServerSystem:
                     return True
         return False
 
-    def _reschedule_completions(self, running: List[SimProcess]) -> None:
+    def _reschedule_completions(self) -> None:
         now = self.now
         elide = not self.full_refresh
-        for process in running:
-            exec_state = self._proc_states[process.pid]
-            remaining_s = max(
-                0.0, process.remaining_fraction * exec_state.duration_s
-            )
-            if process.remaining_fraction <= REMAINING_EPS:
+        finish_events = self._finish_events
+        for plan in self._plans:
+            process = plan.process
+            remaining = process.remaining_fraction
+            if remaining <= REMAINING_EPS:
                 remaining_s = 0.0
+            else:
+                remaining_s = max(0.0, remaining * plan.duration_s)
             time_s = now + remaining_s
-            old = self._finish_events.get(process.pid)
+            old = finish_events.get(process.pid)
             if (
                 elide
                 and old is not None
@@ -728,21 +782,28 @@ class ServerSystem:
             else:
                 if old is not None:
                     self.events.cancel(old)  # reprolint: disable=RL005 -- time changed
-                self._finish_events[process.pid] = self.events.schedule(
+                finish_events[process.pid] = self.events.schedule(
                     time_s, "finish", process.pid
                 )
-            self._reschedule_phase(process, exec_state)
+            if plan.boundaries:
+                self._reschedule_phase(plan)
 
-    def _reschedule_phase(self, process, exec_state) -> None:
+    def _reschedule_phase(self, plan: ReplayPlan) -> None:
+        process = plan.process
         old = self._phase_events.get(process.pid)
-        boundary = process.next_phase_boundary()
+        done = 1.0 - process.remaining_fraction
+        boundary = None
+        for candidate in plan.boundaries:
+            if candidate > done + 1e-9:
+                boundary = candidate
+                break
         if boundary is None:
             if old is not None:
                 del self._phase_events[process.pid]
                 self.events.cancel(old)
             return
         # Progress advances at 1/duration done-fractions per second.
-        eta_s = (boundary - process.done_fraction) * exec_state.duration_s
+        eta_s = (boundary - done) * plan.duration_s
         time_s = self.now + max(0.0, eta_s)
         if (
             not self.full_refresh

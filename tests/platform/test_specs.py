@@ -1,5 +1,7 @@
 """Tests for chip specifications (paper Table I)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError, FrequencyRangeError
@@ -103,6 +105,18 @@ class TestFrequencySteps:
         assert spec2.nearest_frequency(ghz(1.0)) == 900 * MHZ
         assert spec2.nearest_frequency(ghz(2.3)) == ghz(2.4)
         assert spec2.nearest_frequency(0) == 300 * MHZ
+
+    def test_exact_step_snaps_to_the_int_step(self, spec2):
+        for step in spec2.frequency_steps():
+            snapped = spec2.nearest_frequency(float(step))
+            assert snapped == step and type(snapped) is int
+
+    def test_memoized_steps_leave_the_spec_untouched(self, spec3):
+        # The spec's fields key the Vmin cache and specs are cloned
+        # through their __dict__: the memo must live outside them.
+        spec3.frequency_steps()
+        spec3.nearest_frequency(ghz(2.0))
+        assert set(vars(spec3)) == {f.name for f in fields(spec3)}
 
 
 class TestFrequencyClasses:

@@ -1,0 +1,250 @@
+"""Per-process simulator loops: the reference for replay plans.
+
+:class:`repro.sim.system.ServerSystem` builds one
+:class:`~repro.sim.system.ReplayPlan` per running process at every full
+recompute, and its per-event loops walk the plans with flat arithmetic.
+:class:`LoopOracleSystem` keeps the loops those plans replaced, which
+advance every running process through its own methods on every event:
+
+* fluid integration through :meth:`ProcessCounters.advance`,
+  ``Pmu.core(c).advance`` and :meth:`SimProcess.progress`, reading the
+  clocks from a fresh chip snapshot, and droops through
+  :meth:`DroopModel.events_for_interval` and :meth:`Pmu.record_droops`;
+* completion and phase rescheduling through
+  :meth:`SimProcess.next_phase_boundary`;
+* the behaviour-change scan over every running process.
+
+The tests replay one workload through both and compare every register;
+:func:`mixed_workloads`, :func:`replay` and :func:`replay_observables`
+are the shared pieces of those replays.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Dict
+
+from hypothesis import strategies as st
+
+from repro.core.policy import VminPolicyTable
+from repro.platform.chip import Chip
+from repro.platform.specs import get_spec
+from repro.platform.thermal import ThermalModel
+from repro.policies.daemon import OnlineMonitoringDaemon
+from repro.policies.governors import BaselinePolicy
+from repro.policies.safevmin import SafeVminPolicy
+from repro.policies.surfaces import Policy
+from repro.sim.system import REMAINING_EPS, ServerSystem, SystemResult
+from repro.workloads.generator import JobSpec, Workload
+from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.suites import evaluation_pool
+
+from tests.sim.test_incremental_equivalence import observables
+
+STATIC_PROGRAMS = [p.name for p in evaluation_pool()]
+PHASED_PROGRAMS = [
+    "stream-compute", "setup-then-crunch", "compute-then-writeback"
+]
+POLICY_KEYS = ("baseline", "safe-vmin", "daemon")
+
+
+class LoopOracleSystem(ServerSystem):
+    """A :class:`ServerSystem` whose per-event loops skip the plans."""
+
+    def _recompute_all(self) -> None:
+        super()._recompute_all()
+        # Progress does not move inside a recompute, so these are the
+        # behaviours the recompute itself evaluated.
+        self._loop_behaviours: Dict[int, BenchmarkProfile] = {
+            p.pid: p.current_profile() for p in self.running_processes()
+        }
+
+    def _behaviour_changed(self) -> bool:
+        behaviours = self._loop_behaviours
+        for process in self.running_processes():
+            if process.current_profile() is not behaviours[process.pid]:
+                return True
+        return False
+
+    def _integrate_to(self, time_s: float) -> None:
+        dt = time_s - self.now
+        if dt <= 0:
+            self._sample_trace_until(time_s)
+            return
+        state = self.chip.state()
+        running = self.running_processes()
+        proc_states = self._proc_states
+        pmu = self.chip.pmu
+        for process in running:
+            exec_state = proc_states[process.pid]
+            freq = self.process_frequency_hz(process)
+            cycles = freq * dt * process.nthreads
+            accesses = (
+                exec_state.l3_rate_per_mcycles * freq * dt / 1e6
+            ) * process.nthreads
+            process.counters.advance(cycles, accesses)
+            for core in process.cores:
+                core_freq = state.frequency_of_core(core)
+                pmu.core(core).advance(
+                    cycles=core_freq * dt,
+                    instructions=core_freq * dt * exec_state.effective_activity,
+                    l3_accesses=accesses / process.nthreads,
+                )
+            process.progress(dt / exec_state.duration_s)
+        pmds = state.active_pmds
+        if pmds:
+            activity = sum(
+                proc_states[p.pid].effective_activity for p in running
+            ) / max(1, len(running))
+            events = self.droop_model.events_for_interval(
+                utilized_pmds=len(pmds),
+                cycles=state.max_active_frequency() * dt,
+                freq_class=state.worst_active_frequency_class(),
+                activity=max(0.05, activity),
+            )
+            for bin_mv, count in events.items():
+                pmu.record_droops(bin_mv, count)
+        self.meter.accumulate(self._power_w, dt)
+        if self.thermal is not None:
+            self.thermal.step(self._power_w, dt)
+            self.temperature_series.append(
+                (time_s, self.thermal.temperature_c)
+            )
+        self._sample_trace_until(time_s)
+
+    def _reschedule_completions(self) -> None:
+        now = self.now
+        elide = not self.full_refresh
+        for process in self.running_processes():
+            exec_state = self._proc_states[process.pid]
+            remaining_s = max(
+                0.0, process.remaining_fraction * exec_state.duration_s
+            )
+            if process.remaining_fraction <= REMAINING_EPS:
+                remaining_s = 0.0
+            time_s = now + remaining_s
+            old = self._finish_events.get(process.pid)
+            if (
+                elide
+                and old is not None
+                and old.time_s == time_s
+                and time_s > now
+            ):
+                self._reschedules_elided += 1
+            else:
+                if old is not None:
+                    self.events.cancel(old)
+                self._finish_events[process.pid] = self.events.schedule(
+                    time_s, "finish", process.pid
+                )
+            self._reschedule_phase_of(process, exec_state.duration_s)
+
+    def _reschedule_phase_of(self, process, duration_s: float) -> None:
+        old = self._phase_events.get(process.pid)
+        boundary = process.next_phase_boundary()
+        if boundary is None:
+            if old is not None:
+                del self._phase_events[process.pid]
+                self.events.cancel(old)
+            return
+        eta_s = (boundary - process.done_fraction) * duration_s
+        time_s = self.now + max(0.0, eta_s)
+        if (
+            not self.full_refresh
+            and old is not None
+            and old.time_s == time_s
+            and time_s > self.now
+        ):
+            self._reschedules_elided += 1
+            return
+        if old is not None:
+            self.events.cancel(old)
+        self._phase_events[process.pid] = self.events.schedule(
+            time_s, "phase", process.pid
+        )
+
+
+def replay_observables(system: ServerSystem, result: SystemResult) -> dict:
+    """Every observable of a finished replay, as raw comparable values.
+
+    The result fields and trace the incremental-refresh suite compares,
+    plus each process's PMU counters, class and remaining work, every
+    per-core PMU register and droop bin, and the temperature series.
+    """
+    pmu = system.chip.pmu
+    return {
+        **observables(result),
+        "process_state": [
+            (
+                p.counters.cycles,
+                p.counters.l3_accesses,
+                p.observed_class,
+                p.remaining_fraction,
+            )
+            for p in result.processes
+        ],
+        "core_registers": [
+            (c.cycles, c.instructions, c.l3_accesses) for c in pmu.cores
+        ],
+        "droop_bins": sorted(pmu.droop_events.items()),
+        "temperature_series": list(system.temperature_series),
+    }
+
+
+@lru_cache(maxsize=None)
+def _table(platform: str) -> VminPolicyTable:
+    return VminPolicyTable.from_characterization(get_spec(platform))
+
+
+def make_policy(key: str, platform: str) -> Policy:
+    """A fresh policy of one of :data:`POLICY_KEYS`."""
+    spec = get_spec(platform)
+    if key == "baseline":
+        return BaselinePolicy()
+    if key == "safe-vmin":
+        return SafeVminPolicy(spec, policy=_table(platform))
+    return OnlineMonitoringDaemon(spec, policy=_table(platform))
+
+
+@st.composite
+def mixed_workloads(draw, max_cores: int, phased_first: bool = False):
+    """Random static and phased jobs that fit the chip at issue time.
+
+    ``phased_first`` makes job 0 a phased program, so every workload
+    crosses phase boundaries.
+    """
+    jobs = []
+    # Odd thread counts too: scaling by a power of two is exact, so
+    # only they tell ``(freq * dt) * n`` from ``freq * (dt * n)``.
+    # Replicated programs run one copy per thread.
+    threads = (1, 2, 3, 4, 6) if max_cores <= 8 else (1, 2, 3, 4, 6, 8, 12)
+    phased = st.sampled_from(PHASED_PROGRAMS)
+    anything = phased | st.sampled_from(STATIC_PROGRAMS)
+    for job_id in range(draw(st.integers(1, 6))):
+        name = draw(phased if phased_first and job_id == 0 else anything)
+        nthreads = draw(st.sampled_from(threads))
+        start = draw(st.floats(0.0, 120.0).map(lambda v: round(v, 2)))
+        jobs.append(JobSpec(job_id, name, nthreads, start))
+    return Workload(
+        jobs=tuple(jobs), duration_s=300.0, max_cores=max_cores, seed=0
+    )
+
+
+def replay(
+    system_cls: type,
+    platform: str,
+    workload: Workload,
+    policy_key: str,
+    thermal: bool,
+    **kwargs,
+) -> dict:
+    """Replay ``workload`` through ``system_cls``; its observables."""
+    spec = get_spec(platform)
+    system = system_cls(
+        Chip(spec),
+        workload,
+        make_policy(policy_key, platform),
+        thermal_model=ThermalModel(spec) if thermal else None,
+        **kwargs,
+    )
+    return replay_observables(system, system.run())

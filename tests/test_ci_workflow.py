@@ -225,6 +225,12 @@ def test_perfbench_reference_job_checks_both_chips(workflow):
             f"python3 perfbench/run.py --workload {workload} --seconds 1"
             in text
         )
+        # The seed-dependent sections are checked at the held-out seed
+        # too.
+        assert (
+            f"python3 perfbench/run.py --workload {workload} --seconds 1 "
+            "--seed 11" in text
+        )
     # The job fails unless the result line reports a correct run with
     # no failed operation.
     assert "tail -n 1" in text
