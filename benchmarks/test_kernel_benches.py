@@ -1,14 +1,15 @@
 """Regression benches for the vectorized kernel layer.
 
-The campaign bench pins the PR's headline claim: a cold (cache-less)
+The campaign bench pins the kernels' headline claim: a cold (cache-less)
 characterization pipeline through :mod:`repro.kernels` must run at
-least 5x faster than the scalar reference loops it replaced — and
-return identical results. The pipeline is what a cold ``run-all``
-actually executes per platform: the safe-Vmin search and unsafe-region
-scan of every Fig. 3/4 point, the Fig. 5 pfail curves, and the
-worst-case policy-table sweep — at a denser-than-default protocol
-(2 mV search steps, 1 mV curve axis, full 25-benchmark pool) so the
-scalar baseline is long enough to time reliably.
+least 5x faster than the scalar reference loops it replaced — kept as
+the test oracle in ``tests/campaign_oracle.py`` — and return identical
+results. The pipeline is what a cold ``run-all`` actually executes per
+platform: the safe-Vmin search and unsafe-region scan of every Fig. 3/4
+point, the Fig. 5 pfail curves, and the worst-case policy-table sweep —
+at a denser-than-default protocol (2 mV search steps, 1 mV curve axis,
+full 25-benchmark pool) so the scalar baseline is long enough to time
+reliably.
 """
 
 import time
@@ -23,6 +24,9 @@ from repro.vmin.characterize import VminCampaign
 from repro.workloads.suites import characterization_set
 
 from conftest import run_once
+# Importable only with the repository root on sys.path: run the benches
+# as ``python -m pytest benchmarks`` from the root.
+from tests import campaign_oracle as oracle
 
 #: Dense campaign protocol shared by the scalar and vectorized runs.
 BENCH_STEP_MV = 2
@@ -31,13 +35,10 @@ BENCH_FREQS = (ghz(2.4), ghz(1.2), ghz(0.9))
 MIN_CAMPAIGN_SPEEDUP = 5.0
 
 
-def _bench_campaign(spec, use_kernels):
+def _bench_campaign(spec):
     """Fresh cache-less campaign plus the full Fig. 3-style point list."""
     campaign = VminCampaign(
-        spec,
-        step_mv=BENCH_STEP_MV,
-        cache=VminCache(capacity=0),
-        use_kernels=use_kernels,
+        spec, step_mv=BENCH_STEP_MV, cache=VminCache(capacity=0)
     )
     pool = characterization_set()
     points = []
@@ -78,15 +79,14 @@ def _curve_axis(spec):
 
 def _run_scalar_pipeline(campaign, points):
     spec = campaign.spec
-    searches = [campaign._measure_safe_vmin_scalar(point) for point in points]
+    searches = [oracle.measure_safe_vmin(campaign, point) for point in points]
     scans = [
-        campaign._scan_unsafe_region_scalar(
-            point, safe_vmin_mv=search.safe_vmin_mv
+        oracle.scan_unsafe_region(
+            campaign, point, safe_vmin_mv=search.safe_vmin_mv
         )
         for point, search in zip(points, searches)
     ]
-    axis = _curve_axis(spec)
-    curves = [campaign.pfail_curve(point, axis) for point in points]
+    curves = oracle.pfail_curves(campaign, points, _curve_axis(spec))
     core_sets, deltas = _sweep_inputs(spec)
     model = campaign.vmin_model
     sweep = [
@@ -117,8 +117,8 @@ def _run_vectorized_pipeline(campaign, points):
 
 def test_cold_characterization_campaign_vectorized(benchmark, spec2):
     """Cold characterization pipeline through the kernels vs scalar loops."""
-    scalar_campaign, points = _bench_campaign(spec2, use_kernels=False)
-    kernel_campaign, _ = _bench_campaign(spec2, use_kernels=True)
+    scalar_campaign, points = _bench_campaign(spec2)
+    kernel_campaign, _ = _bench_campaign(spec2)
     # Untimed warmup of both paths (imports, numpy ufunc dispatch and
     # adaptive-interpreter specialization all land on the first pass),
     # then best-of-3 timings so one scheduler hiccup cannot skew the
@@ -168,7 +168,7 @@ def test_cold_characterization_campaign_vectorized(benchmark, spec2):
 
 def test_cold_characterization_campaign_scalar_reference(benchmark, spec2):
     """The scalar pipeline itself, kept as the comparison baseline."""
-    campaign, points = _bench_campaign(spec2, use_kernels=False)
+    campaign, points = _bench_campaign(spec2)
     searches, scans, curves, sweep = run_once(
         benchmark, _run_scalar_pipeline, campaign, points
     )

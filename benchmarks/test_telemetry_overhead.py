@@ -63,9 +63,7 @@ def _noop_span(*args, **kwargs):
 def _campaign_inputs():
     """A kernel-heavy pipeline: batch search + scan + pfail curves."""
     spec = xgene2_spec()
-    campaign = VminCampaign(
-        spec, step_mv=2, cache=VminCache(capacity=0), use_kernels=True
-    )
+    campaign = VminCampaign(spec, step_mv=2, cache=VminCache(capacity=0))
     pool = characterization_set()
     points = [
         campaign.point(

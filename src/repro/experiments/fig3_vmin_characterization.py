@@ -99,7 +99,6 @@ class Fig3Result:
 def run(
     platform: str = "xgene2",
     benchmarks: Optional[Sequence[BenchmarkProfile]] = None,
-    mode: str = "analytic",
     silicon_seed: int = 0,
 ) -> Fig3Result:
     """Run the Fig. 3 campaign for one platform."""
@@ -129,7 +128,7 @@ def run(
                     )
                 )
     for point, measured in zip(
-        points, campaign.measure_safe_vmin_batch(points, mode=mode)
+        points, campaign.measure_safe_vmin_batch(points)
     ):
         result.rows.append(
             Fig3Row(

@@ -100,7 +100,6 @@ def run(
     platform: str = "xgene2",
     benchmarks: Optional[Sequence[BenchmarkProfile]] = None,
     silicon_seed: int = 0,
-    mode: str = "analytic",
 ) -> Fig4Result:
     """Run the Fig. 4 campaign (single-core and two-core scans)."""
     spec = get_spec(platform)
@@ -139,7 +138,7 @@ def run(
                 )
             )
             scopes.append(("pmd", pmd))
-    scans = campaign.scan_unsafe_region_batch(points, mode=mode)
+    scans = campaign.scan_unsafe_region_batch(points)
     for point, (scope, index), scan in zip(points, scopes, scans):
         result.rows.append(
             Fig4Row(

@@ -13,9 +13,9 @@ counterparts that evaluate whole grids in one call:
   :meth:`~repro.vmin.model.VminModel.safe_vmin_mv`;
 * :mod:`repro.kernels.faults` — batched
   :meth:`~repro.vmin.faults.FaultModel.pfail` /
-  :meth:`~repro.vmin.faults.FaultModel.outcome_mix`, the analytic
-  outcome-count reduction of the campaign protocol, and vectorized
-  binomial/multinomial draws for Monte-Carlo (``trials``) mode;
+  :meth:`~repro.vmin.faults.FaultModel.outcome_mix` and the analytic
+  outcome-count reduction of the campaign protocol (Monte-Carlo
+  ``trials`` campaigns draw level by level and have no kernel);
 * :mod:`repro.kernels.power` — the batched
   :meth:`~repro.power.model.PowerModel.chip_power` closed form used by
   the energy grids (Figs. 7/11/12).
@@ -26,8 +26,11 @@ rounding mode and residue placement), so results are bit-for-bit
 identical — not merely close. The scalar APIs remain the reference
 implementations; the property tests in ``tests/vmin/test_kernels.py``
 assert exact equality, and ``docs/PERFORMANCE.md`` documents the
-contract. The scalar-to-kernel mapping itself is recorded in
-:mod:`repro.kernels.parity` (:data:`~repro.kernels.parity.PARITY` /
+contract. The level-by-level analytic campaign the batched
+:class:`~repro.vmin.characterize.VminCampaign` sweeps replace lives on
+as a test oracle in ``tests/campaign_oracle.py``. The scalar-to-kernel
+mapping itself is recorded in :mod:`repro.kernels.parity`
+(:data:`~repro.kernels.parity.PARITY` /
 :data:`~repro.kernels.parity.SCALAR_ONLY`) and enforced statically by
 ``reprolint`` rule RL003 and at runtime by
 :func:`~repro.kernels.parity.verify_parity`.
@@ -37,10 +40,8 @@ from .faults import (
     MIX_ORDER,
     analytic_failure_counts,
     analytic_outcome_counts,
-    multinomial_split,
     outcome_mix_grid,
     pfail_grid,
-    sample_outcome_counts,
     width_mv_grid,
 )
 from .parity import PARITY, SCALAR_ONLY, verify_parity
@@ -57,7 +58,6 @@ __all__ = [
     "analytic_outcome_counts",
     "chip_power_grid",
     "evaluate_grid",
-    "multinomial_split",
     "outcome_mix_grid",
     "pfail_grid",
     "safe_vmin_grid",

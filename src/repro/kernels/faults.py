@@ -1,18 +1,18 @@
 """Batched counterparts of the scalar fault model.
 
 Vectorizes :meth:`FaultModel.pfail` and :meth:`FaultModel.outcome_mix`
-over arbitrary (voltage, safe Vmin, droop class) grids, plus the two
-outcome-count reductions of the campaign protocol
-(:meth:`VminCampaign._run_level`):
+over arbitrary (voltage, safe Vmin, droop class) grids, plus the
+analytic outcome-count reduction of the campaign protocol: expected
+counts with the campaign's exact rounding — half-to-even per failure
+type, rounding residue assigned to the dominant type. The batched
+analytic sweeps of :class:`~repro.vmin.characterize.VminCampaign` are
+built from these.
 
-* **analytic** — expected counts with the campaign's exact rounding:
-  half-to-even per failure type, rounding residue assigned to the
-  dominant type;
-* **trials** — vectorized binomial failure draws and batched
-  multinomial type splits for Monte-Carlo mode.
-
-All analytic arithmetic mirrors the scalar operation order, so results
-are bit-for-bit identical to the scalar fault model.
+All arithmetic mirrors the scalar operation order, so results are bit
+for bit identical to the scalar fault model and to a level-by-level
+analytic campaign (the test oracle in ``tests/campaign_oracle.py``).
+Monte-Carlo (``trials``) campaigns have no kernel: they draw level by
+level on the campaign's sequential RNG stream.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .. import telemetry
 from ..telemetry import names as metric_names
 from ..vmin.faults import (
-    FAULT_OUTCOMES,
     OUTCOME_CRASH,
     OUTCOME_HANG,
     OUTCOME_SDC,
@@ -36,11 +35,6 @@ from ..vmin.faults import (
 #: order of the scalar ``outcome_mix`` dict, which matters: the analytic
 #: rounding residue goes to the *first* maximal type in this order.
 MIX_ORDER = (OUTCOME_CRASH, OUTCOME_SDC, OUTCOME_HANG, OUTCOME_TIMEOUT)
-
-#: MIX_ORDER column of each FAULT_OUTCOMES tag, and vice versa (used to
-#: translate trials-mode multinomial draws between the two orders).
-_MIX_COL_OF_FAULT = tuple(MIX_ORDER.index(tag) for tag in FAULT_OUTCOMES)
-_FAULT_COL_OF_MIX = tuple(FAULT_OUTCOMES.index(tag) for tag in MIX_ORDER)
 
 
 def width_mv_grid(
@@ -115,8 +109,8 @@ def analytic_failure_counts(pfail: np.ndarray, runs: int) -> np.ndarray:
     """Batched expected failure counts with the campaign's rounding.
 
     ``failures = round(pfail * runs)`` (half to even), forced to at
-    least one whenever ``pfail > 0`` — the failure-count half of the
-    analytic branch of ``VminCampaign._run_level``.
+    least one whenever ``pfail > 0`` — the failure-count half of an
+    analytic campaign level.
     """
     pfail = np.asarray(pfail, dtype=np.float64)
     failures = np.rint(pfail * runs).astype(np.int64)
@@ -128,10 +122,10 @@ def analytic_outcome_counts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Expected (failures, per-type split) with the campaign's rounding.
 
-    Mirrors the analytic branch of ``VminCampaign._run_level`` exactly:
-    failures via :func:`analytic_failure_counts`; the per-type split
-    rounds each share half-to-even and assigns the integer residue to
-    the dominant (first maximal, in :data:`MIX_ORDER`) failure type.
+    Mirrors one analytic campaign level exactly: failures via
+    :func:`analytic_failure_counts`; the per-type split rounds each
+    share half-to-even and assigns the integer residue to the dominant
+    (first maximal, in :data:`MIX_ORDER`) failure type.
 
     ``pfail`` has any shape; ``mix`` must append one axis of length 4 in
     :data:`MIX_ORDER`. Returns ``failures`` (same shape as ``pfail``,
@@ -150,40 +144,3 @@ def analytic_outcome_counts(
     )
     return failures, split
 
-
-def multinomial_split(
-    rng: np.random.Generator, failures: np.ndarray, mix: np.ndarray
-) -> np.ndarray:
-    """Batched multinomial split of failure counts into failure types.
-
-    ``mix`` appends one :data:`MIX_ORDER` axis to the shape of
-    ``failures``. Draws in ``FAULT_OUTCOMES`` order like the scalar
-    trials branch, then reorders the columns back to :data:`MIX_ORDER`.
-    """
-    pvals = np.take(
-        np.asarray(mix, dtype=np.float64), _MIX_COL_OF_FAULT, axis=-1
-    )
-    draws = rng.multinomial(np.asarray(failures), pvals)
-    return np.take(draws, _FAULT_COL_OF_MIX, axis=-1).astype(np.int64)
-
-
-def sample_outcome_counts(
-    rng: np.random.Generator,
-    pfail: np.ndarray,
-    mix: np.ndarray,
-    runs: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo (failures, per-type split) with vectorized draws.
-
-    One binomial draw per grid point and one batched multinomial split
-    across the whole grid, instead of one Python-level RNG call per
-    voltage level. The draws are deterministic for a given generator
-    state but do **not** reproduce the scalar trials-mode stream, which
-    interleaves draws level by level.
-
-    Returns ``failures`` (shape of ``pfail``) and ``split`` (shape of
-    ``mix``, :data:`MIX_ORDER` columns), both int64.
-    """
-    pfail = np.asarray(pfail, dtype=np.float64)
-    failures = rng.binomial(runs, pfail).astype(np.int64)
-    return failures, multinomial_split(rng, failures, mix)

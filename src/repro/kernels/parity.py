@@ -46,9 +46,6 @@ PARITY: Dict[str, str] = {
     "repro.vmin.faults.FaultModel.outcome_mix": (
         "repro.kernels.faults.outcome_mix_grid"
     ),
-    "repro.vmin.faults.FaultModel.sample_outcome": (
-        "repro.kernels.faults.sample_outcome_counts"
-    ),
     "repro.power.model.PowerModel.chip_power": (
         "repro.kernels.power.chip_power_grid"
     ),
@@ -76,6 +73,11 @@ SCALAR_ONLY: Dict[str, str] = {
     "repro.vmin.faults.FaultModel.unsafe_region": (
         "returns an UnsafeRegion object; the numeric part is"
         " width_mv_grid"
+    ),
+    "repro.vmin.faults.FaultModel.sample_outcome": (
+        "one run's outcome on a caller's RNG; trials campaigns draw"
+        " level by level on their sequential RNG stream, which a"
+        " batched draw cannot reproduce"
     ),
     "repro.vmin.faults.FaultModel.raise_for_outcome": (
         "control flow (raises VoltageFault); nothing to batch"

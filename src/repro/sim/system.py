@@ -192,11 +192,14 @@ class ServerSystem:
         self.vmin_model = vmin_model or VminModel.for_chip(chip)
         self.droop_model = droop_model or DroopModel(chip.spec)
         self.fault_policy = fault_policy
+        #: The oracle mode; read only here and in :meth:`_refresh`.
         self.full_refresh = full_refresh
         #: Coalescing batches same-time events behind one refresh; the
         #: ``raise`` policy must keep the old one-refresh-per-event flow
         #: so a crash surfaces at the same mid-batch instant it used to.
-        self._coalesce = not self.full_refresh and fault_policy != "raise"
+        self._coalesce = not full_refresh and fault_policy != "raise"
+        #: Skip the cancel+schedule pair of an unchanged future event.
+        self._elide = not full_refresh
         #: Optional junction-temperature tracker; None = the calibration
         #: temperature everywhere (the paper's reporting condition).
         self.thermal = thermal_model
@@ -264,11 +267,12 @@ class ServerSystem:
         self._droop_freq = 0
         self._droop_rates: Tuple[Tuple[Tuple[int, int], float], ...] = ()
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
-        #: execution state. Keys hold the behaviour object itself so
-        #: its id() stays valid for the cache's lifetime.
-        self._exec_cache: Dict[
-            Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState
-        ] = {}
+        #: execution state, or None in the oracle mode. Keys hold the
+        #: behaviour object itself so its id() stays valid for the
+        #: cache's lifetime.
+        self._exec_cache: Optional[
+            Dict[Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState]
+        ] = None if full_refresh else {}
         self._refreshes_full = 0
         self._refreshes_incremental = 0
         self._reschedules_elided = 0
@@ -282,8 +286,6 @@ class ServerSystem:
 
     def running_processes(self) -> List[SimProcess]:
         """Processes currently occupying cores."""
-        if self.full_refresh:
-            return [p for p in self.processes if p.is_running]
         return list(self._running)
 
     def migrate(self, process: SimProcess, cores: Sequence[int]) -> None:
@@ -476,11 +478,11 @@ class ServerSystem:
 
     def _handle_tick(self) -> None:
         self._dispatch_policy(PolicyEvent.TICK)
-        if self.full_refresh:
-            busy = any(p.is_running for p in self.processes)
-        else:
-            busy = bool(self._running)
-        work_left = self._pending_arrivals > 0 or bool(self.queue) or busy
+        work_left = (
+            self._pending_arrivals > 0
+            or bool(self.queue)
+            or bool(self._running)
+        )
         if work_left and self.policy.monitor_period_s:
             self.events.schedule(
                 self.now + self.policy.monitor_period_s, "tick"
@@ -529,16 +531,9 @@ class ServerSystem:
             return
         while self._next_sample_s <= time_s + 1e-12:
             counts = self._class_counts()
-            if self.full_refresh:
-                state = self.chip.state()
-                n_running = len(self.running_processes())
-            else:
-                state = (
-                    self._state
-                    if self._state is not None
-                    else self.chip.state()
-                )
-                n_running = len(self._running)
+            state = (
+                self._state if self._state is not None else self.chip.state()
+            )
             active = state.active_pmds
             mean_freq = (
                 sum(state.pmd_frequencies_hz[p] for p in active) / len(active)
@@ -550,7 +545,7 @@ class ServerSystem:
                     time_s=self._next_sample_s,
                     power_w=self._power_w,
                     busy_cores=len(state.active_cores),
-                    running_processes=n_running,
+                    running_processes=len(self._running),
                     cpu_intensive=counts[0],
                     memory_intensive=counts[1],
                     voltage_mv=state.voltage_mv,
@@ -561,10 +556,7 @@ class ServerSystem:
 
     def _class_counts(self) -> Tuple[int, int]:
         cpu = mem = 0
-        running = (
-            self.running_processes() if self.full_refresh else self._running
-        )
-        for process in running:
+        for process in self._running:
             label = process.observed_class
             if label is WorkloadClass.UNKNOWN:
                 label = process.reference_class
@@ -587,14 +579,13 @@ class ServerSystem:
           safety audit only; execution states are voltage-independent;
         * nothing changed — completion times (the clock advanced) and
           the safety audit against the cached safe-Vmin level.
+
+        With ``full_refresh=True`` everything is dirty on every refresh.
         """
-        if self.full_refresh:
-            self._refreshes_full += 1
-            self._recompute_all()
-            return
         chip = self.chip
         if (
-            chip.occupancy_version != self._occ_version
+            self.full_refresh
+            or chip.occupancy_version != self._occ_version
             or chip.cppc.transition_count() != self._freq_version
             or self._behaviour_changed()
         ):
@@ -630,10 +621,7 @@ class ServerSystem:
     def _recompute_all(self) -> None:
         """Full refresh: rebuild every derived quantity from the chip."""
         state = self.chip.state()
-        if self.full_refresh:
-            running = [p for p in self.processes if p.is_running]
-        else:
-            running = self._running
+        running = self._running
         spec = self.spec
         demands: List[float] = []
         # Per process: its core clocks, the slowest one, its behaviour.
@@ -648,7 +636,7 @@ class ServerSystem:
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
         activity_map: Dict[int, float] = {}
-        cache = None if self.full_refresh else self._exec_cache
+        cache = self._exec_cache
         pmu = self.chip.pmu
         self._proc_states = {}
         plans: List[ReplayPlan] = []
@@ -759,7 +747,7 @@ class ServerSystem:
 
     def _reschedule_completions(self) -> None:
         now = self.now
-        elide = not self.full_refresh
+        elide = self._elide
         finish_events = self._finish_events
         for plan in self._plans:
             process = plan.process
@@ -806,7 +794,7 @@ class ServerSystem:
         eta_s = (boundary - done) * plan.duration_s
         time_s = self.now + max(0.0, eta_s)
         if (
-            not self.full_refresh
+            self._elide
             and old is not None
             and old.time_s == time_s
             and time_s > self.now

@@ -61,12 +61,11 @@ VMIN_CACHE_DISK_HITS = "vmin.cache.disk_hits"
 VMIN_CACHE_CORRUPT = "vmin.cache.corrupt_discarded"
 VMIN_CACHE_DISK_BYTES = "vmin.cache.disk_bytes"
 
-# -- batched kernels (repro.kernels / scalar fallbacks) -----------------------
+# -- batched kernels (repro.kernels) -------------------------------------------
 
 KERNELS_VMIN_BATCH = "kernels.vmin.batch_points"
 KERNELS_POWER_BATCH = "kernels.power.batch_points"
 KERNELS_FAULTS_BATCH = "kernels.faults.batch_points"
-KERNELS_SCALAR_FALLBACKS = "kernels.scalar.fallbacks"
 
 # -- experiment orchestrator (repro.experiments.orchestrator) -----------------
 

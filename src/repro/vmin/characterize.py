@@ -11,10 +11,19 @@ silicon:
   and record the outcome mix (SDC / crash / hang / timeout) down to the
   system crash point (Section III.B, Figs. 4 and 5).
 
-Two execution modes are supported: ``trials`` draws the actual binomial
-run outcomes (exactly what the hardware campaign does, minus the weeks of
-machine time), and ``analytic`` short-circuits to the underlying failure
-probabilities, for fast exact sweeps.
+Each execution mode has one path:
+
+* ``analytic`` short-circuits to the underlying failure probabilities
+  and rounds them to expected outcome counts. Every analytic call, one
+  point or many, runs as one batched :mod:`repro.kernels` sweep over
+  the whole voltage axis (:meth:`VminCampaign.measure_safe_vmin_batch`,
+  :meth:`VminCampaign.scan_unsafe_region_batch`), memoized in the Vmin
+  cache;
+* ``trials`` is the per-run protocol: it draws each level's failures
+  binomially and splits them into failure types with one multinomial
+  draw, level by level on the campaign's sequential RNG stream
+  (exactly what the hardware campaign does, minus the weeks of machine
+  time). Its results consume RNG state, so they are never cached.
 """
 
 from __future__ import annotations
@@ -24,20 +33,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
 from ..allocation import Allocation, cores_for
 from ..errors import CharacterizationError
 from ..kernels.faults import (
     MIX_ORDER,
     analytic_failure_counts,
     analytic_outcome_counts,
-    multinomial_split,
     outcome_mix_grid,
     pfail_grid,
 )
 from ..kernels.vmin import evaluate_grid
 from ..platform.specs import ChipSpec
-from ..telemetry import names as metric_names
 from .cache import (
     VminCache,
     cache_key_producer,
@@ -135,7 +141,6 @@ class VminCampaign:
         scan_runs: int = 60,
         seed: int = 0,
         cache: Optional[VminCache] = None,
-        use_kernels: bool = True,
     ):
         if step_mv <= 0:
             raise CharacterizationError("step_mv must be positive")
@@ -151,12 +156,6 @@ class VminCampaign:
         #: Explicit cache, or ``None`` to use the process default; pass
         #: ``VminCache(capacity=0)`` to opt out of memoization.
         self.cache = cache
-        #: Route analytic campaigns through the batched
-        #: :mod:`repro.kernels` sweeps (bit-identical results); the
-        #: scalar reference path remains available with ``False``.
-        #: Trials mode always uses the scalar path for single-point
-        #: calls, preserving its sequential RNG stream.
-        self.use_kernels = use_kernels
         self._rng = np.random.default_rng(seed)
         self._fingerprints: Optional[Tuple[str, str, str]] = None
 
@@ -211,7 +210,6 @@ class VminCampaign:
         self,
         kind: str,
         point: CharacterizationPoint,
-        mode: str,
         runs: int,
         **extra: object,
     ) -> str:
@@ -235,7 +233,8 @@ class VminCampaign:
             seed=self.seed,
             step_mv=self.step_mv,
             runs=runs,
-            mode=mode,
+            # Only analytic results are cached; keys keep naming the mode.
+            mode="analytic",
             **extra,
         )
 
@@ -266,6 +265,13 @@ class VminCampaign:
             for entry in encoded
         ]
 
+    # -- mode dispatch -------------------------------------------------------------
+
+    @staticmethod
+    def _check_mode(mode: str) -> None:
+        if mode not in ("analytic", "trials"):
+            raise CharacterizationError(f"unknown mode {mode!r}")
+
     # -- safe-Vmin search --------------------------------------------------------
 
     def measure_safe_vmin(
@@ -280,94 +286,53 @@ class VminCampaign:
         ``analytic`` mode a level is safe exactly when its failure
         probability is zero.
         """
-        if mode not in ("analytic", "trials"):
-            raise CharacterizationError(f"unknown mode {mode!r}")
-        if self.use_kernels and mode == "analytic":
-            return self.measure_safe_vmin_batch([point], mode)[0]
-        return self._measure_safe_vmin_scalar(point, mode)
+        self._check_mode(mode)
+        if mode == "analytic":
+            return self.measure_safe_vmin_batch([point])[0]
+        return self._search_trials(point)
 
-    def _measure_safe_vmin_scalar(
-        self,
-        point: CharacterizationPoint,
-        mode: str = "analytic",
-    ) -> SafeVminResult:
-        """Scalar reference implementation of :meth:`measure_safe_vmin`."""
-        telemetry.inc(metric_names.KERNELS_SCALAR_FALLBACKS)
-        if mode not in ("analytic", "trials"):
-            raise CharacterizationError(f"unknown mode {mode!r}")
-        # Trials mode consumes RNG state, so replaying it from a cache
-        # would change subsequent draws; only analytic sweeps memoize.
-        cache = self._cache_backend() if mode == "analytic" else None
-        key = ""
-        if cache is not None:
-            key = self._campaign_key("safe_vmin", point, mode, self.pass_runs)
-            cached = cache.get(key)
-            if cached is not None:
-                return SafeVminResult(
-                    point=point,
-                    safe_vmin_mv=int(cached["safe_vmin_mv"]),
-                    true_vmin_mv=float(cached["true_vmin_mv"]),
-                    steps=self._decode_steps(cached["steps"]),
-                    runs_per_step=int(cached["runs_per_step"]),
-                )
+    def _search_trials(self, point: CharacterizationPoint) -> SafeVminResult:
+        """The trials-mode search: level by level on the campaign RNG."""
         true_vmin, droop_class = self._true_vmin(point)
         steps: List[VoltageStepRecord] = []
         safe = self.spec.nominal_voltage_mv
         voltage = self.spec.nominal_voltage_mv
         while voltage >= self.spec.min_voltage_mv:
             record = self._run_level(
-                voltage, true_vmin, droop_class, self.pass_runs, mode
+                voltage, true_vmin, droop_class, self.pass_runs
             )
             steps.append(record)
             if record.failures > 0:
                 break
             safe = voltage
             voltage -= self.step_mv
-        result = SafeVminResult(
+        return SafeVminResult(
             point=point,
             safe_vmin_mv=safe,
             true_vmin_mv=true_vmin,
             steps=steps,
             runs_per_step=self.pass_runs,
         )
-        if cache is not None:
-            cache.put(
-                key,
-                {
-                    "safe_vmin_mv": result.safe_vmin_mv,
-                    "true_vmin_mv": result.true_vmin_mv,
-                    "runs_per_step": result.runs_per_step,
-                    "steps": self._encode_steps(result.steps),
-                },
-            )
-        return result
 
     def measure_safe_vmin_batch(
-        self,
-        points: Sequence[CharacterizationPoint],
-        mode: str = "analytic",
+        self, points: Sequence[CharacterizationPoint]
     ) -> List[SafeVminResult]:
-        """Batched :meth:`measure_safe_vmin` over many configurations.
+        """Analytic :meth:`measure_safe_vmin` over many configurations.
 
         Sweeps the full voltage axis of every cache-missing point in one
         :mod:`repro.kernels` evaluation instead of one Python call per
-        voltage level. Analytic results — including every recorded step
-        and the cache payloads — are bit-identical to the scalar search;
-        ``trials`` mode uses vectorized draws, which are deterministic
-        for the campaign seed but follow a different RNG stream than the
-        scalar level-by-level search.
+        voltage level. Every recorded step and every cache payload is
+        bit-identical to a level-by-level analytic search.
         """
-        if mode not in ("analytic", "trials"):
-            raise CharacterizationError(f"unknown mode {mode!r}")
         points = list(points)
         results: List[Optional[SafeVminResult]] = [None] * len(points)
-        cache = self._cache_backend() if mode == "analytic" else None
+        cache = self._cache_backend()
         keys: List[str] = [""] * len(points)
         pending: List[int] = []
         for i, point in enumerate(points):
             if cache is not None:
                 keys[i] = self._campaign_key(
-                    "safe_vmin", point, mode, self.pass_runs
+                    "safe_vmin", point, self.pass_runs
                 )
                 cached = cache.get(keys[i])
                 if cached is not None:
@@ -411,13 +376,8 @@ class VminCampaign:
             grid.total_mv[:, None],
             grid.droop_class[:, None],
         )
-        if mode == "analytic":
-            # Analytic failures are >= 1 exactly where pfail > 0.
-            failing = pf > 0.0
-            failures_mat = None
-        else:
-            failures_mat = self._rng.binomial(runs, pf).astype(np.int64)
-            failing = failures_mat > 0
+        # Analytic failures are >= 1 exactly where pfail > 0.
+        failing = pf > 0.0
         has_fail = failing.any(axis=1)
         first_fail = np.argmax(failing, axis=1)
         # Outcome split of the one failing level per failing point.
@@ -429,16 +389,10 @@ class VminCampaign:
             grid.total_mv[fail_rows],
             grid.droop_class[fail_rows],
         )
-        if mode == "analytic":
-            fail_counts, fail_splits = analytic_outcome_counts(
-                pf[fail_rows, fail_cols], fail_mix, runs
-            )
-        else:
-            fail_counts = failures_mat[fail_rows, fail_cols]
-            fail_splits = multinomial_split(self._rng, fail_counts, fail_mix)
+        fail_counts, fail_splits = analytic_outcome_counts(
+            pf[fail_rows, fail_cols], fail_mix, runs
+        )
         fail_pos = {int(row): k for k, row in enumerate(fail_rows)}
-        split_tags = MIX_ORDER if mode == "analytic" else FAULT_OUTCOMES
-        split_cols = [MIX_ORDER.index(tag) for tag in split_tags]
         # Bulk-convert the grids once; per-element numpy indexing in the
         # record loop would dominate the whole batch otherwise. Records
         # are built with positional args (voltage_mv, runs, pfail,
@@ -450,13 +404,8 @@ class VminCampaign:
         fail_splits_list = fail_splits.tolist()
         fail_pfails = pf[fail_rows, fail_cols].tolist()
         true_vmins = grid.total_mv.tolist()
-        # Analytic levels are safe exactly when pfail == 0, so only the
-        # failing level's pfail is ever nonzero; trials mode records the
-        # true pfail of every level it visits.
-        pf_rows = pf.tolist() if mode == "trials" else None
         nominal = self.spec.nominal_voltage_mv
         for g, i in enumerate(pending):
-            point = points[i]
             if has_fail_list[g]:
                 last = first_fail_list[g]
                 safe = volt_list[last - 1] if last >= 1 else nominal
@@ -465,32 +414,20 @@ class VminCampaign:
                 last = -1
                 safe = volt_list[-1]
                 n_steps = len(volt_list)
-            if pf_rows is None:
-                steps: List[VoltageStepRecord] = [
-                    VoltageStepRecord(v, runs, 0.0, {OUTCOME_PASS: runs})
-                    for v in volt_list[:n_steps]
-                ]
-            else:
-                pf_row = pf_rows[g]
-                steps = [
-                    VoltageStepRecord(
-                        volt_list[j], runs, pf_row[j], {OUTCOME_PASS: runs}
-                    )
-                    for j in range(n_steps)
-                ]
+            # Levels are safe exactly when pfail == 0, so only the
+            # failing level's pfail is nonzero.
+            steps: List[VoltageStepRecord] = [
+                VoltageStepRecord(v, runs, 0.0, {OUTCOME_PASS: runs})
+                for v in volt_list[:n_steps]
+            ]
             if last >= 0:
                 k = fail_pos[g]
-                f = fail_counts_list[k]
-                split_row = fail_splits_list[k]
                 record = steps[last]
-                if pf_rows is None:
-                    record.pfail = fail_pfails[k]
-                outcomes = record.outcomes
-                outcomes[OUTCOME_PASS] = runs - f
-                for tag, col in zip(split_tags, split_cols):
-                    outcomes[tag] = split_row[col]
+                record.pfail = fail_pfails[k]
+                record.outcomes[OUTCOME_PASS] = runs - fail_counts_list[k]
+                record.outcomes.update(zip(MIX_ORDER, fail_splits_list[k]))
             result = SafeVminResult(
-                point=point,
+                point=points[i],
                 safe_vmin_mv=safe,
                 true_vmin_mv=true_vmins[g],
                 steps=steps,
@@ -520,94 +457,57 @@ class VminCampaign:
         """Scan below the safe Vmin, 60 runs per level (Section III.B).
 
         Continues until a level where every run fails (the system crash
-        point) or the regulator floor.
+        point) or the regulator floor. Without ``safe_vmin_mv`` the scan
+        starts from a safe-Vmin search in the same mode.
         """
-        if self.use_kernels and mode == "analytic":
+        self._check_mode(mode)
+        if mode == "analytic":
             return self.scan_unsafe_region_batch(
-                [point],
-                mode,
-                None if safe_vmin_mv is None else [safe_vmin_mv],
+                [point], None if safe_vmin_mv is None else [safe_vmin_mv]
             )[0]
-        return self._scan_unsafe_region_scalar(point, mode, safe_vmin_mv)
-
-    def _scan_unsafe_region_scalar(
-        self,
-        point: CharacterizationPoint,
-        mode: str = "analytic",
-        safe_vmin_mv: Optional[int] = None,
-    ) -> UnsafeScanResult:
-        """Scalar reference implementation of :meth:`scan_unsafe_region`."""
-        telemetry.inc(metric_names.KERNELS_SCALAR_FALLBACKS)
-        true_vmin, droop_class = self._true_vmin(point)
         if safe_vmin_mv is None:
-            safe_vmin_mv = self.measure_safe_vmin(point, mode).safe_vmin_mv
-        cache = self._cache_backend() if mode == "analytic" else None
-        key = ""
-        if cache is not None:
-            key = self._campaign_key(
-                "unsafe_scan",
-                point,
-                mode,
-                self.scan_runs,
-                start_mv=safe_vmin_mv,
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                return UnsafeScanResult(
-                    point=point,
-                    safe_vmin_mv=safe_vmin_mv,
-                    crash_voltage_mv=int(cached["crash_voltage_mv"]),
-                    steps=self._decode_steps(cached["steps"]),
-                )
+            safe_vmin_mv = self._search_trials(point).safe_vmin_mv
+        return self._scan_trials(point, safe_vmin_mv)
+
+    def _scan_trials(
+        self, point: CharacterizationPoint, safe_vmin_mv: int
+    ) -> UnsafeScanResult:
+        """The trials-mode scan: level by level on the campaign RNG."""
+        true_vmin, droop_class = self._true_vmin(point)
         steps: List[VoltageStepRecord] = []
         voltage = safe_vmin_mv
         crash_voltage = self.spec.min_voltage_mv
         while voltage >= self.spec.min_voltage_mv:
             record = self._run_level(
-                voltage, true_vmin, droop_class, self.scan_runs, mode
+                voltage, true_vmin, droop_class, self.scan_runs
             )
             steps.append(record)
             if record.pfail >= 1.0 or record.failures == record.runs:
                 crash_voltage = voltage
                 break
             voltage -= self.step_mv
-        result = UnsafeScanResult(
+        return UnsafeScanResult(
             point=point,
             safe_vmin_mv=safe_vmin_mv,
             crash_voltage_mv=crash_voltage,
             steps=steps,
         )
-        if cache is not None:
-            cache.put(
-                key,
-                {
-                    "crash_voltage_mv": result.crash_voltage_mv,
-                    "steps": self._encode_steps(result.steps),
-                },
-            )
-        return result
 
     def scan_unsafe_region_batch(
         self,
         points: Sequence[CharacterizationPoint],
-        mode: str = "analytic",
         safe_vmins_mv: Optional[Sequence[int]] = None,
     ) -> List[UnsafeScanResult]:
-        """Batched :meth:`scan_unsafe_region` over many configurations.
+        """Analytic :meth:`scan_unsafe_region` over many configurations.
 
         Evaluates every cache-missing point's sub-safe voltage levels in
-        one kernel sweep. Analytic results and cache payloads are
-        bit-identical to the scalar scan; ``trials`` mode uses vectorized
-        draws (different RNG stream than the scalar scan, still
-        deterministic for the campaign seed).
+        one kernel sweep. Results and cache payloads are bit-identical
+        to a level-by-level analytic scan.
         """
-        if mode not in ("analytic", "trials"):
-            raise CharacterizationError(f"unknown mode {mode!r}")
         points = list(points)
         if safe_vmins_mv is None:
             safes_all = [
-                r.safe_vmin_mv
-                for r in self.measure_safe_vmin_batch(points, mode)
+                r.safe_vmin_mv for r in self.measure_safe_vmin_batch(points)
             ]
         else:
             safes_all = [int(v) for v in safe_vmins_mv]
@@ -616,7 +516,7 @@ class VminCampaign:
                     "safe_vmins_mv must match points one to one"
                 )
         results: List[Optional[UnsafeScanResult]] = [None] * len(points)
-        cache = self._cache_backend() if mode == "analytic" else None
+        cache = self._cache_backend()
         keys: List[str] = [""] * len(points)
         pending: List[int] = []
         for i, point in enumerate(points):
@@ -624,7 +524,6 @@ class VminCampaign:
                 keys[i] = self._campaign_key(
                     "unsafe_scan",
                     point,
-                    mode,
                     self.scan_runs,
                     start_mv=safes_all[i],
                 )
@@ -674,30 +573,17 @@ class VminCampaign:
             grid.total_mv[:, None],
             grid.droop_class[:, None],
         )
-        if mode == "analytic":
-            failures = analytic_failure_counts(pf, runs)
-            splits = None
-        else:
-            mix = outcome_mix_grid(
-                self.fault_model,
-                vmat,
-                grid.total_mv[:, None],
-                grid.droop_class[:, None],
-            )
-            failures = self._rng.binomial(runs, pf).astype(np.int64)
-            splits = multinomial_split(self._rng, failures, mix)
+        failures = analytic_failure_counts(pf, runs)
         crash_mask = ((pf >= 1.0) | (failures == runs)) & valid
         has_crash = crash_mask.any(axis=1)
         first_crash = np.argmax(crash_mask, axis=1)
         n_valid = valid.sum(axis=1)
-        split_tags = MIX_ORDER if mode == "analytic" else FAULT_OUTCOMES
-        split_cols = [MIX_ORDER.index(tag) for tag in split_tags]
         has_crash_list = has_crash.tolist()
         first_crash_list = first_crash.tolist()
         n_valid_list = n_valid.tolist()
-        # Only the levels a row actually records get converted (and, in
-        # analytic mode, get their outcome split computed at all): every
-        # row stops at its crash level (or its last valid one).
+        # Only the levels a row actually records get converted and get
+        # their outcome split computed at all: every row stops at its
+        # crash level (or its last valid one).
         max_used = 0
         for g in range(len(pending)):
             if has_crash_list[g]:
@@ -706,18 +592,13 @@ class VminCampaign:
                 max_used = max(max_used, n_valid_list[g])
         vmat_used = vmat[:, :max_used]
         pf_used = pf[:, :max_used]
-        if splits is None:
-            mix_used = outcome_mix_grid(
-                self.fault_model,
-                vmat_used,
-                grid.total_mv[:, None],
-                grid.droop_class[:, None],
-            )
-            _, splits_used = analytic_outcome_counts(
-                pf_used, mix_used, runs
-            )
-        else:
-            splits_used = splits[:, :max_used]
+        mix_used = outcome_mix_grid(
+            self.fault_model,
+            vmat_used,
+            grid.total_mv[:, None],
+            grid.droop_class[:, None],
+        )
+        _, splits_used = analytic_outcome_counts(pf_used, mix_used, runs)
         vmat_rows = vmat_used.tolist()
         pf_rows = pf_used.tolist()
         failure_rows = failures[:, :max_used].tolist()
@@ -740,9 +621,7 @@ class VminCampaign:
                 outcomes: Dict[str, int] = {OUTCOME_PASS: runs}
                 if f:
                     outcomes[OUTCOME_PASS] = runs - f
-                    srow = split_row[j]
-                    for tag, col in zip(split_tags, split_cols):
-                        outcomes[tag] = srow[col]
+                    outcomes.update(zip(MIX_ORDER, split_row[j]))
                 steps.append(
                     VoltageStepRecord(volt_row[j], runs, pf_row[j], outcomes)
                 )
@@ -782,20 +661,7 @@ class VminCampaign:
         voltages_mv: Iterable[int],
     ) -> Dict[int, float]:
         """Exact cumulative failure probability per voltage (Fig. 5)."""
-        true_vmin, droop_class = self._true_vmin(point)
-        voltages = [int(v) for v in voltages_mv]
-        if not self.use_kernels or not voltages:
-            return {
-                v: self.fault_model.pfail(v, true_vmin, droop_class)
-                for v in voltages
-            }
-        curve = pfail_grid(
-            self.fault_model,
-            np.asarray(voltages, dtype=np.int64),
-            true_vmin,
-            droop_class,
-        )
-        return dict(zip(voltages, curve.tolist()))
+        return self.pfail_curves([point], voltages_mv)[0]
 
     def pfail_curves(
         self,
@@ -804,13 +670,12 @@ class VminCampaign:
     ) -> List[Dict[int, float]]:
         """Batched :meth:`pfail_curve` over many configurations.
 
-        One kernel evaluation covers every (point, voltage) pair; each
-        returned curve equals the per-point ``pfail_curve`` exactly.
+        One kernel evaluation covers every (point, voltage) pair.
         """
         points = list(points)
         voltages = [int(v) for v in voltages_mv]
-        if not self.use_kernels or not points or not voltages:
-            return [self.pfail_curve(p, voltages) for p in points]
+        if not points or not voltages:
+            return [{} for _ in points]
         grid = evaluate_grid(
             self.vmin_model,
             [p.freq_hz for p in points],
@@ -833,37 +698,24 @@ class VminCampaign:
         true_vmin_mv: float,
         droop_class: int,
         runs: int,
-        mode: str,
     ) -> VoltageStepRecord:
+        """One trials-mode level: ``runs`` runs drawn on the campaign RNG.
+
+        One binomial draw for the failures, then, if any failed, one
+        multinomial draw splitting them into :data:`FAULT_OUTCOMES`.
+        """
         pfail = self.fault_model.pfail(voltage_mv, true_vmin_mv, droop_class)
         outcomes: Dict[str, int] = {OUTCOME_PASS: runs}
-        if mode == "analytic":
-            # Expected outcome mix, rounded: failures occur iff pfail > 0.
-            failures = int(round(pfail * runs))
-            if pfail > 0.0:
-                failures = max(failures, 1)
-        else:
-            failures = int(self._rng.binomial(runs, pfail))
+        failures = int(self._rng.binomial(runs, pfail))
         if failures:
             outcomes[OUTCOME_PASS] = runs - failures
             mix = self.fault_model.outcome_mix(
                 voltage_mv, true_vmin_mv, droop_class
             )
-            if mode == "analytic":
-                split = {
-                    tag: int(round(failures * share))
-                    for tag, share in mix.items()
-                }
-                # Put rounding residue in the dominant failure type.
-                residue = failures - sum(split.values())
-                dominant = max(mix, key=mix.get)
-                split[dominant] += residue
-            else:
-                draws = self._rng.multinomial(
-                    failures, [mix[tag] for tag in FAULT_OUTCOMES]
-                )
-                split = dict(zip(FAULT_OUTCOMES, (int(d) for d in draws)))
-            outcomes.update(split)
+            draws = self._rng.multinomial(
+                failures, [mix[tag] for tag in FAULT_OUTCOMES]
+            )
+            outcomes.update(zip(FAULT_OUTCOMES, (int(d) for d in draws)))
         return VoltageStepRecord(
             voltage_mv=voltage_mv,
             runs=runs,

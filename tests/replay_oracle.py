@@ -14,6 +14,10 @@ advance every running process through its own methods on every event:
   :meth:`SimProcess.next_phase_boundary`;
 * the behaviour-change scan over every running process.
 
+It also checks, at every refresh, the invariant the simulator's running
+list keeps without rebuilding it: ``_running`` is exactly the running
+processes, in workload order.
+
 The tests replay one workload through both and compare every register;
 :func:`mixed_workloads`, :func:`replay` and :func:`replay_observables`
 are the shared pieces of those replays.
@@ -50,6 +54,12 @@ POLICY_KEYS = ("baseline", "safe-vmin", "daemon")
 
 class LoopOracleSystem(ServerSystem):
     """A :class:`ServerSystem` whose per-event loops skip the plans."""
+
+    def _refresh(self) -> None:
+        # Admission inserts and completion removes; nothing else
+        # touches the list, so it must always match a rebuild.
+        assert self._running == [p for p in self.processes if p.is_running]
+        super()._refresh()
 
     def _recompute_all(self) -> None:
         super()._recompute_all()
@@ -114,7 +124,7 @@ class LoopOracleSystem(ServerSystem):
 
     def _reschedule_completions(self) -> None:
         now = self.now
-        elide = not self.full_refresh
+        elide = self._elide
         for process in self.running_processes():
             exec_state = self._proc_states[process.pid]
             remaining_s = max(
@@ -150,7 +160,7 @@ class LoopOracleSystem(ServerSystem):
         eta_s = (boundary - process.done_fraction) * duration_s
         time_s = self.now + max(0.0, eta_s)
         if (
-            not self.full_refresh
+            self._elide
             and old is not None
             and old.time_s == time_s
             and time_s > self.now

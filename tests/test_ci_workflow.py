@@ -150,6 +150,18 @@ def test_bench_smoke_job_is_timeout_guarded(workflow):
     assert "--benchmark-disable" in text
 
 
+@pytest.mark.parametrize("name", ["bench-smoke", "bench-regression"])
+def test_bench_jobs_run_pytest_as_a_module(workflow, name):
+    # benchmarks/ is not a package, and the kernel benches import the
+    # campaign oracle as ``tests.campaign_oracle``: that resolves only
+    # with the repository root on sys.path, which ``python -m`` adds.
+    text = _steps_text(workflow["jobs"][name])
+    assert "python -m pytest benchmarks" in text
+    assert text.count("pytest benchmarks") == text.count(
+        "python -m pytest benchmarks"
+    )
+
+
 def test_bench_regression_job_gates_on_committed_baseline(workflow):
     job = workflow["jobs"]["bench-regression"]
     text = _steps_text(job)

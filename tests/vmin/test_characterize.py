@@ -40,10 +40,21 @@ class TestSafeVminSearch:
         # step, but never by more than a step or two.
         assert abs(trials.safe_vmin_mv - analytic.safe_vmin_mv) <= 20
 
-    def test_unknown_mode_rejected(self, campaign2):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, p: c.measure_safe_vmin(p, mode="psychic"),
+            lambda c, p: c.scan_unsafe_region(p, mode="psychic"),
+            lambda c, p: c.scan_unsafe_region(
+                p, mode="psychic", safe_vmin_mv=900
+            ),
+        ],
+        ids=["search", "scan", "scan-from-safe"],
+    )
+    def test_unknown_mode_rejected(self, campaign2, call):
         point = campaign2.point("CG", 8, Allocation.CLUSTERED, ghz(2.4))
         with pytest.raises(CharacterizationError):
-            campaign2.measure_safe_vmin(point, mode="psychic")
+            call(campaign2, point)
 
     def test_steps_descend_from_nominal(self, campaign2):
         point = campaign2.point("CG", 4, Allocation.SPREADED, ghz(2.4))

@@ -3,7 +3,8 @@
 The contract of :mod:`repro.kernels` is *bit-for-bit* equality with the
 scalar reference paths — same floating-point operation order, same
 rounding, same analytic residue placement — so every assertion here uses
-exact ``==``, never approximate closeness.
+exact ``==``, never approximate closeness. The campaign-level reference
+is the level-by-level analytic campaign in :mod:`tests.campaign_oracle`.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.kernels import (
     pfail_grid,
     safe_vmin_grid,
     safe_vmin_matrix,
-    sample_outcome_counts,
 )
 from repro.platform.chip import ChipState
 from repro.platform.specs import xgene2_spec, xgene3_spec
@@ -29,6 +29,8 @@ from repro.vmin.cache import VminCache
 from repro.vmin.characterize import VminCampaign
 from repro.vmin.faults import FaultModel
 from repro.vmin.model import VminModel
+
+from tests import campaign_oracle as oracle
 
 SPEC2 = xgene2_spec()
 SPEC3 = xgene3_spec()
@@ -179,26 +181,6 @@ class TestFaultKernel:
             ]
             assert int(split[i].sum()) == want_failures
 
-    @given(fault_grids(), st.integers(1, 500), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_sampled_counts_deterministic_and_consistent(
-        self, case, runs, seed
-    ):
-        voltages, safes, droops = case
-        pf = pfail_grid(FAULTS, voltages, safes, droops)
-        mix = outcome_mix_grid(FAULTS, voltages, safes, droops)
-        first = sample_outcome_counts(
-            np.random.default_rng(seed), pf, mix, runs
-        )
-        second = sample_outcome_counts(
-            np.random.default_rng(seed), pf, mix, runs
-        )
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-        # Type splits always re-partition the failure draws exactly.
-        assert np.array_equal(first[1].sum(axis=-1), first[0])
-        assert np.all(first[0] >= 0) and np.all(first[0] <= runs)
-
 
 @st.composite
 def campaign_cases(draw):
@@ -215,86 +197,73 @@ def campaign_cases(draw):
     return spec, configs, draw(st.integers(2, 25))
 
 
+def assert_same_result(got, want):
+    """Equal results, and every step's outcomes in the same dict order.
+
+    Dict order matters: it is what the cache payloads record.
+    """
+    assert got == want
+    assert [list(s.outcomes.items()) for s in got.steps] == [
+        list(s.outcomes.items()) for s in want.steps
+    ]
+
+
 class TestCampaignEquivalence:
     @given(campaign_cases())
     @settings(max_examples=20, deadline=None)
     def test_batched_campaign_matches_scalar_reference(self, case):
         spec, configs, step_mv = case
-        kernel = VminCampaign(
-            spec, step_mv=step_mv, cache=VminCache(capacity=0),
-            use_kernels=True,
-        )
-        scalar = VminCampaign(
-            spec, step_mv=step_mv, cache=VminCache(capacity=0),
-            use_kernels=False,
+        campaign = VminCampaign(
+            spec, step_mv=step_mv, cache=VminCache(capacity=0)
         )
         points = [
-            kernel.point("wl", nt, alloc, freq, workload_delta_mv=delta)
+            campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
             for nt, alloc, freq, delta in configs
         ]
-        searches = kernel.measure_safe_vmin_batch(points)
-        scans = kernel.scan_unsafe_region_batch(points)
+        searches = campaign.measure_safe_vmin_batch(points)
+        scans = campaign.scan_unsafe_region_batch(points)
         for point, search, scan in zip(points, searches, scans):
-            ref_search = scalar._measure_safe_vmin_scalar(point)
-            ref_scan = scalar._scan_unsafe_region_scalar(point)
-            assert search.safe_vmin_mv == ref_search.safe_vmin_mv
-            assert search.true_vmin_mv == ref_search.true_vmin_mv
-            assert len(search.steps) == len(ref_search.steps)
-            for got, want in zip(search.steps, ref_search.steps):
-                assert got.voltage_mv == want.voltage_mv
-                assert got.runs == want.runs
-                assert got.pfail == want.pfail
-                # Same counts AND same dict order (cache payloads).
-                assert list(got.outcomes.items()) == list(
-                    want.outcomes.items()
-                )
-            assert scan.safe_vmin_mv == ref_scan.safe_vmin_mv
-            assert scan.crash_voltage_mv == ref_scan.crash_voltage_mv
-            assert len(scan.steps) == len(ref_scan.steps)
-            for got, want in zip(scan.steps, ref_scan.steps):
-                assert got.voltage_mv == want.voltage_mv
-                assert got.pfail == want.pfail
-                assert list(got.outcomes.items()) == list(
-                    want.outcomes.items()
-                )
+            ref_search = oracle.measure_safe_vmin(campaign, point)
+            ref_scan = oracle.scan_unsafe_region(campaign, point)
+            assert_same_result(search, ref_search)
+            assert_same_result(scan, ref_scan)
+            # The single-point entry points dispatch to the batches.
+            assert_same_result(campaign.measure_safe_vmin(point), ref_search)
+            assert_same_result(campaign.scan_unsafe_region(point), ref_scan)
 
     @given(campaign_cases())
     @settings(max_examples=15, deadline=None)
     def test_pfail_curve_matches_scalar(self, case):
         spec, configs, step_mv = case
-        kernel = VminCampaign(
+        campaign = VminCampaign(
             spec, step_mv=step_mv, cache=VminCache(capacity=0)
         )
         nt, alloc, freq, delta = configs[0]
-        point = kernel.point("wl", nt, alloc, freq, workload_delta_mv=delta)
+        point = campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
         voltages = range(
             spec.nominal_voltage_mv, spec.min_voltage_mv - 1, -step_mv
         )
-        got = kernel.pfail_curve(point, voltages)
-        true_vmin, droop_class = kernel._true_vmin(point)
-        assert got == {
-            int(v): FAULTS.pfail(v, true_vmin, droop_class)
-            for v in voltages
-        }
+        assert campaign.pfail_curve(point, voltages) == oracle.pfail_curve(
+            campaign, point, voltages
+        )
 
     @given(campaign_cases())
     @settings(max_examples=15, deadline=None)
     def test_pfail_curves_batch_matches_per_point(self, case):
         spec, configs, step_mv = case
-        kernel = VminCampaign(
+        campaign = VminCampaign(
             spec, step_mv=step_mv, cache=VminCache(capacity=0)
         )
         points = [
-            kernel.point("wl", nt, alloc, freq, workload_delta_mv=delta)
+            campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
             for nt, alloc, freq, delta in configs
         ]
         voltages = range(
             spec.nominal_voltage_mv, spec.min_voltage_mv - 1, -step_mv
         )
-        batched = kernel.pfail_curves(points, voltages)
-        assert batched == [
-            kernel.pfail_curve(point, voltages) for point in points
-        ]
+        assert campaign.pfail_curves(points, voltages) == (
+            oracle.pfail_curves(campaign, points, voltages)
+        )
 
 
 @st.composite
