@@ -38,10 +38,11 @@ experiment (the default, ``None``, reproduces the paper byte-for-byte).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 from .experiments import orchestrator
 from .experiments.registry import REGISTRY, experiment_names
 
@@ -147,6 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_all(args: argparse.Namespace, names: List[str]) -> int:
     """Orchestrated batch: output on stdout, summary table on stderr."""
     summary_json = getattr(args, "summary_json", None)
+    if summary_json is not None:
+        # Refuse before the run, not after minutes of output.
+        directory = os.path.dirname(summary_json) or "."
+        if not os.path.isdir(directory):
+            raise ConfigurationError(
+                f"--summary-json: {directory!r} is not a directory"
+            )
     summary = orchestrator.run_experiments(
         names=names,
         jobs=args.jobs,
@@ -219,6 +227,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

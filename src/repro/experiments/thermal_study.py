@@ -25,7 +25,7 @@ from ..platform.thermal import (
     VMIN_TEMP_SENSITIVITY_MV_PER_C,
     ThermalModel,
 )
-from ..sim.system import ServerSystem
+from ..sim.system import ServerSystem, SimLane
 from ..workloads.generator import ServerWorkloadGenerator
 
 
@@ -108,23 +108,29 @@ def run(
         platform=spec.name,
         calibration_c=thermal_defaults.params.calibration_c,
     )
-    for ambient in ambients_c:
-        thermal = ThermalModel(spec, ambient_c=ambient)
-        chip = Chip(spec)
-        daemon = OnlineMonitoringDaemon(spec, policy=policy)
-        system = ServerSystem(
-            chip, workload, daemon, thermal_model=thermal
-        )
-        outcome = system.run()
-        temps = [t for _, t in system.temperature_series] or [ambient]
+    # The ambient reaches only leakage, temperature and the audit, so
+    # every ambient shares one replay's decisions: one lane each.
+    lanes = [
+        SimLane(thermal=ThermalModel(spec, ambient_c=ambient))
+        for ambient in ambients_c
+    ]
+    ServerSystem(
+        Chip(spec),
+        workload,
+        OnlineMonitoringDaemon(spec, policy=policy),
+        trace_period_s=None,
+        lanes=lanes,
+    ).run()
+    for ambient, lane in zip(ambients_c, lanes):
+        temps = [t for _, t in lane.temperature_series] or [ambient]
         peak = max(temps)
         result.rows.append(
             ThermalRow(
                 ambient_c=ambient,
                 peak_junction_c=peak,
                 mean_junction_c=sum(temps) / len(temps),
-                energy_j=outcome.energy_j,
-                violations=len(outcome.violations),
+                energy_j=lane.meter.energy_j,
+                violations=len(lane.violations),
                 guard_needed_mv=max(
                     0.0,
                     VMIN_TEMP_SENSITIVITY_MV_PER_C

@@ -18,14 +18,14 @@ variation is not yet attenuated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..allocation import Allocation, cores_for
 from ..analysis.tables import format_table
-from ..core.policy import VminPolicyTable
+from ..core.policy import PolicyEntry, VminPolicyTable
 from ..platform.chip import Chip
 from ..platform.specs import ChipSpec, get_spec
-from ..sim.system import ServerSystem
+from ..sim.system import ServerSystem, SimLane
 from ..policies.daemon import OnlineMonitoringDaemon
 from ..vmin.model import VminModel
 from ..workloads.generator import ServerWorkloadGenerator
@@ -121,18 +121,35 @@ def _worst_single_core_vmin(spec: ChipSpec, model: VminModel) -> float:
 
 def _daemon_violations(
     spec: ChipSpec,
-    silicon_seed: int,
-    policy: VminPolicyTable,
+    points: Sequence[Tuple[VminModel, VminPolicyTable]],
     duration_s: float,
     workload_seed: int,
-) -> int:
+) -> List[int]:
+    """Violations of the daemon at each (die, deployed table) point.
+
+    The die reaches only the safety audit, so every point with an equal
+    table makes the same decisions: each distinct table is one replay
+    with one lane per point.
+    """
     workload = ServerWorkloadGenerator(
         max_cores=spec.n_cores, seed=workload_seed
     ).generate(duration_s)
-    chip = Chip(spec, silicon_seed=silicon_seed)
-    daemon = OnlineMonitoringDaemon(spec, policy=policy)
-    result = ServerSystem(chip, workload, daemon).run()
-    return len(result.violations)
+    groups: Dict[Tuple[Tuple[PolicyEntry, ...], int], List[int]] = {}
+    for index, (_, table) in enumerate(points):
+        key = (tuple(table.rows()), table.guard_mv)
+        groups.setdefault(key, []).append(index)
+    violations = [0] * len(points)
+    # The group holding the last point replays last, so the run's
+    # sim.run gauges are that point's, as with one replay per point.
+    for indices in sorted(groups.values(), key=lambda group: group[-1]):
+        lanes = [SimLane(vmin_model=points[i][0]) for i in indices]
+        daemon = OnlineMonitoringDaemon(spec, policy=points[indices[0]][1])
+        ServerSystem(
+            Chip(spec), workload, daemon, trace_period_s=None, lanes=lanes
+        ).run()
+        for index, lane in zip(indices, lanes):
+            violations[index] = len(lane.violations)
+    return violations
 
 
 def run(
@@ -144,40 +161,35 @@ def run(
     """Run the study over a population of silicon instances."""
     spec = get_spec(platform)
     models = {seed: VminModel(spec, silicon_seed=seed) for seed in seeds}
+    single_core = {
+        seed: _worst_single_core_vmin(spec, models[seed]) for seed in seeds
+    }
     # The "golden die" trap: characterize once on the most robust chip
     # of the population and deploy that table everywhere.
-    golden_seed = min(
-        seeds, key=lambda s: _worst_single_core_vmin(spec, models[s])
-    )
+    golden_seed = min(seeds, key=single_core.__getitem__)
     golden_policy = VminPolicyTable.from_characterization(
         spec, vmin_model=models[golden_seed]
     )
-    result = VariationStudyResult(platform=spec.name)
+    worst_profile = max(characterization_set(), key=lambda p: p.vmin_delta_mv)
+    full_cores = cores_for(spec, spec.n_cores, Allocation.CLUSTERED)
+    points: List[Tuple[VminModel, VminPolicyTable]] = []
     for seed in seeds:
-        model = models[seed]
         own_policy = VminPolicyTable.from_characterization(
-            spec, vmin_model=model
+            spec, vmin_model=models[seed]
         )
-        worst_profile = max(
-            characterization_set(), key=lambda p: p.vmin_delta_mv
-        )
-        full_chip = model.safe_vmin_mv(
-            spec.fmax_hz,
-            cores_for(spec, spec.n_cores, Allocation.CLUSTERED),
-            worst_profile.vmin_delta_mv,
-        )
+        points += [(models[seed], own_policy), (models[seed], golden_policy)]
+    violations = _daemon_violations(spec, points, duration_s, workload_seed)
+    result = VariationStudyResult(platform=spec.name)
+    for index, seed in enumerate(seeds):
         result.records.append(
             ChipRecord(
                 silicon_seed=seed,
-                single_core_vmin_mv=_worst_single_core_vmin(spec, model),
-                full_chip_vmin_mv=full_chip,
-                own_table_violations=_daemon_violations(
-                    spec, seed, own_policy, duration_s, workload_seed
+                single_core_vmin_mv=single_core[seed],
+                full_chip_vmin_mv=models[seed].safe_vmin_mv(
+                    spec.fmax_hz, full_cores, worst_profile.vmin_delta_mv
                 ),
-                foreign_table_violations=_daemon_violations(
-                    spec, seed, golden_policy, duration_s,
-                    workload_seed,
-                ),
+                own_table_violations=violations[2 * index],
+                foreign_table_violations=violations[2 * index + 1],
             )
         )
     return result

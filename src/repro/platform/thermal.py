@@ -10,10 +10,11 @@ millivolt per degree.
 
 The model is **off by default** — every paper-calibrated number in this
 repository is reported at the calibration temperature — and is switched
-on by passing a :class:`ThermalModel` to the system simulator. The
-thermal-margin study (`experiments.thermal_study`) uses it to ask how
-much extra guard a table characterized at one temperature needs when
-the machine runs hot.
+on by giving a lane of the system simulator a :class:`ThermalModel`
+(:class:`repro.sim.system.SimLane`). The thermal-margin study
+(`experiments.thermal_study`) uses it to ask how much extra guard a
+table characterized at one temperature needs when the machine runs
+hot.
 """
 
 from __future__ import annotations

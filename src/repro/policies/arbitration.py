@@ -63,6 +63,8 @@ class PolicyStack(Policy):
         #: Ticks fire at the fastest member cadence; members with slower
         #: windows see every tick and gate on their own meters/windows.
         self.monitor_period_s = min(periods) if periods else None
+        #: The stack reads whatever lane state any member reads.
+        self.reads_lane_state = any(p.reads_lane_state for p in self.policies)
         #: Control events decided (one per dispatched event).
         self.decisions = 0
         #: Rail lifts forced by the safe-Vmin clamp.

@@ -60,6 +60,9 @@ class PowerCapPolicy(Policy):
     purely through DVFS.
     """
 
+    #: The window meter reads :attr:`Observation.energy_j`.
+    reads_lane_state = True
+
     def __init__(
         self,
         spec: ChipSpec,
@@ -138,6 +141,9 @@ class CappedDaemonPolicy(OnlineMonitoringDaemon):
     memory-intensive PMDs keep their (already lower) energy clock, and
     the rail keeps tracking the safe Vmin of whatever is configured.
     """
+
+    #: The window meter reads :attr:`Observation.energy_j`.
+    reads_lane_state = True
 
     def __init__(
         self,

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from ..errors import SimulationError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..platform.chip import Chip, ChipState
     from ..platform.specs import ChipSpec
@@ -151,8 +153,20 @@ class Observation:
 
     @property
     def energy_j(self) -> float:
-        """Accumulated chip energy since the run started, J."""
-        return self.system.meter.energy_j
+        """Accumulated chip energy since the run started, J.
+
+        Energy is lane state (:class:`~repro.sim.system.SimLane`): a
+        policy that reads it declares :attr:`Policy.reads_lane_state`,
+        and on a multi-lane system this raises
+        :class:`~repro.errors.SimulationError` rather than show one lane.
+        """
+        lanes = self.system.lanes
+        if len(lanes) != 1:
+            raise SimulationError(
+                f"energy is per lane and this system has {len(lanes)}; "
+                "a policy that reads it must declare reads_lane_state"
+            )
+        return lanes[0].meter.energy_j
 
     # -- workload ------------------------------------------------------------
 
@@ -227,6 +241,12 @@ class Policy:
 
     #: Monitor period in seconds; ``None`` disables ``TICK`` events.
     monitor_period_s: Optional[float] = None
+
+    #: Whether :meth:`decide` reads lane state (:attr:`Observation.energy_j`).
+    #: Lanes of one system may differ only in what no policy reads, so a
+    #: multi-lane :class:`~repro.sim.system.ServerSystem` refuses a
+    #: policy that declares this.
+    reads_lane_state: bool = False
 
     def decide(self, obs: Observation) -> Optional[Action]:
         """Decide on one control event; ``None`` means no action."""

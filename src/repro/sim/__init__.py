@@ -14,6 +14,7 @@ from .process import (
 from .scheduler import ClusterScheduler, SpreadScheduler
 from .system import (
     ServerSystem,
+    SimLane,
     SystemResult,
     ViolationRecord,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "ProcessState",
     "ServerSystem",
     "SimClock",
+    "SimLane",
     "SimProcess",
     "SpreadScheduler",
     "SystemResult",

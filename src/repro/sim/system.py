@@ -28,25 +28,33 @@ behaviour profile. A refresh whose inputs did not change reuses the
 cached results, which are bit-identical to a recomputation; only the
 finish/phase times (which depend on the advancing clock) are recomputed,
 and their cancel+schedule pair is elided when the recomputed time equals
-the scheduled one. ``ServerSystem(full_refresh=True)`` disables all of
-it and runs the original recompute-everything path; the equivalence
-property suite asserts both modes produce identical results.
+the scheduled one. The recompute-everything flow survives as a test
+oracle (``tests/replay_oracle.py::FullRefreshSystem``); the equivalence
+property suites assert both produce identical results.
 
-Every full recompute, in either mode, also builds one
-:class:`ReplayPlan` per running process: the constants the per-event
-loops (fluid integration, completion rescheduling, the behaviour-change
-scan) need until the next full recompute, so those loops do flat float
-arithmetic instead of per-core method calls.
+Every full recompute also builds one :class:`ReplayPlan` per running
+process: the constants the per-event loops (fluid integration,
+completion rescheduling, the behaviour-change scan) need until the next
+full recompute, so those loops do flat float arithmetic instead of
+per-core method calls.
+
+A system replays one decision stream for one or more lanes
+(:class:`SimLane`). A lane holds the state no policy reads — the
+ground-truth Vmin model, the optional thermal model, the power level
+and energy meter, and the violations — so lanes that differ only there
+(other dies, other ambients) share one event loop, placement, monitor
+and PMU, and each ends with the result a one-lane replay of its inputs
+returns.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..errors import SimulationError, SystemCrash
+from ..errors import ConfigurationError, SimulationError, SystemCrash
 from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
 from ..perf.model import ExecutionState, bandwidth_demand_gbs, execution_state
@@ -56,7 +64,7 @@ from ..platform.thermal import ThermalModel
 from ..policies.actuation import apply_action
 from ..policies.surfaces import Action, Observation, Policy, PolicyEvent
 from ..power.energy import EnergyMeter, ed2p
-from ..power.model import PowerModel
+from ..power.model import PowerBreakdown, PowerModel
 from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
 from ..workloads.generator import Workload
@@ -154,14 +162,51 @@ class SystemResult:
         return sum(p.migrations for p in self.processes)
 
 
+@dataclass(eq=False, slots=True)
+class SimLane:
+    """One lane of a replay: the state no policy reads.
+
+    Construct a lane with its inputs, hand it to one
+    :class:`ServerSystem` and read its outputs after the run. Lanes of
+    one system share every decision; each integrates its own power into
+    its own energy and temperature and audits the rail against its own
+    silicon, so its :attr:`result` equals that of a one-lane replay of
+    the same inputs.
+    """
+
+    #: Ground-truth silicon the safety audit checks the rail against;
+    #: ``None`` means the chip's own (:meth:`VminModel.for_chip`).
+    vmin_model: Optional[VminModel] = None
+    #: Junction-temperature tracker; ``None`` means the calibration
+    #: temperature everywhere (the paper's reporting condition).
+    thermal: Optional[ThermalModel] = None
+    meter: EnergyMeter = field(default_factory=EnergyMeter, init=False)
+    #: (time, degC) samples when the thermal model is enabled.
+    temperature_series: List[Tuple[float, float]] = field(
+        default_factory=list, init=False
+    )
+    violations: List[ViolationRecord] = field(
+        default_factory=list, init=False
+    )
+    #: Chip power on the current interval, W.
+    power_w: float = field(default=0.0, init=False)
+    #: Thermal-free safe level; valid until occupancy, clocks or
+    #: behaviours change (it does not depend on the rail voltage).
+    required_base: float = field(default=0.0, init=False)
+    #: Set by :meth:`ServerSystem.run`.
+    result: Optional[SystemResult] = field(default=None, init=False)
+
+
 class ServerSystem:
     """Replays one workload on one chip under one control policy.
 
-    ``full_refresh=True`` disables the incremental refresh, the
-    execution-state cache, reschedule elision and same-timestamp event
-    coalescing, and recomputes the entire system state after every
-    event — the original hot path, kept as the ground-truth oracle for
-    equivalence tests.
+    ``lanes`` defaults to one lane on the chip's own silicon with no
+    thermal model. A system with several lanes refuses, with
+    :class:`~repro.errors.ConfigurationError`, what the lanes cannot
+    share: a timeline trace (its power is per lane),
+    ``fault_policy="raise"`` (one lane's crash would end all) and a
+    policy that declares :attr:`Policy.reads_lane_state` (it would
+    decide on one lane's state for all).
     """
 
     def __init__(
@@ -170,12 +215,10 @@ class ServerSystem:
         workload: Workload,
         policy: Optional[Policy] = None,
         power_model: Optional[PowerModel] = None,
-        vmin_model: Optional[VminModel] = None,
         droop_model: Optional[DroopModel] = None,
         fault_policy: str = "record",
         trace_period_s: Optional[float] = 1.0,
-        thermal_model: Optional[ThermalModel] = None,
-        full_refresh: bool = False,
+        lanes: Optional[Sequence[SimLane]] = None,
     ):
         if fault_policy not in ("record", "raise", "off"):
             raise SimulationError(f"unknown fault policy {fault_policy!r}")
@@ -189,26 +232,28 @@ class ServerSystem:
             type(self.policy).on_applied is not Policy.on_applied
         )
         self.power_model = power_model or PowerModel(chip.spec)
-        self.vmin_model = vmin_model or VminModel.for_chip(chip)
         self.droop_model = droop_model or DroopModel(chip.spec)
         self.fault_policy = fault_policy
-        #: The oracle mode; read only here and in :meth:`_refresh`.
-        self.full_refresh = full_refresh
+        self.lanes: Tuple[SimLane, ...] = self._check_lanes(
+            lanes if lanes is not None else [SimLane()],
+            trace_period_s,
+        )
+        #: The lanes whose power moves with temperature between refreshes.
+        self._thermal_lanes = tuple(
+            lane for lane in self.lanes if lane.thermal is not None
+        )
+        #: The lane-independent power breakdown, leakage unscaled; fixed
+        #: until the next full recompute or rail change.
+        self._power = PowerBreakdown(0.0, 0.0, 0.0, 0.0)
         #: Coalescing batches same-time events behind one refresh; the
         #: ``raise`` policy must keep the old one-refresh-per-event flow
         #: so a crash surfaces at the same mid-batch instant it used to.
-        self._coalesce = not full_refresh and fault_policy != "raise"
+        self._coalesce = fault_policy != "raise"
         #: Skip the cancel+schedule pair of an unchanged future event.
-        self._elide = not full_refresh
-        #: Optional junction-temperature tracker; None = the calibration
-        #: temperature everywhere (the paper's reporting condition).
-        self.thermal = thermal_model
-        #: (time, degC) samples when the thermal model is enabled.
-        self.temperature_series: List[Tuple[float, float]] = []
+        self._elide = True
         self.scheduler = SpreadScheduler()
         self.clock = SimClock()
         self.events = EventQueue()
-        self.meter = EnergyMeter()
         self.trace = (
             TimelineTrace(trace_period_s) if trace_period_s else None
         )
@@ -226,14 +271,12 @@ class ServerSystem:
             p.pid: p for p in self.processes
         }
         self.queue: Deque[SimProcess] = deque()
-        self.violations: List[ViolationRecord] = []
         self._finish_events: Dict[int, Event] = {}
         self._phase_events: Dict[int, Event] = {}
         #: pid -> execution state at the last full recompute: what the
         #: replay plans are built from, kept for the per-process loop
         #: oracle the tests replay against them.
         self._proc_states: Dict[int, ExecutionState] = {}
-        self._power_w = 0.0
         self._pending_arrivals = 0
         self._crashed = False
         #: Events dispatched per kind + policy dispatch invocations;
@@ -257,7 +300,6 @@ class ServerSystem:
         self._phased_plans: List[ReplayPlan] = []
         self._activity_map: Dict[int, float] = {}
         self._bw_util = 0.0
-        self._required_base = 0.0
         self._occ_version = -1
         self._freq_version = -1
         self._volt_version = -1
@@ -267,15 +309,52 @@ class ServerSystem:
         self._droop_freq = 0
         self._droop_rates: Tuple[Tuple[Tuple[int, int], float], ...] = ()
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
-        #: execution state, or None in the oracle mode. Keys hold the
-        #: behaviour object itself so its id() stays valid for the
-        #: cache's lifetime.
-        self._exec_cache: Optional[
-            Dict[Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState]
-        ] = None if full_refresh else {}
+        #: execution state. Keys hold the behaviour object itself so its
+        #: id() stays valid for the cache's lifetime.
+        self._exec_cache: Dict[
+            Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState
+        ] = {}
         self._refreshes_full = 0
         self._refreshes_incremental = 0
         self._reschedules_elided = 0
+
+    def _check_lanes(
+        self, lanes: Sequence[SimLane], trace_period_s: Optional[float]
+    ) -> Tuple[SimLane, ...]:
+        """Resolve default silicon and enforce the multi-lane contract."""
+        lanes = tuple(lanes)
+        if not lanes:
+            raise ConfigurationError("a system needs at least one lane")
+        thermals = [lane.thermal for lane in lanes if lane.thermal is not None]
+        owned = [*lanes, *thermals]
+        if len(set(map(id, owned))) < len(owned):
+            raise ConfigurationError(
+                "lanes must not share a SimLane or a ThermalModel"
+            )
+        if len(lanes) > 1:
+            if trace_period_s is not None:
+                raise ConfigurationError(
+                    "a multi-lane system cannot trace: a trace sample's "
+                    "power is per lane (pass trace_period_s=None)"
+                )
+            if self.fault_policy == "raise":
+                raise ConfigurationError(
+                    "a multi-lane system cannot use fault_policy='raise': "
+                    "a crash in one lane would end every lane"
+                )
+            if self.policy.reads_lane_state:
+                raise ConfigurationError(
+                    f"policy {type(self.policy).__name__} reads lane "
+                    "state (Observation.energy_j); a multi-lane system "
+                    "cannot serve it"
+                )
+        own: Optional[VminModel] = None
+        for lane in lanes:
+            if lane.vmin_model is None:
+                if own is None:
+                    own = VminModel.for_chip(self.chip)
+                lane.vmin_model = own
+        return lanes
 
     # -- public API used by policies and the actuation layer ---------------------
 
@@ -337,7 +416,10 @@ class ServerSystem:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SystemResult:
-        """Replay the whole workload and return the run summary."""
+        """Replay the whole workload; the first lane's result.
+
+        Every lane's result is its :attr:`SimLane.result`.
+        """
         for process in self.processes:
             self.events.schedule(process.arrival_s, "arrival", process.pid)
         self._pending_arrivals = len(self.processes)
@@ -369,18 +451,23 @@ class ServerSystem:
         # may trail the last finish by up to one monitor period (idle
         # ticks), but never covers the idle time past the final event
         # even when tracing sampled beyond it.
-        result = SystemResult(
-            makespan_s=makespan,
-            energy_j=self.meter.energy_j,
-            trace=self.trace,
-            processes=self.processes,
-            violations=self.violations,
-            voltage_transitions=self.chip.slimpro.transition_count(),
-            frequency_transitions=self.chip.cppc.transition_count(),
-        )
+        results = [
+            SystemResult(
+                makespan_s=makespan,
+                energy_j=lane.meter.energy_j,
+                trace=self.trace,
+                processes=self.processes,
+                violations=lane.violations,
+                voltage_transitions=self.chip.slimpro.transition_count(),
+                frequency_transitions=self.chip.cppc.transition_count(),
+            )
+            for lane in self.lanes
+        ]
+        for lane, result in zip(self.lanes, results):
+            lane.result = result
         if telemetry.enabled():
-            self._flush_telemetry(result)
-        return result
+            self._flush_telemetry(results[-1])
+        return results[0]
 
     # -- event handling ----------------------------------------------------------
 
@@ -518,12 +605,14 @@ class ServerSystem:
             droops = self.chip.pmu.droop_events
             for bin_mv, rate in self._droop_rates:
                 droops[bin_mv] += rate * droop_cycles / 1e6
-        self.meter.accumulate(self._power_w, dt)
-        if self.thermal is not None:
-            self.thermal.step(self._power_w, dt)
-            self.temperature_series.append(
-                (time_s, self.thermal.temperature_c)
-            )
+        for lane in self.lanes:
+            lane.meter.accumulate(lane.power_w, dt)
+            thermal = lane.thermal
+            if thermal is not None:
+                thermal.step(lane.power_w, dt)
+                lane.temperature_series.append(
+                    (time_s, thermal.temperature_c)
+                )
         self._sample_trace_until(time_s)
 
     def _sample_trace_until(self, time_s: float) -> None:
@@ -543,7 +632,8 @@ class ServerSystem:
             self.trace.append(
                 TraceSample(
                     time_s=self._next_sample_s,
-                    power_w=self._power_w,
+                    # One lane: a multi-lane system does not trace.
+                    power_w=self.lanes[0].power_w,
                     busy_cores=len(state.active_cores),
                     running_processes=len(self._running),
                     cpu_intensive=counts[0],
@@ -579,13 +669,10 @@ class ServerSystem:
           safety audit only; execution states are voltage-independent;
         * nothing changed — completion times (the clock advanced) and
           the safety audit against the cached safe-Vmin level.
-
-        With ``full_refresh=True`` everything is dirty on every refresh.
         """
         chip = self.chip
         if (
-            self.full_refresh
-            or chip.occupancy_version != self._occ_version
+            chip.occupancy_version != self._occ_version
             or chip.cppc.transition_count() != self._freq_version
             or self._behaviour_changed()
         ):
@@ -600,10 +687,11 @@ class ServerSystem:
             state = chip.state()
             self._state = state
             self._recompute_power(state)
-        elif self.thermal is not None:
+        else:
             # Temperature moves every interval: leakage and the thermal
             # Vmin shift must track it even on otherwise-clean refreshes.
-            self._recompute_power(state)
+            for lane in self._thermal_lanes:
+                self._lane_power(lane)
         self._reschedule_completions()
         self._audit_cached(state)
 
@@ -642,10 +730,8 @@ class ServerSystem:
         plans: List[ReplayPlan] = []
         for process, (core_freqs, freq, behaviour) in zip(running, inputs):
             shares = self._shares_pmd(process)
-            exec_state = None
             key = (behaviour, freq, process.nthreads, shares, crowd)
-            if cache is not None:
-                exec_state = cache.get(key)
+            exec_state = cache.get(key)
             if exec_state is None:
                 exec_state = execution_state(
                     behaviour,
@@ -655,10 +741,9 @@ class ServerSystem:
                     shares_pmd=shares,
                     contention=crowd,
                 )
-                if cache is not None:
-                    if len(cache) >= EXEC_STATE_CACHE_MAX:
-                        cache.clear()
-                    cache[key] = exec_state
+                if len(cache) >= EXEC_STATE_CACHE_MAX:
+                    cache.clear()
+                cache[key] = exec_state
             self._proc_states[process.pid] = exec_state
             activity = exec_state.effective_activity
             for core in process.cores:
@@ -726,17 +811,36 @@ class ServerSystem:
         self._droop_rates = tuple(rates.items())
 
     def _recompute_power(self, state: ChipState) -> None:
-        leak_multiplier = (
-            self.thermal.leakage_multiplier()
-            if self.thermal is not None
-            else 1.0
+        """Evaluate the lane-independent breakdown, then each lane's power."""
+        self._power = self.power_model.chip_power(
+            state, self._activity_map, self._bw_util
         )
-        self._power_w = self.power_model.chip_power(
-            state,
-            self._activity_map,
-            self._bw_util,
-            leakage_multiplier=leak_multiplier,
-        ).total_w
+        for lane in self.lanes:
+            self._lane_power(lane)
+
+    def _lane_power(self, lane: SimLane) -> None:
+        """One lane's power from the cached breakdown.
+
+        ``chip_power(leakage_multiplier=m)`` scales ``n * leak`` by
+        ``m`` and :attr:`PowerBreakdown.total_w` sums the parts left to
+        right; the breakdown holds ``n * leak`` unscaled (``* 1.0`` is
+        exact), so this is that evaluation bit for bit.
+        """
+        power = self._power
+        thermal = lane.thermal
+        if thermal is None:
+            lane.power_w = power.total_w
+            return
+        multiplier = thermal.leakage_multiplier()
+        if multiplier <= 0:
+            raise ConfigurationError("leakage multiplier must be positive")
+        lane.power_w = (
+            power.dynamic_w
+            + power.leakage_w * multiplier
+            + power.pmd_overhead_w
+            + power.uncore_w
+            + power.external_w
+        )
 
     def _shares_pmd(self, process: SimProcess) -> bool:
         for core in process.cores:
@@ -807,32 +911,45 @@ class ServerSystem:
             time_s, "phase", process.pid
         )
 
+    def _safe_levels(
+        self, state: ChipState, running: List[SimProcess]
+    ) -> List[float]:
+        """Each lane's thermal-free safe Vmin for ``state``.
+
+        Lanes on one silicon model share one evaluation.
+        """
+        workload_delta = max(
+            p.current_profile().vmin_delta_mv for p in running
+        )
+        by_model: Dict[int, float] = {}
+        levels = []
+        for lane in self.lanes:
+            model = lane.vmin_model
+            level = by_model.get(id(model))
+            if level is None:
+                level = model.safe_vmin_for_state(
+                    state, workload_delta_mv=workload_delta
+                )
+                by_model[id(model)] = level
+            levels.append(level)
+        return levels
+
     def _audit_voltage(
         self, state: ChipState, running: List[SimProcess]
     ) -> None:
         if self.fault_policy == "off" or not running:
             return
-        workload_delta = max(
-            p.current_profile().vmin_delta_mv for p in running
-        )
-        required = self.vmin_model.safe_vmin_for_state(
-            state, workload_delta_mv=workload_delta
-        )
-        #: Thermal-free safe level; valid until occupancy, clocks or
-        #: behaviours change (it does not depend on the rail voltage).
-        self._required_base = required
-        if self.thermal is not None:
-            required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
+        levels = self._safe_levels(state, running)
+        for lane, level in zip(self.lanes, levels):
+            lane.required_base = level
+            self._check_rail(lane, state, level)
 
     def _audit_cached(self, state: ChipState) -> None:
         """Clean-refresh audit against the cached safe-Vmin level."""
         if self.fault_policy == "off" or not self._running:
             return
-        required = self._required_base
-        if self.thermal is not None:
-            required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
+        for lane in self.lanes:
+            self._check_rail(lane, state, lane.required_base)
 
     def _audit_step(self) -> None:
         """Safety audit between coalesced same-timestamp events.
@@ -846,24 +963,23 @@ class ServerSystem:
         if self.fault_policy == "off" or not self._running:
             return
         state = self.chip.state()
-        workload_delta = max(
-            p.current_profile().vmin_delta_mv for p in self._running
-        )
-        required = self.vmin_model.safe_vmin_for_state(
-            state, workload_delta_mv=workload_delta
-        )
-        if self.thermal is not None:
-            required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
+        levels = self._safe_levels(state, self._running)
+        for lane, level in zip(self.lanes, levels):
+            self._check_rail(lane, state, level)
 
-    def _check_rail(self, state: ChipState, required: float) -> None:
+    def _check_rail(
+        self, lane: SimLane, state: ChipState, required: float
+    ) -> None:
+        """Audit one lane's rail against its thermal-free safe level."""
+        if lane.thermal is not None:
+            required += lane.thermal.vmin_shift_mv()
         if state.voltage_mv < required - 1e-9:
             record = ViolationRecord(
                 time_s=self.now,
                 voltage_mv=state.voltage_mv,
                 required_mv=required,
             )
-            self.violations.append(record)
+            lane.violations.append(record)
             if self.fault_policy == "raise":
                 self._crashed = True
                 raise SystemCrash(
@@ -888,7 +1004,8 @@ class ServerSystem:
         bumps plain ints/dicts and this flush converts them into the
         structured counters the run manifest snapshots. Every value is
         derived from simulation state, not wall clock, so snapshots are
-        deterministic for a given seed.
+        deterministic for a given seed. Violations sum over the lanes;
+        the gauges come from ``result``, the last lane's.
         """
         counts = self._event_counts
         telemetry.inc(
@@ -916,7 +1033,10 @@ class ServerSystem:
         policy_flush = getattr(self.policy, "flush_telemetry", None)
         if policy_flush is not None:
             policy_flush()
-        telemetry.inc(metric_names.SIM_VIOLATIONS, len(self.violations))
+        telemetry.inc(
+            metric_names.SIM_VIOLATIONS,
+            sum(len(lane.violations) for lane in self.lanes),
+        )
         telemetry.inc(
             metric_names.SIM_VOLTAGE_TRANSITIONS,
             result.voltage_transitions,

@@ -233,6 +233,11 @@ class VminCache:
                     f"cache dir {str(self.cache_dir)!r} exists and is "
                     "not a directory"
                 ) from None
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cache dir {str(self.cache_dir)!r} cannot be "
+                    f"created: {exc.strerror or exc}"
+                ) from None
 
     @property
     def disabled(self) -> bool:

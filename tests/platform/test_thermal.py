@@ -109,37 +109,39 @@ class TestSystemIntegration:
             chip2, short_workload2, BaselinePolicy()
         )
         system.run()
-        assert system.thermal is None
-        assert system.temperature_series == []
+        (lane,) = system.lanes
+        assert lane.thermal is None
+        assert lane.temperature_series == []
 
     def test_temperature_tracks_load(self, spec2, short_workload2):
         from repro.platform.chip import Chip
         from repro.policies.governors import BaselinePolicy
-        from repro.sim import ServerSystem
+        from repro.sim import ServerSystem, SimLane
 
         thermal = ThermalModel(spec2)
+        lane = SimLane(thermal=thermal)
         system = ServerSystem(
             Chip(spec2),
             short_workload2,
             BaselinePolicy(),
-            thermal_model=thermal,
+            lanes=[lane],
         )
         system.run()
-        temps = [t for _, t in system.temperature_series]
+        temps = [t for _, t in lane.temperature_series]
         assert temps
         assert max(temps) > thermal.ambient_c + 1.0
 
     def test_hot_run_uses_more_energy(self, spec2, short_workload2):
         from repro.platform.chip import Chip
         from repro.policies.governors import BaselinePolicy
-        from repro.sim import ServerSystem
+        from repro.sim import ServerSystem, SimLane
 
         def energy(ambient):
             system = ServerSystem(
                 Chip(spec2),
                 short_workload2,
                 BaselinePolicy(),
-                thermal_model=ThermalModel(spec2, ambient_c=ambient),
+                lanes=[SimLane(thermal=ThermalModel(spec2, ambient_c=ambient))],
             )
             return system.run().energy_j
 
@@ -150,7 +152,7 @@ class TestSystemIntegration:
         # undervolted-but-normally-safe rail becomes a violation.
         from repro.platform.chip import Chip
         from repro.policies.daemon import OnlineMonitoringDaemon
-        from repro.sim import ServerSystem
+        from repro.sim import ServerSystem, SimLane
         from repro.workloads.generator import JobSpec, Workload
 
         workload = Workload(
@@ -165,7 +167,7 @@ class TestSystemIntegration:
                 Chip(spec2),
                 workload,
                 OnlineMonitoringDaemon(spec2),
-                thermal_model=ThermalModel(spec2, ambient_c=ambient),
+                lanes=[SimLane(thermal=ThermalModel(spec2, ambient_c=ambient))],
             )
             return len(system.run().violations)
 

@@ -18,9 +18,13 @@ It also checks, at every refresh, the invariant the simulator's running
 list keeps without rebuilding it: ``_running`` is exactly the running
 processes, in workload order.
 
+:class:`FullRefreshSystem` is the reference for the incremental
+refresh: the original flow, which recomputes the entire system state
+after every event.
+
 The tests replay one workload through both and compare every register;
-:func:`mixed_workloads`, :func:`replay` and :func:`replay_observables`
-are the shared pieces of those replays.
+:func:`mixed_workloads`, :func:`replay`, :func:`observables` and
+:func:`replay_observables` are the shared pieces of those replays.
 """
 
 from __future__ import annotations
@@ -35,21 +39,60 @@ from repro.platform.chip import Chip
 from repro.platform.specs import get_spec
 from repro.platform.thermal import ThermalModel
 from repro.policies.daemon import OnlineMonitoringDaemon
+from repro.policies.ed2p import Ed2pClockPlan, Ed2pPolicy, ed2p_clock_plan
 from repro.policies.governors import BaselinePolicy
 from repro.policies.safevmin import SafeVminPolicy
 from repro.policies.surfaces import Policy
-from repro.sim.system import REMAINING_EPS, ServerSystem, SystemResult
+from repro.sim.system import REMAINING_EPS, ServerSystem, SimLane
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.suites import evaluation_pool
-
-from tests.sim.test_incremental_equivalence import observables
 
 STATIC_PROGRAMS = [p.name for p in evaluation_pool()]
 PHASED_PROGRAMS = [
     "stream-compute", "setup-then-crunch", "compute-then-writeback"
 ]
 POLICY_KEYS = ("baseline", "safe-vmin", "daemon")
+
+
+class _NoExecCache(dict):
+    """An execution-state cache that never keeps an entry."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class FullRefreshSystem(ServerSystem):
+    """A :class:`ServerSystem` that recomputes everything after every event.
+
+    No incremental refresh, execution-state cache, reschedule elision
+    or same-timestamp event coalescing, and each lane's power is one
+    whole ``chip_power`` evaluation at its leakage multiplier: the
+    original hot path, the ground truth the incremental one must equal
+    bit for bit.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._coalesce = False
+        self._elide = False
+        self._exec_cache = _NoExecCache()
+
+    def _refresh(self) -> None:
+        self._refreshes_full += 1
+        self._recompute_all()
+
+    def _recompute_power(self, state) -> None:
+        for lane in self.lanes:
+            multiplier = 1.0
+            if lane.thermal is not None:
+                multiplier = lane.thermal.leakage_multiplier()
+            lane.power_w = self.power_model.chip_power(
+                state,
+                self._activity_map,
+                self._bw_util,
+                leakage_multiplier=multiplier,
+            ).total_w
 
 
 class LoopOracleSystem(ServerSystem):
@@ -114,12 +157,13 @@ class LoopOracleSystem(ServerSystem):
             )
             for bin_mv, count in events.items():
                 pmu.record_droops(bin_mv, count)
-        self.meter.accumulate(self._power_w, dt)
-        if self.thermal is not None:
-            self.thermal.step(self._power_w, dt)
-            self.temperature_series.append(
-                (time_s, self.thermal.temperature_c)
-            )
+        for lane in self.lanes:
+            lane.meter.accumulate(lane.power_w, dt)
+            if lane.thermal is not None:
+                lane.thermal.step(lane.power_w, dt)
+                lane.temperature_series.append(
+                    (time_s, lane.thermal.temperature_c)
+                )
         self._sample_trace_until(time_s)
 
     def _reschedule_completions(self) -> None:
@@ -174,14 +218,50 @@ class LoopOracleSystem(ServerSystem):
         )
 
 
-def replay_observables(system: ServerSystem, result: SystemResult) -> dict:
-    """Every observable of a finished replay, as raw comparable values.
+def observables(result):
+    """Every field of a run, in raw-float comparable form."""
+    trace = None
+    if result.trace is not None:
+        trace = [
+            (
+                s.time_s,
+                s.power_w,
+                s.busy_cores,
+                s.running_processes,
+                s.cpu_intensive,
+                s.memory_intensive,
+                s.voltage_mv,
+                s.mean_active_freq_hz,
+            )
+            for s in result.trace.samples
+        ]
+    return {
+        "makespan_s": result.makespan_s,
+        "energy_j": result.energy_j,
+        "voltage_transitions": result.voltage_transitions,
+        "frequency_transitions": result.frequency_transitions,
+        "violations": [
+            (v.time_s, v.voltage_mv, v.required_mv)
+            for v in result.violations
+        ],
+        "processes": [
+            (p.pid, p.start_s, p.finish_s, p.migrations, tuple(p.cores))
+            for p in result.processes
+        ],
+        "trace": trace,
+    }
+
+
+def replay_observables(system: ServerSystem, lane: SimLane) -> dict:
+    """Every observable of one lane of a finished replay, raw.
 
     The result fields and trace the incremental-refresh suite compares,
     plus each process's PMU counters, class and remaining work, every
-    per-core PMU register and droop bin, and the temperature series.
+    per-core PMU register and droop bin, and the lane's temperature
+    series.
     """
     pmu = system.chip.pmu
+    result = lane.result
     return {
         **observables(result),
         "process_state": [
@@ -197,7 +277,7 @@ def replay_observables(system: ServerSystem, result: SystemResult) -> dict:
             (c.cycles, c.instructions, c.l3_accesses) for c in pmu.cores
         ],
         "droop_bins": sorted(pmu.droop_events.items()),
-        "temperature_series": list(system.temperature_series),
+        "temperature_series": list(lane.temperature_series),
     }
 
 
@@ -206,13 +286,22 @@ def _table(platform: str) -> VminPolicyTable:
     return VminPolicyTable.from_characterization(get_spec(platform))
 
 
+@lru_cache(maxsize=None)
+def _clock_plan(platform: str) -> Ed2pClockPlan:
+    return ed2p_clock_plan(get_spec(platform))
+
+
 def make_policy(key: str, platform: str) -> Policy:
-    """A fresh policy of one of :data:`POLICY_KEYS`."""
+    """A fresh policy of one of :data:`POLICY_KEYS`, or ``ed2p``."""
     spec = get_spec(platform)
     if key == "baseline":
         return BaselinePolicy()
     if key == "safe-vmin":
         return SafeVminPolicy(spec, policy=_table(platform))
+    if key == "ed2p":
+        return Ed2pPolicy(
+            spec, policy=_table(platform), clock_plan=_clock_plan(platform)
+        )
     return OnlineMonitoringDaemon(spec, policy=_table(platform))
 
 
@@ -246,15 +335,15 @@ def replay(
     workload: Workload,
     policy_key: str,
     thermal: bool,
-    **kwargs,
 ) -> dict:
     """Replay ``workload`` through ``system_cls``; its observables."""
     spec = get_spec(platform)
+    lane = SimLane(thermal=ThermalModel(spec) if thermal else None)
     system = system_cls(
         Chip(spec),
         workload,
         make_policy(policy_key, platform),
-        thermal_model=ThermalModel(spec) if thermal else None,
-        **kwargs,
+        lanes=[lane],
     )
-    return replay_observables(system, system.run())
+    system.run()
+    return replay_observables(system, lane)

@@ -3,9 +3,9 @@
 The simulator's incremental hot path (dirty-set refresh, execution-state
 cache, reschedule elision, same-timestamp coalescing) claims *bit-for-bit*
 identity with the original recompute-everything flow, which survives as
-``ServerSystem(full_refresh=True)``. These properties replay random
-workloads under both modes and compare every observable of the run —
-not approximately, but with ``==`` on the raw floats.
+:class:`tests.replay_oracle.FullRefreshSystem`. These properties
+replay random workloads under both modes and compare every observable
+of the run — not approximately, but with ``==`` on the raw floats.
 
 A separate regression pins the energy-accounting semantics at the end of
 a run: energy integrates exactly up to the last dispatched event, which
@@ -34,6 +34,8 @@ from repro.telemetry.manifest import canonical_json
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.suites import evaluation_pool, get_benchmark
 
+from tests.replay_oracle import FullRefreshSystem, observables
+
 SPEC2 = xgene2_spec()
 SPEC3 = xgene3_spec()
 POLICY2 = VminPolicyTable.from_characterization(SPEC2)
@@ -56,49 +58,14 @@ def workloads(draw, max_cores=8):
     )
 
 
-def observables(result):
-    """Every field of a run, in raw-float comparable form."""
-    trace = None
-    if result.trace is not None:
-        trace = [
-            (
-                s.time_s,
-                s.power_w,
-                s.busy_cores,
-                s.running_processes,
-                s.cpu_intensive,
-                s.memory_intensive,
-                s.voltage_mv,
-                s.mean_active_freq_hz,
-            )
-            for s in result.trace.samples
-        ]
-    return {
-        "makespan_s": result.makespan_s,
-        "energy_j": result.energy_j,
-        "voltage_transitions": result.voltage_transitions,
-        "frequency_transitions": result.frequency_transitions,
-        "violations": [
-            (v.time_s, v.voltage_mv, v.required_mv)
-            for v in result.violations
-        ],
-        "processes": [
-            (p.pid, p.start_s, p.finish_s, p.migrations, tuple(p.cores))
-            for p in result.processes
-        ],
-        "trace": trace,
-    }
-
-
 def run_both(workload, make_policy, spec=SPEC2, **kwargs):
     fast = ServerSystem(
         Chip(spec), workload, make_policy(), **kwargs
     ).run()
-    oracle = ServerSystem(
+    oracle = FullRefreshSystem(
         Chip(spec),
         workload,
         make_policy(),
-        full_refresh=True,
         **kwargs,
     ).run()
     return observables(fast), observables(oracle)
@@ -147,6 +114,24 @@ class TestIncrementalEquivalence:
     def test_fault_policy_off_bit_identical(self, workload):
         fast, oracle = run_both(
             workload, BaselinePolicy, fault_policy="off"
+        )
+        assert fast == oracle
+
+    def test_rail_only_refresh_bit_identical(self):
+        # At t=1 s an arrival finds all eight cores busy: the daemon's
+        # fail-safe raise moves the rail and nothing is placed, so the
+        # next refresh sees a rail change alone and must recompute the
+        # power from it.
+        jobs = tuple(JobSpec(i, "mcf", 1, 0.0) for i in range(4)) + (
+            JobSpec(4, "mcf", 4, 0.0),
+            JobSpec(5, "mcf", 1, 1.0),
+        )
+        workload = Workload(
+            jobs=jobs, duration_s=300.0, max_cores=8, seed=0
+        )
+        fast, oracle = run_both(
+            workload,
+            lambda: OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
         )
         assert fast == oracle
 

@@ -15,19 +15,17 @@ from hypothesis import strategies as st
 
 from repro.sim.system import ServerSystem
 
-from tests.replay_oracle import POLICY_KEYS, mixed_workloads, replay
+from tests.replay_oracle import (
+    POLICY_KEYS,
+    FullRefreshSystem,
+    mixed_workloads,
+    replay,
+)
 
 
 def assert_modes_match(platform, workload, policy_key, thermal):
     fast = replay(ServerSystem, platform, workload, policy_key, thermal)
-    full = replay(
-        ServerSystem,
-        platform,
-        workload,
-        policy_key,
-        thermal,
-        full_refresh=True,
-    )
+    full = replay(FullRefreshSystem, platform, workload, policy_key, thermal)
     assert fast == full
 
 

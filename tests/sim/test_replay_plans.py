@@ -30,17 +30,27 @@ from repro.workloads.generator import JobSpec, Workload
 
 from tests.replay_oracle import (
     POLICY_KEYS,
+    FullRefreshSystem,
     LoopOracleSystem,
     mixed_workloads,
     replay,
 )
 
 
-def assert_plans_match_loops(platform, workload, policy_key, thermal, **kw):
-    plans = replay(ServerSystem, platform, workload, policy_key, thermal, **kw)
-    loops = replay(
-        LoopOracleSystem, platform, workload, policy_key, thermal, **kw
-    )
+class FullRefreshLoopOracle(LoopOracleSystem, FullRefreshSystem):
+    """The per-process loops under the recompute-everything refresh."""
+
+
+def assert_plans_match_loops(
+    platform,
+    workload,
+    policy_key,
+    thermal,
+    plans_cls=ServerSystem,
+    loops_cls=LoopOracleSystem,
+):
+    plans = replay(plans_cls, platform, workload, policy_key, thermal)
+    loops = replay(loops_cls, platform, workload, policy_key, thermal)
     assert plans == loops
 
 
@@ -68,7 +78,12 @@ class TestReplayPlansMatchLoops:
     def test_full_refresh_mode(self, workload, policy_key):
         # The plans serve both refresh modes.
         assert_plans_match_loops(
-            "xgene2", workload, policy_key, True, full_refresh=True
+            "xgene2",
+            workload,
+            policy_key,
+            True,
+            FullRefreshSystem,
+            FullRefreshLoopOracle,
         )
 
     def test_phased_job_crosses_every_boundary(self):

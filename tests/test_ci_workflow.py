@@ -140,6 +140,11 @@ def test_platform_matrix_job_smokes_policy_bundles(workflow):
     assert "repro policy show ed2p --platform xgene3-xl" in text
     assert "--platform xgene3-xl --policy ed2p" in text
     assert "tests/policies" in text
+    # The cold run's output is pinned, not only self-consistent.
+    assert (
+        "diff tests/golden/run_all_xgene3_xl_ed2p.txt run_all_xl.txt" in text
+    )
+    assert (Path(__file__).parent / "golden/run_all_xgene3_xl_ed2p.txt").is_file()
 
 
 def test_bench_smoke_job_is_timeout_guarded(workflow):
@@ -202,6 +207,10 @@ def test_verify_job_checks_determinism_and_cache(workflow):
     assert "--cache-dir" in text
     assert "diff tests/golden/run_all_xgene2.txt" in text
     assert "diff run_all.txt run_all_warm.txt" in text
+    # The second paper chip is pinned too.
+    assert "repro run-all --jobs 2 --platform xgene3 >" in text
+    assert "diff tests/golden/run_all_xgene3.txt run_all_xgene3.txt" in text
+    assert (Path(__file__).parent / "golden/run_all_xgene3.txt").is_file()
 
 
 def test_verify_job_gates_on_structured_manifest(workflow):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import COMMANDS, DEFAULT_PLATFORM, build_parser, main
+from repro.errors import SimulationError
 from repro.platform.specs import xgene2_spec, xgene3_spec
 from repro.vmin.cache import reset_default_cache
 
@@ -113,3 +114,47 @@ class TestRunAll:
         assert "orchestrator summary" in captured.err
         assert "orchestrator summary" not in captured.out
         assert "speedup vs serial sum" in captured.err
+
+
+class TestErrorExits:
+    """Failures at the CLI's file boundaries exit with one line, no traceback."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_default_cache(self):
+        reset_default_cache()
+        yield
+        reset_default_cache()
+
+    def test_missing_manifest_directory_refused_before_running(
+        self, tmp_path, capsys
+    ):
+        manifest = tmp_path / "missing" / "m.json"
+        assert main(["run-all", "--summary-json", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: --summary-json")
+        assert captured.err.count("\n") == 1
+
+    def test_cache_dir_under_a_file_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert main(["fig3", "--cache-dir", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: cache dir")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "exc",
+        [SimulationError("inconsistent state"), OSError(28, "disk full")],
+        ids=["repro-error", "os-error"],
+    )
+    def test_other_failures_exit_1_with_one_line(
+        self, monkeypatch, capsys, exc
+    ):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(COMMANDS, "fig3", fail)
+        assert main(["fig3"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {exc}\n"
