@@ -6,7 +6,7 @@ Usage::
     repro table1
     repro fig7 --platform xgene2
     repro table3 --duration 600 --seed 7
-    repro all --duration 600
+    repro report --duration 3600
     repro run-all --jobs 4 --cache-dir ~/.cache/repro-vmin
     repro run-all --summary-json manifest.json
     repro run-all --platform xgene3-xl
@@ -17,11 +17,15 @@ Usage::
     repro policy list
     repro policy compare ed2p daemon --platform xgene2
 
-Each experiment prints the same rows/series the paper reports.
-``run-all`` fans the whole registry out over a process pool with
-memoized Vmin characterization: experiment output goes to stdout (in
-canonical registry order, byte-identical for any ``--jobs`` value) and
-the per-experiment timing/cache-hit summary table goes to stderr.
+Each experiment prints the same rows/series the paper reports. An
+experiment command and ``run-all`` both go through
+:func:`repro.experiments.orchestrator.run_experiments`: a command also
+runs the experiment's inputs (``repro report`` runs ``table3`` and
+``table4`` first) but prints only the experiment it names. ``run-all``
+fans the whole registry out over a process pool with memoized Vmin
+characterization: experiment output goes to stdout (in canonical
+registry order, byte-identical for any ``--jobs`` value) and the
+per-experiment timing/cache-hit summary table goes to stderr.
 ``--summary-json PATH`` additionally collects telemetry and writes the
 run manifest there; the ``repro telemetry`` subcommand family
 (``dump``/``summarize``/``diff``/``check``) inspects and gates those
@@ -33,6 +37,10 @@ files. The ``repro policy`` family (``list``/``show``/``compare``)
 inspects the policy registry (see :mod:`repro.policies.cli`);
 ``--policy`` threads a registry key through every policy-aware
 experiment (the default, ``None``, reproduces the paper byte-for-byte).
+
+A failing experiment leaves stdout empty and prints one
+``repro: error: <experiment>: ...`` line: exit 2 for a configuration
+error, 1 for any other error.
 """
 
 from __future__ import annotations
@@ -40,41 +48,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from .errors import ConfigurationError, ReproError
+from .errors import ConfigurationError, ExperimentError, ReproError
 from .experiments import orchestrator
-from .experiments.registry import REGISTRY, experiment_names
-
-
-def _make_command(name: str) -> Callable[[argparse.Namespace], None]:
-    def show(args: argparse.Namespace) -> None:
-        print(
-            orchestrator.render_experiment(
-                name,
-                platform=args.platform,
-                duration_s=args.duration,
-                seed=args.seed,
-                cache_dir=args.cache_dir,
-                policy=args.policy,
-            )
-        )
-
-    return show
-
-
-#: One CLI command per registry entry (kept for back-compatibility with
-#: the pre-orchestrator interface).
-COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
-    entry.name: _make_command(entry.name) for entry in REGISTRY
-}
-
-#: Default platform per experiment, where the paper fixes one.
-DEFAULT_PLATFORM: Dict[str, str] = {
-    entry.name: entry.default_platform
-    for entry in REGISTRY
-    if entry.default_platform is not None
-}
+from .experiments.registry import experiment_names
 
 
 def _positive_int(text: str) -> int:
@@ -95,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(COMMANDS) + ["all", "list", "run-all"],
+        choices=sorted(experiment_names()) + ["list", "run-all"],
         help="experiment to regenerate ('list' shows the catalogue, "
         "'run-all' batches the registry through the orchestrator)",
     )
@@ -126,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker processes for 'run-all' (default: 1)",
+        help="worker processes (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -139,15 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-json",
         default=None,
         metavar="PATH",
-        help="for 'run-all'/'all': collect telemetry and write the run "
+        help="for 'run-all': collect telemetry and write the run "
         "manifest (schema-validated JSON) to PATH",
     )
     return parser
 
 
-def _run_all(args: argparse.Namespace, names: List[str]) -> int:
-    """Orchestrated batch: output on stdout, summary table on stderr."""
-    summary_json = getattr(args, "summary_json", None)
+def _run(args: argparse.Namespace) -> int:
+    """One experiment, or the registry for ``run-all``, through the
+    orchestrator: output on stdout; for ``run-all`` also the summary
+    table on stderr and the optional manifest."""
+    batch = args.experiment == "run-all"
+    summary_json = args.summary_json if batch else None
     if summary_json is not None:
         # Refuse before the run, not after minutes of output.
         directory = os.path.dirname(summary_json) or "."
@@ -156,7 +137,7 @@ def _run_all(args: argparse.Namespace, names: List[str]) -> int:
                 f"--summary-json: {directory!r} is not a directory"
             )
     summary = orchestrator.run_experiments(
-        names=names,
+        names=list(experiment_names()) if batch else [args.experiment],
         jobs=args.jobs,
         platform=args.platform,
         duration_s=args.duration,
@@ -167,6 +148,8 @@ def _run_all(args: argparse.Namespace, names: List[str]) -> int:
     )
     sys.stdout.write(summary.merged_output())
     sys.stdout.flush()
+    if not batch:
+        return 0
     print(summary.format_table(), file=sys.stderr)
     if summary_json is not None:
         from . import telemetry
@@ -209,27 +192,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return policy_main(argv[1:])
     args = build_parser().parse_args(argv)
-    try:
-        if args.experiment == "list":
-            for name in sorted(COMMANDS):
-                print(name)
-            return 0
-        if args.experiment == "run-all":
-            return _run_all(args, list(experiment_names()))
-        if args.experiment == "all":
-            # Historical interface: sequential batch in alphabetical
-            # order.
-            return _run_all(args, sorted(COMMANDS))
-        print(f"== {args.experiment} ==")
-        COMMANDS[args.experiment](args)
-        print()
+    if args.experiment == "list":
+        print("\n".join(sorted(experiment_names())))
         return 0
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+    try:
+        return _run(args)
     except (ReproError, OSError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
-        return 1
+        cause = exc.cause if isinstance(exc, ExperimentError) else exc
+        return 2 if isinstance(cause, ConfigurationError) else 1
 
 
 if __name__ == "__main__":

@@ -43,6 +43,19 @@ class CharacterizationError(ReproError):
     """A Vmin characterization campaign was misconfigured."""
 
 
+class ExperimentError(ReproError):
+    """An orchestrated experiment failed; names it and keeps the cause."""
+
+    def __init__(self, experiment: str, cause: BaseException):
+        # Both in ``args``, so the error pickles back from a pool worker.
+        super().__init__(experiment, cause)
+        self.experiment = experiment
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return f"{self.experiment}: {self.cause}"
+
+
 class VoltageFault(ReproError):
     """Base class for abnormal behaviours below the safe Vmin.
 

@@ -56,23 +56,13 @@ _SUBMODULES: Tuple[str, ...] = (
     "variation_study",
 )
 
-#: Names re-exported from :mod:`repro.experiments.energy_runner`.
-_ENERGY_RUNNER_EXPORTS: Tuple[str, ...] = (
-    "CAMPAIGN_STEP_MV",
-    "EnergyRunner",
-    "RunMeasurement",
-)
-
-__all__ = sorted(_SUBMODULES + _ENERGY_RUNNER_EXPORTS)
+__all__ = sorted(_SUBMODULES)
 
 
 def __getattr__(name: str):
-    """Lazily import submodules and the energy-runner exports."""
+    """Lazily import submodules."""
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _ENERGY_RUNNER_EXPORTS:
-        module = importlib.import_module(f"{__name__}.energy_runner")
-        return getattr(module, name)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}"
     )

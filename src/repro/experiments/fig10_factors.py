@@ -60,21 +60,7 @@ def run(platform: str = "xgene2", silicon_seed: int = 0) -> Fig10Result:
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 10 factor decomposition for one platform."""
-    return run(platform or "xgene2").format()
-
-
-def main() -> None:
-    """Print Fig. 10 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig10")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig10Result:
+    """The Fig. 10 factor decomposition for one platform."""
+    return run(platform)

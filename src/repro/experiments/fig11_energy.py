@@ -127,25 +127,11 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 11 energy sweep for one platform.
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig11Result:
+    """The Fig. 11 energy sweep for one platform.
 
     A ``policy`` key reruns the sweep at that policy's idle-machine
     rail mode (default: the safe-Vmin sweep the paper reports).
     """
-    return run(platform or "xgene2", voltage=policy or "safe").format()
-
-
-def main() -> None:
-    """Print Fig. 11 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig11")
-
-
-if __name__ == "__main__":
-    main()
+    return run(platform, voltage=policy or "safe")

@@ -49,12 +49,13 @@ class Fig13Result:
         return [s.step for s in self.steps]
 
     def format(self) -> str:
-        """Render the traced flow."""
-        return format_table(
+        """Render the traced flow and its violation count."""
+        table = format_table(
             ("t(s)", "step", "detail"),
             [(round(s.time_s, 2), s.step, s.detail) for s in self.steps],
             title=f"Figure 13 - daemon flow trace ({self.platform})",
         )
+        return f"{table}\n\nviolations: {self.violations}"
 
 
 class _TracingDaemon(OnlineMonitoringDaemon):
@@ -154,22 +155,7 @@ def run(platform: str = "xgene2") -> Fig13Result:
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 13 decision flow with its violation count."""
-    result = run(platform or "xgene2")
-    return f"{result.format()}\n\nviolations: {result.violations}"
-
-
-def main() -> None:
-    """Print the traced flow via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig13")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig13Result:
+    """The Fig. 13 decision flow with its violation count."""
+    return run(platform)

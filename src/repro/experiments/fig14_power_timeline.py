@@ -58,14 +58,20 @@ class Fig14Result:
         return rows
 
     def format(self) -> str:
-        """Render per-minute power means."""
-        return format_table(
+        """Render per-minute power means and the average powers."""
+        table = format_table(
             ("minute", "baseline(W)", f"{self.config}(W)"),
             [
                 (minute, round(b, 2), round(o, 2))
                 for minute, b, o in self.series()
             ],
             title=f"Figure 14 - average power timeline ({self.platform})",
+        )
+        base, opt = self.average_power()
+        return (
+            f"{table}\n"
+            f"\naverage power: baseline {base:.2f} W, "
+            f"{self.config} {opt:.2f} W"
         )
 
 
@@ -98,36 +104,13 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 14 power timeline with average powers.
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig14Result:
+    """The Fig. 14 power timeline with average powers.
 
     A ``policy`` key swaps the non-baseline trace to that policy
     (default: the paper's Baseline-vs-Optimal comparison).
     """
-    result = run(
-        platform or "xgene3",
-        duration_s=duration_s,
-        seed=seed,
-        config=policy or "optimal",
+    return run(
+        platform, duration_s=duration_s, seed=seed, config=policy or "optimal"
     )
-    base, opt = result.average_power()
-    return (
-        f"{result.format()}\n"
-        f"\naverage power: baseline {base:.2f} W, "
-        f"{result.config} {opt:.2f} W"
-    )
-
-
-def main() -> None:
-    """Print Fig. 14 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig14")
-
-
-if __name__ == "__main__":
-    main()

@@ -104,30 +104,13 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 15 load timeline.
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig15Result:
+    """The Fig. 15 load timeline.
 
     A ``policy`` key replays the run under that policy (default: the
     Optimal run the paper traces).
     """
     return run(
-        platform or "xgene3",
-        duration_s=duration_s,
-        seed=seed,
-        config=policy or "optimal",
-    ).format()
-
-
-def main() -> None:
-    """Print Fig. 15 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig15")
-
-
-if __name__ == "__main__":
-    main()
+        platform, duration_s=duration_s, seed=seed, config=policy or "optimal"
+    )

@@ -143,21 +143,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 3 campaign for one platform."""
-    return run(platform or "xgene2").format()
-
-
-def main() -> None:
-    """Print the Fig. 3 characterization via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig3")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig3Result:
+    """The Fig. 3 campaign for one platform."""
+    return run(platform)

@@ -82,8 +82,8 @@ class Fig4Result:
         return max(worst, key=worst.get)
 
     def format(self) -> str:
-        """Render the per-core/per-PMD boundaries."""
-        return format_table(
+        """Render the per-core/per-PMD boundaries and their spreads."""
+        table = format_table(
             ("scope", "index", "benchmark", "safe Vmin(mV)", "crash(mV)"),
             [
                 (r.scope, r.index, r.benchmark, r.safe_vmin_mv, r.crash_mv)
@@ -93,6 +93,12 @@ class Fig4Result:
                 f"Figure 4 - single/two-core safe regions "
                 f"({self.platform} @ {hz_to_ghz(self.freq_hz):.1f}GHz)"
             ),
+        )
+        return (
+            f"{table}\n"
+            f"\ncore-to-core spread: {self.core_to_core_spread_mv():.0f} mV"
+            f"\nworkload spread:     {self.workload_spread_mv():.0f} mV"
+            f"\nmost robust PMD:     PMD{self.most_robust_pmd()}"
         )
 
 
@@ -153,27 +159,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Fig. 4 with its spread summary."""
-    result = run(platform or "xgene2")
-    return (
-        f"{result.format()}\n"
-        f"\ncore-to-core spread: {result.core_to_core_spread_mv():.0f} mV"
-        f"\nworkload spread:     {result.workload_spread_mv():.0f} mV"
-        f"\nmost robust PMD:     PMD{result.most_robust_pmd()}"
-    )
-
-
-def main() -> None:
-    """Print the Fig. 4 summary via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig4")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig4Result:
+    """Fig. 4 with its spread summary."""
+    return run(platform)

@@ -162,21 +162,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 5 pfail curves for one platform."""
-    return run(platform or "xgene3").format()
-
-
-def main() -> None:
-    """Print Fig. 5 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig5")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig5Result:
+    """The Fig. 5 pfail curves for one platform."""
+    return run(platform)

@@ -60,8 +60,8 @@ class Fig7Result:
         return min(diffs), max(diffs)
 
     def format(self) -> str:
-        """Render the figure data."""
-        return format_table(
+        """Render the figure data and its span."""
+        table = format_table(
             ("benchmark", "E clustered(J)", "E spreaded(J)", "diff(%)"),
             [
                 (
@@ -76,6 +76,11 @@ class Fig7Result:
                 f"Figure 7 - allocation energy, {self.nthreads}T @ "
                 f"{hz_to_ghz(self.freq_hz):.1f}GHz ({self.platform})"
             ),
+        )
+        low, high = self.span()
+        return (
+            f"{table}\n"
+            f"\nspan: {low:.1f}% .. {high:+.1f}% (paper: -9.6% .. +14.2%)"
         )
 
 
@@ -114,30 +119,11 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Fig. 7 with its allocation-energy span.
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig7Result:
+    """Fig. 7 with its allocation-energy span.
 
     A ``policy`` key reruns the comparison at that policy's idle-machine
     rail mode (default: the nominal-rail comparison the paper reports).
     """
-    result = run(platform or "xgene2", voltage=policy or "nominal")
-    low, high = result.span()
-    return (
-        f"{result.format()}\n"
-        f"\nspan: {low:.1f}% .. {high:+.1f}% (paper: -9.6% .. +14.2%)"
-    )
-
-
-def main() -> None:
-    """Print Fig. 7 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig7")
-
-
-if __name__ == "__main__":
-    main()
+    return run(platform, voltage=policy or "nominal")

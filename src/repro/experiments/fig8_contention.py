@@ -90,21 +90,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the Fig. 8 contention ratios for one platform."""
-    return run(platform or "xgene3").format()
-
-
-def main() -> None:
-    """Print Fig. 8 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig8")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig8Result:
+    """The Fig. 8 contention ratios for one platform."""
+    return run(platform)

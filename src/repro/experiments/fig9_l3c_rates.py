@@ -73,8 +73,8 @@ class Fig9Result:
         )
 
     def format(self) -> str:
-        """Render the figure data."""
-        return format_table(
+        """Render the figure data and the memory-intensive set."""
+        table = format_table(
             ("benchmark", "threads", "L3C/1Mcyc", "class"),
             [
                 (
@@ -94,6 +94,10 @@ class Fig9Result:
                 f"Figure 9 - L3C access rates ({self.platform}, "
                 f"threshold {self.threshold:.0f})"
             ),
+        )
+        return (
+            f"{table}\n"
+            f"\nmemory-intensive: {', '.join(self.memory_intensive_set())}"
         )
 
 
@@ -140,25 +144,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Fig. 9 with the memory-intensive set."""
-    result = run(platform or "xgene3")
-    return (
-        f"{result.format()}\n"
-        f"\nmemory-intensive: {', '.join(result.memory_intensive_set())}"
-    )
-
-
-def main() -> None:
-    """Print Fig. 9 via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("fig9")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Fig9Result:
+    """Fig. 9 with the memory-intensive set."""
+    return run(platform)

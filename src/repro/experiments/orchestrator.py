@@ -1,38 +1,41 @@
 """Parallel experiment orchestrator with deterministic output merging.
 
-The ~19 regenerators in this package are independent programs that were
-historically run strictly sequentially. This module schedules them over
-a process pool instead:
+:func:`run_experiments` is the one way to run experiments: the CLI's
+single-experiment commands and ``repro run-all`` both call it. It
+schedules the ~20 registered experiments over a process pool:
 
 * the **registry** (:mod:`repro.experiments.registry`) declares every
-  experiment with its paper artefact, dependencies and a cost hint;
+  experiment with its paper artefact, its inputs and a cost hint;
 * scheduling is **topological** — independent figures run concurrently,
-  dependent ones (the report) wait for their inputs — with costly
-  experiments launched first to minimize the makespan;
-* results are **merged deterministically**: experiment output is
-  assembled in the requested order regardless of completion order, so
-  ``--jobs 4`` output is byte-identical to ``--jobs 1`` output;
+  and an experiment's inputs (``depends``) always run before it,
+  requested or not, and hand it their result objects, across the pool
+  too; each result is kept only until its last dependent has run;
+* results are **merged deterministically**: the ``format()`` text of
+  every requested experiment is assembled in the requested order
+  regardless of completion order, so ``--jobs 4`` output is
+  byte-identical to ``--jobs 1`` output; inputs that were not requested
+  run but are not printed;
 * every worker shares the characterization cache
   (:mod:`repro.vmin.cache`): in-memory within a process, and through
   the on-disk store across processes when a ``cache_dir`` is given, so
   repeated safe-Vmin campaigns across figures are not re-simulated.
 
-The CLI front-end is ``repro run-all --jobs N --cache-dir PATH``; the
-per-module ``main()`` entry points also route through
-:func:`run_main`.
+A renderer's :class:`~repro.errors.ReproError` or ``OSError`` comes out
+as an :class:`~repro.errors.ExperimentError` naming the experiment.
 """
 
 from __future__ import annotations
 
 import importlib
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..analysis.tables import format_table
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ExperimentError, ReproError
 from ..telemetry import names as metric_names
 from ..telemetry.metrics import Snapshot
 from ..vmin.cache import (
@@ -41,7 +44,6 @@ from ..vmin.cache import (
     get_default_cache,
 )
 from .registry import (
-    REGISTRY,
     ExperimentEntry,
     experiment_names,
     get_entry,
@@ -150,42 +152,65 @@ class RunSummary:
         return sum(item.elapsed_s for item in self.outcomes)
 
 
-def _execute(
-    name: str,
-    platform: Optional[str],
-    duration_s: float,
-    seed: int,
-    cache_dir: Optional[str],
-    collect_telemetry: bool = False,
-    policy: Optional[str] = None,
-) -> ExperimentOutcome:
-    """Run one experiment in the current process (pool worker body)."""
-    ensure_default_cache(cache_dir)
-    entry = get_entry(name)
+@dataclass(frozen=True)
+class _Settings:
+    """The arguments every experiment of one batch receives."""
+
+    platform: Optional[str]
+    duration_s: float
+    seed: int
+    policy: Optional[str]
+    cache_dir: Optional[str]
+    collect_telemetry: bool
+
+
+def _render(
+    entry: ExperimentEntry, settings: _Settings, inputs: Dict[str, object]
+) -> Tuple[object, str]:
+    """The entry's result and its formatted text, errors named."""
     module = importlib.import_module(entry.module_path)
     renderer = getattr(module, entry.render_name)
-    kwargs = {"platform": platform, "duration_s": duration_s, "seed": seed}
-    if policy is not None:
-        # Passed only when requested, so renderer doubles (tests, older
-        # entry points) keep working and the default path is untouched.
-        kwargs["policy"] = policy
+    try:
+        result = renderer(
+            platform=settings.platform or entry.default_platform,
+            duration_s=settings.duration_s,
+            seed=settings.seed,
+            policy=settings.policy,
+            **inputs,
+        )
+        return result, result.format()
+    except (ReproError, OSError) as exc:
+        raise ExperimentError(entry.name, exc) from exc
+
+
+def _execute(
+    name: str, settings: _Settings, inputs: Dict[str, object], keep: bool
+) -> Tuple[ExperimentOutcome, object]:
+    """Run one experiment in the current process (pool worker body).
+
+    ``inputs`` are the results of the entry's ``depends``; the
+    experiment's own result comes back only when ``keep`` says a later
+    experiment takes it as an input (a pool worker pickles it).
+    """
+    ensure_default_cache(settings.cache_dir)
+    entry = get_entry(name)
     cache = get_default_cache()
     before = cache.stats.snapshot()
     metrics: Optional[Snapshot] = None
     started = time.perf_counter()
-    if collect_telemetry:
+    if settings.collect_telemetry:
         # Fresh registry per experiment, so the snapshot attributes
         # every metric to exactly one experiment even when several run
         # in the same worker process.
         with telemetry.session() as registry:
             with telemetry.span(metric_names.ORCH_EXPERIMENT_SPAN):
-                output = renderer(**kwargs)
+                result, output = _render(entry, settings, inputs)
             cache.publish_telemetry()
             metrics = registry.snapshot()
     else:
-        output = renderer(**kwargs)
+        result, output = _render(entry, settings, inputs)
     elapsed = time.perf_counter() - started
-    return ExperimentOutcome(
+    outcome = ExperimentOutcome(
         name=entry.name,
         artefact=entry.artefact,
         output=output,
@@ -193,20 +218,7 @@ def _execute(
         cache=cache.stats.delta(before),
         metrics=metrics,
     )
-
-
-def render_experiment(
-    name: str,
-    platform: Optional[str] = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    cache_dir: Optional[str] = None,
-    policy: Optional[str] = None,
-) -> str:
-    """Render one experiment's text through the orchestrator."""
-    return _execute(
-        name, platform, duration_s, seed, cache_dir, policy=policy
-    ).output
+    return outcome, result if keep else None
 
 
 def run_experiments(
@@ -221,11 +233,12 @@ def run_experiments(
 ) -> RunSummary:
     """Run a batch of experiments, optionally across worker processes.
 
-    ``names`` defaults to the full registry in canonical order; the
-    merge order of :meth:`RunSummary.merged_output` always follows the
-    requested order, independent of scheduling. ``jobs=1`` runs
-    everything in-process; higher values fan independent experiments
-    out over a process pool while dependents wait for their inputs.
+    ``names`` defaults to the full registry in canonical order; their
+    inputs run too but are not part of the summary. The merge order of
+    :meth:`RunSummary.merged_output` always follows the requested order,
+    independent of scheduling. ``jobs=1`` runs everything in-process;
+    higher values fan independent experiments out over a process pool
+    while dependents wait for their inputs.
 
     With ``collect_telemetry=True`` every experiment carries a metric
     snapshot (:attr:`ExperimentOutcome.metrics`) and the summary carries
@@ -239,22 +252,18 @@ def run_experiments(
         dict.fromkeys(names if names is not None else experiment_names())
     )
     schedule = topological_order(requested)
-    registry_index = {entry.name: i for i, entry in enumerate(REGISTRY)}
+    settings = _Settings(
+        platform, duration_s, seed, policy, cache_dir, collect_telemetry
+    )
     started = time.perf_counter()
     run_metrics: Optional[Snapshot] = None
     if collect_telemetry:
         with telemetry.session() as registry:
             with telemetry.span(metric_names.ORCH_RUN_SPAN):
-                outcomes = _run_schedule(
-                    schedule, jobs, platform, duration_s, seed, cache_dir,
-                    registry_index, True, policy,
-                )
+                outcomes = _run_schedule(schedule, jobs, settings)
             run_metrics = registry.snapshot()
     else:
-        outcomes = _run_schedule(
-            schedule, jobs, platform, duration_s, seed, cache_dir,
-            registry_index, False, policy,
-        )
+        outcomes = _run_schedule(schedule, jobs, settings)
     return RunSummary(
         jobs=jobs,
         elapsed_s=time.perf_counter() - started,
@@ -264,70 +273,54 @@ def run_experiments(
 
 
 def _run_schedule(
-    schedule: List[ExperimentEntry],
-    jobs: int,
-    platform: Optional[str],
-    duration_s: float,
-    seed: int,
-    cache_dir: Optional[str],
-    registry_index: Dict[str, int],
-    collect_telemetry: bool,
-    policy: Optional[str] = None,
+    schedule: List[ExperimentEntry], jobs: int, settings: _Settings
 ) -> Dict[str, ExperimentOutcome]:
-    """Dispatch ``schedule`` serially or over the pool."""
+    """Run ``schedule`` serially or over the pool, handing every
+    experiment the results of its inputs."""
+    # Scheduled experiments still to take each result as an input.
+    readers = Counter(dep for entry in schedule for dep in entry.depends)
+    results: Dict[str, object] = {}
+    outcomes: Dict[str, ExperimentOutcome] = {}
+
+    def arguments(entry: ExperimentEntry) -> tuple:
+        inputs = {dep: results[dep] for dep in entry.depends}
+        return entry.name, settings, inputs, readers[entry.name] > 0
+
+    def finish(
+        entry: ExperimentEntry, outcome: ExperimentOutcome, result: object
+    ) -> None:
+        outcomes[entry.name] = outcome
+        if readers[entry.name]:
+            results[entry.name] = result
+        for dep in entry.depends:
+            readers[dep] -= 1
+            if not readers[dep]:
+                del results[dep]
+        telemetry.inc(metric_names.ORCH_EXPERIMENTS_COMPLETED)
+
     if jobs == 1 or len(schedule) == 1:
-        outcomes: Dict[str, ExperimentOutcome] = {}
         for i, entry in enumerate(schedule):
             telemetry.observe(
                 metric_names.ORCH_QUEUE_DEPTH, len(schedule) - i
             )
-            outcomes[entry.name] = _execute(
-                entry.name, platform, duration_s, seed, cache_dir,
-                collect_telemetry, policy,
-            )
-            telemetry.inc(metric_names.ORCH_EXPERIMENTS_COMPLETED)
+            finish(entry, *_execute(*arguments(entry)))
         return outcomes
-    return _run_pool(
-        schedule, jobs, platform, duration_s, seed, cache_dir,
-        registry_index, collect_telemetry, policy,
-    )
-
-
-def _run_pool(
-    schedule: List[ExperimentEntry],
-    jobs: int,
-    platform: Optional[str],
-    duration_s: float,
-    seed: int,
-    cache_dir: Optional[str],
-    registry_index: Dict[str, int],
-    collect_telemetry: bool = False,
-    policy: Optional[str] = None,
-) -> Dict[str, ExperimentOutcome]:
-    """Topological fan-out of ``schedule`` over a process pool."""
-    chosen = {entry.name for entry in schedule}
+    position = {entry.name: i for i, entry in enumerate(schedule)}
+    waiting = {entry.name: set(entry.depends) for entry in schedule}
     entry_of = {entry.name: entry for entry in schedule}
-    waiting = {
-        entry.name: {dep for dep in entry.depends if dep in chosen}
-        for entry in schedule
-    }
-    outcomes: Dict[str, ExperimentOutcome] = {}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        running: Dict[object, str] = {}
+        running: Dict[Future, ExperimentEntry] = {}
         while waiting or running:
             # Launch every dependency-free experiment, costliest first,
             # so long-running ones do not straggle at the end.
             ready = sorted(
                 (name for name, deps in waiting.items() if not deps),
-                key=lambda n: (-entry_of[n].cost, registry_index[n]),
+                key=lambda n: (-entry_of[n].cost, position[n]),
             )
             for name in ready:
                 del waiting[name]
-                future = pool.submit(
-                    _execute, name, platform, duration_s, seed, cache_dir,
-                    collect_telemetry, policy,
-                )
-                running[future] = name
+                future = pool.submit(_execute, *arguments(entry_of[name]))
+                running[future] = entry_of[name]
             # Scheduler-health samples; completion-order dependent, so
             # they are histogram shapes, never part of any fingerprint
             # comparison between differently-scheduled runs.
@@ -335,15 +328,8 @@ def _run_pool(
             telemetry.observe(metric_names.ORCH_INFLIGHT, len(running))
             done, _ = wait(set(running), return_when=FIRST_COMPLETED)
             for future in done:
-                name = running.pop(future)
-                outcomes[name] = future.result()
-                telemetry.inc(metric_names.ORCH_EXPERIMENTS_COMPLETED)
+                entry = running.pop(future)
+                finish(entry, *future.result())
                 for deps in waiting.values():
-                    deps.discard(name)
+                    deps.discard(entry.name)
     return outcomes
-
-
-def run_main(name: str) -> int:
-    """Module ``main()`` entry point: render one experiment and print it."""
-    print(render_experiment(name))
-    return 0

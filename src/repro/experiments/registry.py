@@ -4,22 +4,25 @@ Each paper artefact regenerator is described by one
 :class:`ExperimentEntry`: its CLI name, the paper artefact it
 reproduces, the module that implements it (imported lazily — this
 module stays import-light so CLI startup does not pay for the whole
-experiments package), its dependencies and a relative cost hint used by
-the scheduler to start long-running experiments first.
+experiments package), its inputs and a relative cost hint used by the
+scheduler to start long-running experiments first.
 
-Every experiment module exposes a uniform ``render`` function::
+Every experiment module exposes a uniform renderer::
 
-    def render(platform=None, duration_s=600.0, seed=0) -> str
+    def render(platform, duration_s, seed, policy, **inputs) -> Result
 
-returning exactly the text the CLI prints for that experiment
-(``platform=None`` selects the paper's platform). Modules with several
-artefacts (``tables34``) use a distinct ``render_name`` per entry.
+returning the module's result object, whose ``format()`` is exactly the
+text the CLI prints for that experiment. ``platform`` arrives resolved
+to the entry's ``default_platform`` when the run names none, and
+``inputs`` holds one keyword per name in ``depends``: that experiment's
+result. Modules with several artefacts (``tables34``) use a distinct
+``render_name`` per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 
@@ -37,8 +40,9 @@ class ExperimentEntry:
     artefact: str
     #: Module implementing the experiment, relative to ``repro.experiments``.
     module: str
-    #: Names of experiments that must complete first (e.g. the report
-    #: waits for everything it summarizes, so their campaigns are warm).
+    #: Experiments whose results this one takes as inputs. They always
+    #: run first, requested or not, and each result reaches the renderer
+    #: as the keyword argument of its name.
     depends: Tuple[str, ...] = ()
     #: Relative cost hint in seconds; the scheduler launches costly
     #: experiments first to minimize the parallel makespan.
@@ -47,8 +51,6 @@ class ExperimentEntry:
     default_platform: Optional[str] = None
     #: Name of the module's render function.
     render_name: str = "render"
-    #: Whether the experiment consumes ``duration_s``/``seed``.
-    timed: bool = False
 
     @property
     def module_path(self) -> str:
@@ -155,7 +157,6 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="fig14_power_timeline",
         cost=0.7,
         default_platform="xgene3",
-        timed=True,
     ),
     ExperimentEntry(
         name="fig15",
@@ -163,7 +164,6 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="fig15_load_timeline",
         cost=0.7,
         default_platform="xgene3",
-        timed=True,
     ),
     ExperimentEntry(
         name="table3",
@@ -174,7 +174,6 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="tables34",
         cost=0.7,
         render_name="render_table3",
-        timed=True,
     ),
     ExperimentEntry(
         name="table4",
@@ -185,7 +184,6 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="tables34",
         cost=1.1,
         render_name="render_table4",
-        timed=True,
     ),
     ExperimentEntry(
         name="variation",
@@ -193,7 +191,6 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="variation_study",
         cost=2.7,
         default_platform="xgene2",
-        timed=True,
     ),
     ExperimentEntry(
         name="thermal",
@@ -201,34 +198,14 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         module="thermal_study",
         cost=5.0,
         default_platform="xgene3",
-        timed=True,
     ),
     ExperimentEntry(
         name="report",
         artefact="EXPERIMENTS.md-style reproduction report",
         module="report",
-        depends=(
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "table2",
-            "table3",
-            "table4",
-        ),
-        cost=2.2,
-        timed=True,
+        depends=("table3", "table4"),
     ),
 )
-
-_BY_NAME: Dict[str, ExperimentEntry] = {
-    entry.name: entry for entry in REGISTRY
-}
 
 
 def experiment_names() -> Tuple[str, ...]:
@@ -236,45 +213,39 @@ def experiment_names() -> Tuple[str, ...]:
     return tuple(entry.name for entry in REGISTRY)
 
 
-def get_entry(name: str) -> ExperimentEntry:
+def get_entry(
+    name: str, registry: Sequence[ExperimentEntry] = REGISTRY
+) -> ExperimentEntry:
     """Registry entry for ``name``."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; known: "
-            f"{', '.join(experiment_names())}"
-        ) from None
+    for entry in registry:
+        if entry.name == name:
+            return entry
+    raise ConfigurationError(
+        f"unknown experiment {name!r}; known: "
+        f"{', '.join(entry.name for entry in registry)}"
+    )
 
 
 def topological_order(
     names: Sequence[str],
     registry: Sequence[ExperimentEntry] = REGISTRY,
 ) -> List[ExperimentEntry]:
-    """Entries for ``names`` in a deterministic dependency-safe order.
+    """Entries for ``names`` and their inputs, in a deterministic
+    dependency-safe order.
 
-    Dependencies outside the selection are ignored (running ``report``
-    alone must work); among ready entries the canonical registry order
-    breaks ties, so the result is stable. ``registry`` defaults to the
-    package registry and exists for testing alternative catalogues.
+    Every ``depends`` entry is scheduled, requested or not (running
+    ``report`` alone runs ``table3`` and ``table4`` first); among ready
+    entries the canonical registry order breaks ties, so the result is
+    stable. ``registry`` defaults to the package registry and exists for
+    testing alternative catalogues.
     """
-    if registry is REGISTRY:
-        selected = [get_entry(name) for name in dict.fromkeys(names)]
-    else:
-        by_name = {entry.name: entry for entry in registry}
-        try:
-            selected = [
-                by_name[name] for name in dict.fromkeys(names)
-            ]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"unknown experiment {exc.args[0]!r}"
-            ) from None
-    chosen = {entry.name for entry in selected}
-    remaining = {
-        entry.name: {dep for dep in entry.depends if dep in chosen}
-        for entry in selected
-    }
+    remaining: Dict[str, Set[str]] = {}
+    pending = list(names)
+    while pending:
+        name = pending.pop()
+        if name not in remaining:
+            remaining[name] = set(get_entry(name, registry).depends)
+            pending.extend(remaining[name])
     order: List[ExperimentEntry] = []
     while remaining:
         ready = [

@@ -1,16 +1,20 @@
-"""One-shot reproduction report: every experiment, paper vs measured.
+"""Reproduction report: every experiment, paper vs measured.
 
-``repro report`` (or ``python -m repro.experiments.report``) runs the
-full regenerator suite at a configurable workload length and emits a
-Markdown report in the style of EXPERIMENTS.md, with fresh numbers. Use
-``duration_s=3600`` for the paper-scale evaluation rows.
+``repro report`` emits a Markdown report in the style of EXPERIMENTS.md
+with fresh numbers. The characterization and energy sections run their
+figures on the paper chips; the evaluation section formats the four
+paper-configuration rows of the run's Tables III and IV, which the
+orchestrator hands over as the report's inputs (``depends``). Run
+``repro report --duration 3600`` for the paper-scale evaluation rows.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List
+from dataclasses import dataclass
+from typing import List, Tuple
 
+from ..core.configurations import CONFIG_NAMES
 from ..platform.specs import get_spec
 from ..units import ghz, hz_to_ghz
 from . import (
@@ -41,201 +45,212 @@ def _md_table(out: io.StringIO, headers: List[str], rows) -> None:
     out.write("\n")
 
 
-def generate(
-    duration_s: float = 600.0,
-    seed: int = 42,
-    include_characterization: bool = True,
-) -> str:
-    """Run the suite and return the Markdown report."""
-    out = io.StringIO()
-    out.write("# Reproduction report\n\n")
-    out.write(
-        f"Evaluation workloads: {duration_s:.0f} s, seed {seed}. "
-        f"Paper values in brackets where published.\n\n"
-    )
+@dataclass
+class Report:
+    """The results the report formats, each on its paper chip."""
 
-    if include_characterization:
-        _characterization_section(out)
-    _energy_section(out)
-    _evaluation_section(out, duration_s, seed)
-    return out.getvalue()
+    duration_s: float
+    seed: int
+    vmin_campaign: fig3.Fig3Result
+    core_regions: fig4.Fig4Result
+    pfail: fig5.Fig5Result
+    factors: fig10.Fig10Result
+    droop_classes: table2.Table2Result
+    allocation_energy: fig7.Fig7Result
+    contention: fig8.Fig8Result
+    l3c_rates: fig9.Fig9Result
+    energy: fig11.Fig11Result
+    ed2p: fig12.Fig12Result
+    #: The run's Tables III and IV.
+    evaluation: Tuple[tables34.TableResult, ...]
 
+    def format(self) -> str:
+        """The Markdown report."""
+        out = io.StringIO()
+        out.write("# Reproduction report\n\n")
+        out.write(
+            f"Evaluation workloads: {self.duration_s:.0f} s, seed "
+            f"{self.seed}. Paper values in brackets where published.\n\n"
+        )
+        self._characterization_section(out)
+        self._energy_section(out)
+        self._evaluation_section(out)
+        return out.getvalue()
 
-def _characterization_section(out: io.StringIO) -> None:
-    out.write("## Characterization (Figs. 3-5, 10; Table II)\n\n")
-    r3 = fig3.run("xgene3")
-    rows = []
-    for nthreads in (32, 16, 8):
-        for freq in (ghz(3.0), ghz(1.5)):
-            values = [
-                row.safe_vmin_mv
-                for row in r3.rows
-                if row.nthreads == nthreads and row.freq_hz == freq
-            ]
-            rows.append(
-                (
-                    f"{nthreads}T @ {hz_to_ghz(freq):.1f} GHz",
-                    f"{min(values)}-{max(values)} mV",
-                    f"{max(values) - min(values)} mV",
-                )
-            )
-    _md_table(
-        out, [f"{_chip('xgene3')} config", "safe Vmin", "spread"], rows
-    )
-
-    r4 = fig4.run("xgene2")
-    out.write(
-        f"Single/two-core regions ({_chip('xgene2')}): core-to-core spread "
-        f"{r4.core_to_core_spread_mv():.0f} mV [~30], workload spread "
-        f"{r4.workload_spread_mv():.0f} mV [~40], most robust "
-        f"PMD{r4.most_robust_pmd()} [PMD2].\n\n"
-    )
-
-    r5 = fig5.run("xgene3")
-    _md_table(
-        out,
-        ["pfail curve", "safe Vmin"],
-        [(c.label, f"{c.safe_vmin_mv()} mV") for c in r5.curves],
-    )
-
-    factors = fig10.run("xgene2").factors
-    _md_table(
-        out,
-        ["Vmin factor", "measured", "paper"],
-        [
-            ("workload", f"{100 * factors['workload']:.1f} %", "~1 %"),
-            (
-                "core allocation",
-                f"{100 * factors['core_allocation']:.1f} %",
-                "~4 %",
-            ),
-            (
-                "clock skipping",
-                f"{100 * factors['clock_skipping']:.1f} %",
-                "~3 %",
-            ),
-            (
-                "clock division",
-                f"{100 * factors['clock_division']:.1f} %",
-                "~12 %",
-            ),
-        ],
-    )
-
-    t2 = table2.run("xgene3")
-    _md_table(
-        out,
-        ["droop bin", "PMDs", "Vmin@3GHz", "paper", "Vmin@1.5GHz", "paper"],
-        [
-            (
-                f"[{r.droop_bin_mv[0]},{r.droop_bin_mv[1]}) mV",
-                f"<= {r.max_utilized_pmds}",
-                f"{r.vmin_high_mv} mV",
-                f"{r.paper_high_mv} mV" if r.paper_high_mv else "-",
-                f"{r.vmin_skip_mv} mV",
-                f"{r.paper_skip_mv} mV" if r.paper_skip_mv else "-",
-            )
-            for r in t2.rows
-        ],
-    )
-
-
-def _energy_section(out: io.StringIO) -> None:
-    out.write("## Energy and performance (Figs. 7-9, 11, 12)\n\n")
-    r7 = fig7.run("xgene2")
-    low, high = r7.span()
-    out.write(
-        f"Fig. 7 allocation-energy span: {low:.1f} % .. {high:+.1f} % "
-        f"[-9.6 % .. +14.2 %].\n\n"
-    )
-    r8 = fig8.run("xgene3")
-    _md_table(
-        out,
-        ["Fig. 8 benchmark", "T1/TN"],
-        [
-            (name, f"{r8.ratio_of(name):.2f}")
-            for name in ("namd", "EP", "milc", "FT", "CG")
-        ],
-    )
-    r9 = fig9.run("xgene3")
-    out.write(
-        f"Fig. 9 memory-intensive set ({len(r9.memory_intensive_set())} "
-        f"programs above the 3K threshold): "
-        f"{', '.join(r9.memory_intensive_set())}; classes stable across "
-        f"thread counts: {r9.classes_stable()}.\n\n"
-    )
-    r11 = fig11.run("xgene2")
-    r12 = fig12.run("xgene2")
-    _md_table(
-        out,
-        [
-            f"benchmark (8T, {_chip('xgene2')})",
-            "E @2.4GHz",
-            "E @1.2GHz",
-            "E @0.9GHz",
-            "best ED2P",
-        ],
-        [
-            (
-                name,
-                f"{r11.energy_of(name, 8, ghz(2.4)):.0f} J",
-                f"{r11.energy_of(name, 8, ghz(1.2)):.0f} J",
-                f"{r11.energy_of(name, 8, ghz(0.9)):.0f} J",
-                f"{hz_to_ghz(r12.best_frequency(name, 8)):.1f} GHz",
-            )
-            for name in ("namd", "EP", "milc", "CG", "FT")
-        ],
-    )
-
-
-def _evaluation_section(
-    out: io.StringIO, duration_s: float, seed: int
-) -> None:
-    out.write("## Evaluation (Tables III/IV)\n\n")
-    for platform, paper in (
-        ("xgene2", {"safe_vmin": 11.6, "placement": 18.3, "optimal": 25.2}),
-        ("xgene3", {"safe_vmin": 10.9, "placement": 13.4, "optimal": 22.3}),
-    ):
-        result = tables34.run(platform, duration_s=duration_s, seed=seed)
+    def _characterization_section(self, out: io.StringIO) -> None:
+        out.write("## Characterization (Figs. 3-5, 10; Table II)\n\n")
         rows = []
-        for row in result.evaluation.rows():
-            reference = paper.get(row.config)
-            rows.append(
-                (
-                    row.config,
-                    f"{row.time_s:.0f} s",
-                    f"{row.average_power_w:.2f} W",
-                    f"{row.energy_savings_pct:.1f} %"
-                    + (f" [{reference:.1f} %]" if reference else ""),
-                    f"{row.ed2p_savings_pct:.1f} %",
-                    row.violations,
+        for nthreads in (32, 16, 8):
+            for freq in (ghz(3.0), ghz(1.5)):
+                values = [
+                    row.safe_vmin_mv
+                    for row in self.vmin_campaign.rows
+                    if row.nthreads == nthreads and row.freq_hz == freq
+                ]
+                rows.append(
+                    (
+                        f"{nthreads}T @ {hz_to_ghz(freq):.1f} GHz",
+                        f"{min(values)}-{max(values)} mV",
+                        f"{max(values) - min(values)} mV",
+                    )
                 )
-            )
-        out.write(f"### {result.platform}\n\n")
+        _md_table(
+            out, [f"{_chip('xgene3')} config", "safe Vmin", "spread"], rows
+        )
+
+        r4 = self.core_regions
+        out.write(
+            f"Single/two-core regions ({_chip('xgene2')}): core-to-core "
+            f"spread {r4.core_to_core_spread_mv():.0f} mV [~30], workload "
+            f"spread {r4.workload_spread_mv():.0f} mV [~40], most robust "
+            f"PMD{r4.most_robust_pmd()} [PMD2].\n\n"
+        )
+
         _md_table(
             out,
-            ["config", "time", "power", "energy saved", "ED2P saved",
-             "violations"],
-            rows,
+            ["pfail curve", "safe Vmin"],
+            [(c.label, f"{c.safe_vmin_mv()} mV") for c in self.pfail.curves],
         )
+
+        factors = self.factors.factors
+        _md_table(
+            out,
+            ["Vmin factor", "measured", "paper"],
+            [
+                ("workload", f"{100 * factors['workload']:.1f} %", "~1 %"),
+                (
+                    "core allocation",
+                    f"{100 * factors['core_allocation']:.1f} %",
+                    "~4 %",
+                ),
+                (
+                    "clock skipping",
+                    f"{100 * factors['clock_skipping']:.1f} %",
+                    "~3 %",
+                ),
+                (
+                    "clock division",
+                    f"{100 * factors['clock_division']:.1f} %",
+                    "~12 %",
+                ),
+            ],
+        )
+
+        _md_table(
+            out,
+            ["droop bin", "PMDs", "Vmin@3GHz", "paper", "Vmin@1.5GHz",
+             "paper"],
+            [
+                (
+                    f"[{r.droop_bin_mv[0]},{r.droop_bin_mv[1]}) mV",
+                    f"<= {r.max_utilized_pmds}",
+                    f"{r.vmin_high_mv} mV",
+                    f"{r.paper_high_mv} mV" if r.paper_high_mv else "-",
+                    f"{r.vmin_skip_mv} mV",
+                    f"{r.paper_skip_mv} mV" if r.paper_skip_mv else "-",
+                )
+                for r in self.droop_classes.rows
+            ],
+        )
+
+    def _energy_section(self, out: io.StringIO) -> None:
+        out.write("## Energy and performance (Figs. 7-9, 11, 12)\n\n")
+        low, high = self.allocation_energy.span()
+        out.write(
+            f"Fig. 7 allocation-energy span: {low:.1f} % .. {high:+.1f} % "
+            f"[-9.6 % .. +14.2 %].\n\n"
+        )
+        _md_table(
+            out,
+            ["Fig. 8 benchmark", "T1/TN"],
+            [
+                (name, f"{self.contention.ratio_of(name):.2f}")
+                for name in ("namd", "EP", "milc", "FT", "CG")
+            ],
+        )
+        r9 = self.l3c_rates
+        out.write(
+            f"Fig. 9 memory-intensive set ({len(r9.memory_intensive_set())} "
+            f"programs above the 3K threshold): "
+            f"{', '.join(r9.memory_intensive_set())}; classes stable across "
+            f"thread counts: {r9.classes_stable()}.\n\n"
+        )
+        r11, r12 = self.energy, self.ed2p
+        _md_table(
+            out,
+            [
+                f"benchmark (8T, {_chip('xgene2')})",
+                "E @2.4GHz",
+                "E @1.2GHz",
+                "E @0.9GHz",
+                "best ED2P",
+            ],
+            [
+                (
+                    name,
+                    f"{r11.energy_of(name, 8, ghz(2.4)):.0f} J",
+                    f"{r11.energy_of(name, 8, ghz(1.2)):.0f} J",
+                    f"{r11.energy_of(name, 8, ghz(0.9)):.0f} J",
+                    f"{hz_to_ghz(r12.best_frequency(name, 8)):.1f} GHz",
+                )
+                for name in ("namd", "EP", "milc", "CG", "FT")
+            ],
+        )
+
+    def _evaluation_section(self, out: io.StringIO) -> None:
+        out.write("## Evaluation (Tables III/IV)\n\n")
+        for table in self.evaluation:
+            paper = table.paper_reference()
+            rows = []
+            # The paper's four configurations only: a ``--policy`` row
+            # of the tables stays out of the report.
+            for row in map(table.evaluation.row, CONFIG_NAMES):
+                reference = paper.get(row.config, {}).get("energy_savings_pct")
+                rows.append(
+                    (
+                        row.config,
+                        f"{row.time_s:.0f} s",
+                        f"{row.average_power_w:.2f} W",
+                        f"{row.energy_savings_pct:.1f} %"
+                        + (f" [{reference:.1f} %]" if reference else ""),
+                        f"{row.ed2p_savings_pct:.1f} %",
+                        row.violations,
+                    )
+                )
+            out.write(f"### {table.platform}\n\n")
+            _md_table(
+                out,
+                ["config", "time", "power", "energy saved", "ED2P saved",
+                 "violations"],
+                rows,
+            )
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the full reproduction report (both platforms)."""
-    return generate(duration_s=duration_s, seed=seed)
+    platform: str | None,
+    duration_s: float,
+    seed: int,
+    policy: str | None,
+    table3: tables34.TableResult,
+    table4: tables34.TableResult,
+) -> Report:
+    """The report over this run's Tables III and IV.
 
-
-def main() -> None:
-    """Print a quick report via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("report")
-
-
-if __name__ == "__main__":
-    main()
+    It covers the paper chips whatever ``platform`` says, and only the
+    paper's configurations whatever ``policy`` says.
+    """
+    return Report(
+        duration_s=duration_s,
+        seed=seed,
+        vmin_campaign=fig3.run("xgene3"),
+        core_regions=fig4.run("xgene2"),
+        pfail=fig5.run("xgene3"),
+        factors=fig10.run("xgene2"),
+        droop_classes=table2.run("xgene3"),
+        allocation_energy=fig7.run("xgene2"),
+        contention=fig8.run("xgene3"),
+        l3c_rates=fig9.run("xgene3"),
+        energy=fig11.run("xgene2"),
+        ed2p=fig12.run("xgene2"),
+        evaluation=(table3, table4),
+    )

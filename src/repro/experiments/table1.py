@@ -78,21 +78,7 @@ def run() -> Table1Result:
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Table I (platform-independent: always both chips)."""
-    return run().format()
-
-
-def main() -> None:
-    """Print Table I via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("table1")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str | None, duration_s: float, seed: int, policy: str | None
+) -> Table1Result:
+    """Table I (platform-independent: always both chips)."""
+    return run()

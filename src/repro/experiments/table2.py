@@ -121,21 +121,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Table II for one platform."""
-    return run(platform or "xgene3").format()
-
-
-def main() -> None:
-    """Print Table II via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("table2")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> Table2Result:
+    """Table II for one platform."""
+    return run(platform)

@@ -130,51 +130,15 @@ def run(
     )
 
 
-def run_table3(
-    duration_s: float = 3600.0, seed: int = 0
-) -> TableResult:
-    """Table III: X-Gene 2."""
-    return run("xgene2", duration_s=duration_s, seed=seed)
-
-
-def run_table4(
-    duration_s: float = 3600.0, seed: int = 0
-) -> TableResult:
-    """Table IV: X-Gene 3."""
-    return run("xgene3", duration_s=duration_s, seed=seed)
-
-
 def render_table3(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Table III (the paper fixes it to X-Gene 2)."""
-    return run(
-        "xgene2", duration_s=duration_s, seed=seed, policy=policy
-    ).format()
+    platform: str | None, duration_s: float, seed: int, policy: str | None
+) -> TableResult:
+    """Table III (the paper fixes it to X-Gene 2)."""
+    return run("xgene2", duration_s=duration_s, seed=seed, policy=policy)
 
 
 def render_table4(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render Table IV (the paper fixes it to X-Gene 3)."""
-    return run(
-        "xgene3", duration_s=duration_s, seed=seed, policy=policy
-    ).format()
-
-
-def main() -> None:
-    """Print both tables via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("table3")
-    run_main("table4")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str | None, duration_s: float, seed: int, policy: str | None
+) -> TableResult:
+    """Table IV (the paper fixes it to X-Gene 3)."""
+    return run("xgene3", duration_s=duration_s, seed=seed, policy=policy)

@@ -142,21 +142,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the thermal sweep."""
-    return run(platform or "xgene3", duration_s=duration_s).format()
-
-
-def main() -> None:
-    """Print the thermal sweep via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("thermal")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> ThermalStudyResult:
+    """The thermal sweep."""
+    return run(platform, duration_s=duration_s)

@@ -80,8 +80,8 @@ class VariationStudyResult:
         )
 
     def format(self) -> str:
-        """Render the per-chip table."""
-        return format_table(
+        """Render the per-chip table and the population summary."""
+        table = format_table(
             (
                 "seed",
                 "1-core Vmin(mV)",
@@ -103,6 +103,12 @@ class VariationStudyResult:
                 f"Chip-to-chip variation study ({self.platform}, "
                 f"{len(self.records)} dies)"
             ),
+        )
+        return (
+            f"{table}\n"
+            f"\nfull-chip spread {self.full_chip_spread_mv():.0f} mV; "
+            f"golden-die table unsafe on "
+            f"{self.foreign_table_unsafe_chips()} dies"
         )
 
 
@@ -196,27 +202,7 @@ def run(
 
 
 def render(
-    platform: str | None = None,
-    duration_s: float = 600.0,
-    seed: int = 0,
-    policy: str | None = None,
-) -> str:
-    """Render the chip-to-chip variation study."""
-    result = run(platform or "xgene2", duration_s=duration_s, seeds=range(4))
-    return (
-        f"{result.format()}\n"
-        f"\nfull-chip spread {result.full_chip_spread_mv():.0f} mV; "
-        f"golden-die table unsafe on "
-        f"{result.foreign_table_unsafe_chips()} dies"
-    )
-
-
-def main() -> None:
-    """Print the variation study via the orchestrator."""
-    from .orchestrator import run_main
-
-    run_main("variation")
-
-
-if __name__ == "__main__":
-    main()
+    platform: str, duration_s: float, seed: int, policy: str | None
+) -> VariationStudyResult:
+    """The chip-to-chip variation study over four dies."""
+    return run(platform, duration_s=duration_s, seeds=range(4))

@@ -117,11 +117,6 @@ def _cmd_compare(
     workload = ServerWorkloadGenerator(
         max_cores=spec.n_cores, seed=seed
     ).generate(duration_s)
-    if not workload.jobs:
-        raise ConfigurationError(
-            f"the generated workload is empty at {duration_s:g} s; "
-            "give --duration time for at least one arrival"
-        )
     # One characterization sweep shared by every resolved bundle.
     table = VminPolicyTable.from_characterization(spec)
     runs = {}

@@ -171,7 +171,9 @@ class ServerWorkloadGenerator:
         ``rng`` injects an explicit random stream (tests use this to
         replay or perturb draws); by default each call derives the
         seed-keyed stream from :meth:`rng_for`, so repeated calls with
-        the same configuration return identical workloads.
+        the same configuration return identical workloads. A draw with
+        no job raises :class:`ConfigurationError`: no evaluation has a
+        baseline to compare against on an idle machine.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
@@ -195,6 +197,11 @@ class ServerWorkloadGenerator:
                     continue
                 jobs.append(job)
                 job_id += 1
+        if not jobs:
+            raise ConfigurationError(
+                f"no job arrives in {duration_s:g} s on {self.max_cores} "
+                f"cores at seed {self.seed}; use a longer duration"
+            )
         jobs.sort(key=lambda j: (j.start_time_s, j.job_id))
         return Workload(
             jobs=tuple(jobs),

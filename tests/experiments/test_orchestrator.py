@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.experiments import orchestrator
 from repro.experiments.registry import (
@@ -51,7 +52,7 @@ class TestRegistry:
             get_entry("fig99")
 
     def test_report_depends_on_upstream_experiments(self):
-        assert set(get_entry("report").depends) >= {"fig3", "table2"}
+        assert get_entry("report").depends == ("table3", "table4")
 
 
 class TestTopologicalOrder:
@@ -66,8 +67,9 @@ class TestTopologicalOrder:
         order = [e.name for e in topological_order(["fig5", "table1"])]
         assert order == ["table1", "fig5"]
 
-    def test_deps_outside_selection_are_ignored(self):
-        assert [e.name for e in topological_order(["report"])] == ["report"]
+    def test_deps_outside_selection_are_scheduled(self):
+        order = [e.name for e in topological_order(["report"])]
+        assert order == ["table3", "table4", "report"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -94,18 +96,53 @@ class TestTopologicalOrder:
 
 
 class TestRenderExperiment:
+    """One experiment rendered through the orchestrator."""
+
     def test_matches_direct_module_call(self):
         module = importlib.import_module("repro.experiments.table1")
-        assert orchestrator.render_experiment("table1") == module.render()
+        summary = orchestrator.run_experiments(["table1"])
+        direct = module.render(None, 600.0, 0, None).format()
+        assert summary.outcome("table1").output == direct
 
     def test_platform_override(self):
-        xg2 = orchestrator.render_experiment("fig5", platform="xgene2")
-        xg3 = orchestrator.render_experiment("fig5", platform="xgene3")
-        assert xg2 != xg3
+        xg2 = orchestrator.run_experiments(["fig5"], platform="xgene2")
+        xg3 = orchestrator.run_experiments(["fig5"], platform="xgene3")
+        assert xg2.merged_output() != xg3.merged_output()
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
-            orchestrator.render_experiment("fig99")
+            orchestrator.run_experiments(["fig99"])
+
+
+class TestInputs:
+    """``depends`` hands results over instead of ordering replays."""
+
+    def test_inputs_run_but_are_not_printed(self):
+        summary = orchestrator.run_experiments(
+            ["report"], duration_s=240.0, seed=5
+        )
+        assert [o.name for o in summary.outcomes] == ["report"]
+        assert summary.merged_output().count("== ") == 1
+
+    def test_report_replays_nothing_of_its_own(self):
+        # Tables III and IV replay four configurations each; the report
+        # formats their rows instead of replaying them again.
+        with telemetry.session() as registry:
+            orchestrator.run_experiments(
+                ["table3", "table4", "report"], duration_s=240.0, seed=5
+            )
+            counters = registry.snapshot()["counters"]
+        assert counters[telemetry.names.SIM_RUNS] == 8
+
+    def test_results_cross_the_pool(self):
+        names = ["table3", "report"]
+        sequential = orchestrator.run_experiments(
+            names, jobs=1, duration_s=240.0, seed=5
+        )
+        parallel = orchestrator.run_experiments(
+            names, jobs=2, duration_s=240.0, seed=5
+        )
+        assert parallel.merged_output() == sequential.merged_output()
 
 
 class TestRunExperiments:
@@ -175,9 +212,11 @@ class TestRunExperiments:
 
 class TestWorkerEntryPoint:
     def test_execute_populates_shared_disk_cache(self, tmp_path):
-        outcome = orchestrator._execute(
-            "fig3", None, 600.0, 0, str(tmp_path)
+        settings = orchestrator._Settings(
+            None, 600.0, 0, None, str(tmp_path), False
         )
+        outcome, result = orchestrator._execute("fig3", settings, {}, False)
+        assert result is None
         assert outcome.name == "fig3"
         assert outcome.output
         assert outcome.elapsed_s >= 0.0

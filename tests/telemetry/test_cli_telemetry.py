@@ -22,16 +22,8 @@ def fresh_default_cache():
 
 
 def _shrink_registry(monkeypatch, names=("table1", "fig5")):
-    from repro.experiments import registry
-
-    subset = tuple(e for e in registry.REGISTRY if e.name in names)
-    monkeypatch.setattr(registry, "REGISTRY", subset)
-    monkeypatch.setattr(orchestrator, "REGISTRY", subset)
-    monkeypatch.setattr(
-        "repro.cli.experiment_names",
-        lambda: tuple(e.name for e in subset),
-    )
-    return [e.name for e in subset]
+    monkeypatch.setattr("repro.cli.experiment_names", lambda: names)
+    return list(names)
 
 
 def _write_manifest(tmp_path, name="manifest.json", names=("table1", "fig5")):

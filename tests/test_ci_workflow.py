@@ -213,6 +213,18 @@ def test_verify_job_checks_determinism_and_cache(workflow):
     assert (Path(__file__).parent / "golden/run_all_xgene3.txt").is_file()
 
 
+def test_verify_job_diffs_report_run_alone(workflow):
+    # `repro report` runs table3/table4 as inputs but prints only the
+    # report, which must equal the report section of the golden run-all.
+    text = _steps_text(workflow["jobs"]["verify"])
+    assert "repro report > report.txt" in text
+    assert (
+        "sed -n '/^== report ==$/,$p' tests/golden/run_all_xgene2.txt"
+        in text
+    )
+    assert "diff - report.txt" in text
+
+
 def test_verify_job_gates_on_structured_manifest(workflow):
     job = workflow["jobs"]["verify"]
     text = _steps_text(job)

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import COMMANDS, DEFAULT_PLATFORM, build_parser, main
+from repro.cli import build_parser, main
 from repro.errors import SimulationError
+from repro.experiments import fig3_vmin_characterization
+from repro.experiments.registry import REGISTRY, experiment_names
 from repro.platform.specs import xgene2_spec, xgene3_spec
 from repro.vmin.cache import reset_default_cache
 
@@ -11,7 +15,7 @@ from repro.vmin.cache import reset_default_cache
 class TestParser:
     def test_all_commands_parse(self):
         parser = build_parser()
-        for name in COMMANDS:
+        for name in experiment_names():
             args = parser.parse_args([name])
             assert args.experiment == name
 
@@ -22,6 +26,11 @@ class TestParser:
     def test_bad_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_all_is_gone(self):
+        # run-all is the one batch command.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["all"])
 
     def test_duration_and_seed(self):
         args = build_parser().parse_args(
@@ -35,8 +44,7 @@ class TestExecution:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in COMMANDS:
-            assert name in out
+        assert out.split() == sorted(experiment_names())
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -61,11 +69,12 @@ class TestExecution:
         assert "optimal" in out and "baseline" in out
 
     def test_default_platforms_cover_commands(self):
-        # Every command either takes the default or has an entry.
-        for name in COMMANDS:
+        # The registry is the only source of a command's default
+        # platform; only the platform-independent ones declare none.
+        for entry in REGISTRY:
             assert (
-                name in DEFAULT_PLATFORM
-                or name in ("table1", "table3", "table4", "report")
+                entry.default_platform is not None
+                or entry.name in ("table1", "table3", "table4", "report")
             )
 
 
@@ -95,18 +104,9 @@ class TestRunAll:
         assert any(tmp_path.iterdir())
 
     def test_run_all_splits_output_and_summary(self, monkeypatch, capsys):
-        # Shrink the registry so the batch stays cheap.
-        from repro.experiments import orchestrator, registry
-
-        subset = tuple(
-            e for e in registry.REGISTRY
-            if e.name in ("table1", "fig5", "fig6")
-        )
-        monkeypatch.setattr(registry, "REGISTRY", subset)
-        monkeypatch.setattr(orchestrator, "REGISTRY", subset)
+        # Shrink the batch so it stays cheap.
         monkeypatch.setattr(
-            "repro.cli.experiment_names",
-            lambda: tuple(e.name for e in subset),
+            "repro.cli.experiment_names", lambda: ("table1", "fig5", "fig6")
         )
         assert main(["run-all", "--jobs", "1"]) == 0
         captured = capsys.readouterr()
@@ -151,10 +151,42 @@ class TestErrorExits:
     def test_other_failures_exit_1_with_one_line(
         self, monkeypatch, capsys, exc
     ):
-        def fail(args):
+        def fail(**kwargs):
             raise exc
 
-        monkeypatch.setitem(COMMANDS, "fig3", fail)
+        monkeypatch.setattr(fig3_vmin_characterization, "render", fail)
         assert main(["fig3"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"repro: error: {exc}\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: fig3: {exc}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--duration", "60"],
+            ["fig14", "--platform", "xgene2", "--duration", "60"],
+            ["fig15", "--platform", "xgene2", "--duration", "60"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_workload_is_a_config_error(self, capsys, argv):
+        # xgene2's generator draws no job in 60 s at seed 0.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: {argv[0]}: no job arrives in 60 s on 8 cores "
+            "at seed 0; use a longer duration\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_experiment_is_named(self, capsys, jobs):
+        argv = ["run-all", "--platform", "xgene2", "--duration", "60"]
+        assert main([*argv, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failed = re.fullmatch(
+            r"repro: error: (\w+): no job arrives in 60 s .*\n", captured.err
+        )
+        assert failed is not None
+        assert failed.group(1) in experiment_names()

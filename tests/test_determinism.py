@@ -114,7 +114,8 @@ class TestManifestDeterminism:
     """Same-seed runs must agree on every non-timing manifest byte."""
 
     NAMES = ["fig14", "fig5"]
-    KWARGS = dict(platform="xgene2", duration_s=60.0, seed=0)
+    # Seed 0 draws no job in 60 s on xgene2, which fig14 refuses.
+    KWARGS = dict(platform="xgene2", duration_s=60.0, seed=1)
 
     def _run(self):
         from repro.experiments import orchestrator

@@ -24,7 +24,8 @@ class TestCharacterizationToPolicyToDaemon:
     def test_policy_built_from_campaign_keeps_daemon_safe(self):
         spec = get_spec("xgene2")
         policy = VminPolicyTable.from_characterization(spec)
-        workload = ServerWorkloadGenerator(max_cores=8, seed=13).generate(
+        # Seed 13 draws no job in 400 s; seed 12 draws nine.
+        workload = ServerWorkloadGenerator(max_cores=8, seed=12).generate(
             400.0
         )
         chip = Chip(spec)

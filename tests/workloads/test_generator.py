@@ -112,6 +112,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServerWorkloadGenerator(max_cores=8).generate(0)
 
+    def test_empty_draw_rejected(self):
+        # Seed 0 places no job on 8 cores within 60 s.
+        with pytest.raises(ConfigurationError, match="60 s on 8 cores at seed 0"):
+            ServerWorkloadGenerator(max_cores=8, seed=0).generate(60)
+
     def test_bad_phase_bounds(self):
         with pytest.raises(ConfigurationError):
             ServerWorkloadGenerator(
