@@ -43,9 +43,6 @@ from .errors import (
     ConfigurationError,
     PlacementError,
     ReproError,
-    SilentDataCorruption,
-    SystemCrash,
-    VoltageFault,
 )
 from .perf import execution_state, job_duration_s
 from .platform import Chip, ChipSpec, get_spec, xgene2_spec, xgene3_spec
@@ -86,13 +83,10 @@ __all__ = [
     "SafeVminPolicy",
     "ServerSystem",
     "ServerWorkloadGenerator",
-    "SilentDataCorruption",
-    "SystemCrash",
     "SystemResult",
     "VminCampaign",
     "VminModel",
     "VminPolicyTable",
-    "VoltageFault",
     "Workload",
     "all_benchmarks",
     "characterization_set",

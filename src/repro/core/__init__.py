@@ -16,7 +16,6 @@ from .configurations import (
     CONFIG_NAMES,
     ConfigurationRow,
     EvaluationResult,
-    make_policy,
     run_configuration,
     run_evaluation,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "VminPolicyTable",
     "default_memory_frequency_hz",
     "kernel_module_reader",
-    "make_policy",
     "run_configuration",
     "run_evaluation",
 ]

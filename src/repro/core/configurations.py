@@ -24,9 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..platform.chip import Chip
-from ..platform.specs import ChipSpec, get_spec
+from ..platform.specs import get_spec
 from ..policies.registry import CONFIG_POLICY_KEYS, resolve_policy
-from ..policies.surfaces import Policy
 from ..power.energy import penalty_percent, savings_percent
 from ..sim.system import ServerSystem, SystemResult
 from ..workloads.generator import ServerWorkloadGenerator, Workload
@@ -36,20 +35,6 @@ from .policy import VminPolicyTable
 CONFIG_NAMES: Tuple[str, ...] = tuple(CONFIG_POLICY_KEYS)
 
 
-def make_policy(
-    spec: ChipSpec,
-    config: str,
-    policy: Optional[VminPolicyTable] = None,
-) -> Policy:
-    """Resolve the policy implementing one named configuration.
-
-    ``config`` is a paper configuration name (``baseline`` /
-    ``safe_vmin`` / ``placement`` / ``optimal``) or any policy registry
-    key. ``policy`` optionally shares a prebuilt safe-Vmin table.
-    """
-    return resolve_policy(config, spec, table=policy)
-
-
 def run_configuration(
     platform: str,
     workload: Workload,
@@ -57,17 +42,19 @@ def run_configuration(
     silicon_seed: int = 0,
     policy: Optional[VminPolicyTable] = None,
     trace_period_s: Optional[float] = 1.0,
-    fault_policy: str = "record",
 ) -> SystemResult:
-    """Replay one workload under one configuration on a fresh chip."""
+    """Replay one workload under one configuration on a fresh chip.
+
+    ``config`` is a paper configuration name or any policy registry
+    key; ``policy`` optionally shares a prebuilt safe-Vmin table.
+    """
     spec = get_spec(platform)
     chip = Chip(spec, silicon_seed=silicon_seed)
     system = ServerSystem(
         chip,
         workload,
-        policy=make_policy(spec, config, policy=policy),
+        policy=resolve_policy(config, spec, table=policy),
         trace_period_s=trace_period_s,
-        fault_policy=fault_policy,
     )
     return system.run()
 

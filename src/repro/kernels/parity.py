@@ -74,14 +74,6 @@ SCALAR_ONLY: Dict[str, str] = {
         "returns an UnsafeRegion object; the numeric part is"
         " width_mv_grid"
     ),
-    "repro.vmin.faults.FaultModel.sample_outcome": (
-        "one run's outcome on a caller's RNG; trials campaigns draw"
-        " level by level on their sequential RNG stream, which a"
-        " batched draw cannot reproduce"
-    ),
-    "repro.vmin.faults.FaultModel.raise_for_outcome": (
-        "control flow (raises VoltageFault); nothing to batch"
-    ),
     "repro.vmin.faults.FaultModel.probability_all_pass": (
         "(1 - pfail) ** runs convenience; batched callers compose"
         " pfail_grid with analytic_failure_counts"

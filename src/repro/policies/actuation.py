@@ -17,9 +17,9 @@ through :func:`apply_action`, which actuates the fields of an
 
 This ordering is bit-for-bit the sequence the pre-refactor controllers
 performed, so policies composed from plans produce identical transition
-streams. reprolint rule RL010 bans direct SLIMpro/CPPC actuation
-everywhere outside :mod:`repro.platform`; the suppressions below are
-the rule's single sanctioned escape hatch.
+streams. reprolint rule RL010 bans direct SLIMpro/CPPC actuation and
+thread migration everywhere outside :mod:`repro.platform`; the
+suppressions below are the rule's single sanctioned escape hatch.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def apply_action(system: "ServerSystem", action: Action) -> None:
     """Actuate one policy action against the live system.
 
     See the module docstring for the field ordering and semantics.
-    Invalid migrations (a target core busy with another process) raise
-    :class:`~repro.errors.SimulationError`, exactly like a direct
-    migration call would.
+    Invalid migrations (a target core held by a process that is not
+    moving, or claimed by two movers) raise
+    :class:`~repro.errors.SimulationError` before any core moves.
     """
     chip = system.chip
     now = system.now
@@ -61,7 +61,7 @@ def apply_action(system: "ServerSystem", action: Action) -> None:
             if tuple(process.cores) != target:
                 moves[process] = target
         if moves:
-            system.migrate_many(moves)
+            system.migrate_many(moves)  # reprolint: disable=RL010 -- the arbitration/actuation layer is the sanctioned funnel
     freqs = action.pmd_freqs_hz
     if freqs:
         for pmd, freq in freqs.items():

@@ -61,8 +61,6 @@ class PolicyDescriptor:
     #: ``"nominal"``, ``"safe"``, or ``None`` when the policy has no
     #: meaningful idle-machine equivalent.
     rail: Optional[str] = None
-    #: Whether the policy runs a periodic monitor loop.
-    ticking: bool = False
 
 
 def _cap_w(spec: ChipSpec) -> float:
@@ -116,7 +114,6 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
             spec, control_voltage=True, policy=table
         ),
         rail="safe",
-        ticking=True,
     ),
     PolicyDescriptor(
         key="daemon-placement",
@@ -126,7 +123,6 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
             spec, control_voltage=False, policy=table
         ),
         rail="nominal",
-        ticking=True,
     ),
     PolicyDescriptor(
         key="powercap",
@@ -134,7 +130,6 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
         "(default budget: 80% of TDP)",
         factory=lambda spec, table: PowerCapPolicy(spec, cap_w=_cap_w(spec)),
         rail="nominal",
-        ticking=True,
     ),
     PolicyDescriptor(
         key="daemon-powercap",
@@ -144,7 +139,6 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
             spec, cap_w=_cap_w(spec), policy=table
         ),
         rail="safe",
-        ticking=True,
     ),
     PolicyDescriptor(
         key="ed2p",
@@ -152,7 +146,6 @@ _DESCRIPTORS: Tuple[PolicyDescriptor, ...] = (
         "from the Fig. 12 sweep",
         factory=lambda spec, table: Ed2pPolicy(spec, policy=table),
         rail="safe",
-        ticking=True,
     ),
 )
 

@@ -79,22 +79,6 @@ class EventQueue:
         self._pending.discard(event.seq)
         return event
 
-    def pop_at(self, time_s: float) -> Optional[Event]:
-        """Pop the next live event only if it sits exactly at ``time_s``.
-
-        Used by the simulator to coalesce a batch of same-timestamp
-        events into one refresh; returns ``None`` when the queue is
-        empty or the next event lies strictly in the future. The
-        comparison is exact on purpose: only events at the *identical*
-        float instant share a zero-length interval.
-        """
-        self._drop_cancelled()
-        if self._heap and self._heap[0].time_s == time_s:
-            event = heapq.heappop(self._heap)
-            self._pending.discard(event.seq)
-            return event
-        return None
-
     def _drop_cancelled(self) -> None:
         while self._heap and self._heap[0].seq in self._cancelled:
             self._cancelled.discard(self._heap[0].seq)

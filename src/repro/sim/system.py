@@ -16,9 +16,9 @@ integrates into energy.
 
 The simulator also audits electrical safety: after every state change it
 compares the rail voltage against the ground-truth safe Vmin of the new
-configuration, recording (or raising on) undervolting violations. The
-paper's fail-safe daemon never violates; error-prone predictive policies
-do, which is what the fail-safe ablation measures.
+configuration and records every undervolting violation. The paper's
+fail-safe daemon never violates; error-prone predictive policies do,
+which is what the fail-safe ablation measures.
 
 The hot path is *incremental*: every model evaluation in the refresh
 (contention, execution states, activity map, power, safe-Vmin audit) is
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..errors import ConfigurationError, SimulationError, SystemCrash
+from ..errors import ConfigurationError, SimulationError
 from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
 from ..perf.model import ExecutionState, bandwidth_demand_gbs, execution_state
@@ -203,10 +203,9 @@ class ServerSystem:
     ``lanes`` defaults to one lane on the chip's own silicon with no
     thermal model. A system with several lanes refuses, with
     :class:`~repro.errors.ConfigurationError`, what the lanes cannot
-    share: a timeline trace (its power is per lane),
-    ``fault_policy="raise"`` (one lane's crash would end all) and a
-    policy that declares :attr:`Policy.reads_lane_state` (it would
-    decide on one lane's state for all).
+    share: a timeline trace (its power is per lane) and a policy that
+    declares :attr:`Policy.reads_lane_state` (it would decide on one
+    lane's state for all).
     """
 
     def __init__(
@@ -216,12 +215,9 @@ class ServerSystem:
         policy: Optional[Policy] = None,
         power_model: Optional[PowerModel] = None,
         droop_model: Optional[DroopModel] = None,
-        fault_policy: str = "record",
         trace_period_s: Optional[float] = 1.0,
         lanes: Optional[Sequence[SimLane]] = None,
     ):
-        if fault_policy not in ("record", "raise", "off"):
-            raise SimulationError(f"unknown fault policy {fault_policy!r}")
         self.chip = chip
         self.spec = chip.spec
         self.workload = workload
@@ -233,7 +229,6 @@ class ServerSystem:
         )
         self.power_model = power_model or PowerModel(chip.spec)
         self.droop_model = droop_model or DroopModel(chip.spec)
-        self.fault_policy = fault_policy
         self.lanes: Tuple[SimLane, ...] = self._check_lanes(
             lanes if lanes is not None else [SimLane()],
             trace_period_s,
@@ -245,10 +240,6 @@ class ServerSystem:
         #: The lane-independent power breakdown, leakage unscaled; fixed
         #: until the next full recompute or rail change.
         self._power = PowerBreakdown(0.0, 0.0, 0.0, 0.0)
-        #: Coalescing batches same-time events behind one refresh; the
-        #: ``raise`` policy must keep the old one-refresh-per-event flow
-        #: so a crash surfaces at the same mid-batch instant it used to.
-        self._coalesce = fault_policy != "raise"
         #: Skip the cancel+schedule pair of an unchanged future event.
         self._elide = True
         self.scheduler = SpreadScheduler()
@@ -278,7 +269,6 @@ class ServerSystem:
         #: oracle the tests replay against them.
         self._proc_states: Dict[int, ExecutionState] = {}
         self._pending_arrivals = 0
-        self._crashed = False
         #: Events dispatched per kind + policy dispatch invocations;
         #: preallocated Counter/int slots, flushed into telemetry at
         #: end of run.
@@ -337,11 +327,6 @@ class ServerSystem:
                     "a multi-lane system cannot trace: a trace sample's "
                     "power is per lane (pass trace_period_s=None)"
                 )
-            if self.fault_policy == "raise":
-                raise ConfigurationError(
-                    "a multi-lane system cannot use fault_policy='raise': "
-                    "a crash in one lane would end every lane"
-                )
             if self.policy.reads_lane_state:
                 raise ConfigurationError(
                     f"policy {type(self.policy).__name__} reads lane "
@@ -367,39 +352,35 @@ class ServerSystem:
         """Processes currently occupying cores."""
         return list(self._running)
 
-    def migrate(self, process: SimProcess, cores: Sequence[int]) -> None:
-        """Move a running process to new cores (actuation API)."""
-        if not process.is_running:
-            raise SimulationError(
-                f"pid {process.pid}: cannot migrate a non-running process"
-            )
-        new = tuple(cores)
-        if new == process.cores:
-            return
-        for core in new:
-            holder = self.chip.occupant_of(core)
-            if holder is not None and holder != process.pid:
-                raise SimulationError(
-                    f"core {core} busy with pid {holder}; migration invalid"
-                )
-        self.chip.release_occupant(process.pid)
-        for core in new:
-            self.chip.occupy(core, process.pid)
-        process.migrate(new)
-
     def migrate_many(
         self, moves: Dict[SimProcess, Tuple[int, ...]]
     ) -> None:
         """Apply several migrations atomically (two-phase).
 
-        All moving processes release their cores first, then re-occupy
-        their targets, so swaps between processes are legal.
+        Every target is checked before any core is released: a target
+        core may be held only by a mover, and no two movers may claim
+        it. So swaps are legal, and a rejected batch raises
+        :class:`~repro.errors.SimulationError` with the occupancy
+        untouched.
         """
-        for process in moves:
+        movers = {process.pid for process in moves}
+        claimed: Dict[int, int] = {}
+        for process, cores in moves.items():
             if not process.is_running:
                 raise SimulationError(
                     f"pid {process.pid}: cannot migrate a non-running process"
                 )
+            for core in cores:
+                holder = self.chip.occupant_of(core)
+                if holder is None or holder in movers:
+                    holder = claimed.get(core)
+                if holder is not None:
+                    raise SimulationError(
+                        f"pid {process.pid}: core {core} is taken by pid "
+                        f"{holder}; migration invalid"
+                    )
+                claimed[core] = process.pid
+        for process in moves:
             self.chip.release_occupant(process.pid)
         for process, cores in moves.items():
             for core in cores:
@@ -435,17 +416,7 @@ class ServerSystem:
             self._integrate_to(event.time_s)
             self.clock.advance_to(event.time_s)
             self._dispatch(event)
-            if self._coalesce:
-                batched = events.pop_at(event.time_s)
-                while batched is not None:
-                    # The audited instants of the uncoalesced flow: one
-                    # safety check per intermediate same-time event.
-                    self._audit_step()
-                    self._dispatch(batched)
-                    batched = events.pop_at(event.time_s)
             self._refresh()
-            if self._crashed:
-                break
         makespan = self._makespan()
         # Energy integrates exactly to the last dispatched event — which
         # may trail the last finish by up to one monitor period (idle
@@ -937,7 +908,7 @@ class ServerSystem:
     def _audit_voltage(
         self, state: ChipState, running: List[SimProcess]
     ) -> None:
-        if self.fault_policy == "off" or not running:
+        if not running:
             return
         levels = self._safe_levels(state, running)
         for lane, level in zip(self.lanes, levels):
@@ -946,26 +917,10 @@ class ServerSystem:
 
     def _audit_cached(self, state: ChipState) -> None:
         """Clean-refresh audit against the cached safe-Vmin level."""
-        if self.fault_policy == "off" or not self._running:
+        if not self._running:
             return
         for lane in self.lanes:
             self._check_rail(lane, state, lane.required_base)
-
-    def _audit_step(self) -> None:
-        """Safety audit between coalesced same-timestamp events.
-
-        The uncoalesced flow refreshed (and audited) after every event;
-        coalescing keeps exactly those audit instants so the violation
-        record stream is unchanged, without paying for the intermediate
-        rate/power recomputations that the zero-length interval never
-        observes.
-        """
-        if self.fault_policy == "off" or not self._running:
-            return
-        state = self.chip.state()
-        levels = self._safe_levels(state, self._running)
-        for lane, level in zip(self.lanes, levels):
-            self._check_rail(lane, state, level)
 
     def _check_rail(
         self, lane: SimLane, state: ChipState, required: float
@@ -980,13 +935,6 @@ class ServerSystem:
                 required_mv=required,
             )
             lane.violations.append(record)
-            if self.fault_policy == "raise":
-                self._crashed = True
-                raise SystemCrash(
-                    state.voltage_mv,
-                    f"rail at {state.voltage_mv} mV below safe Vmin "
-                    f"{required:.1f} mV at t={self.now:.3f}s",
-                )
 
     def _makespan(self) -> float:
         finished = [

@@ -16,23 +16,16 @@ of the max-threads lines in Fig. 5.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..errors import (
-    ConfigurationError,
-    ProcessTimeout,
-    SilentDataCorruption,
-    SystemCrash,
-    ThreadHang,
-)
+from ..errors import ConfigurationError
 from ..platform.pmu import DROOP_BINS_MV
 from ..platform.registry import FaultParams, model_for_spec
 from ..platform.specs import ChipSpec
 from ..units import Millivolts
 
-#: Outcome tags produced by :meth:`FaultModel.sample_outcome`.
+#: Outcome tags of one run: a pass or one of the abnormal behaviours.
 OUTCOME_PASS = "pass"
 OUTCOME_SDC = "sdc"
 OUTCOME_CRASH = "crash"
@@ -40,13 +33,6 @@ OUTCOME_HANG = "hang"
 OUTCOME_TIMEOUT = "timeout"
 
 FAULT_OUTCOMES = (OUTCOME_SDC, OUTCOME_CRASH, OUTCOME_HANG, OUTCOME_TIMEOUT)
-
-_FAULT_CLASSES = {
-    OUTCOME_SDC: SilentDataCorruption,
-    OUTCOME_CRASH: SystemCrash,
-    OUTCOME_HANG: ThreadHang,
-    OUTCOME_TIMEOUT: ProcessTimeout,
-}
 
 
 def _smoothstep(x: float) -> float:
@@ -72,7 +58,7 @@ class UnsafeRegion:
 
 
 class FaultModel:
-    """Failure probability and failure-type sampling below the safe Vmin."""
+    """Failure probability and failure-type mix below the safe Vmin."""
 
     #: Unsafe-region width at the mildest droop class, in mV.
     MAX_WIDTH_MV = 50.0
@@ -161,37 +147,6 @@ class FaultModel:
             OUTCOME_HANG: hang / total,
             OUTCOME_TIMEOUT: timeout / total,
         }
-
-    def sample_outcome(
-        self,
-        voltage_mv: Millivolts,
-        safe_vmin_mv: Millivolts,
-        droop_class: int,
-        rng: random.Random,
-    ) -> str:
-        """Draw one run outcome: ``pass`` or one of the failure tags."""
-        p = self.pfail(voltage_mv, safe_vmin_mv, droop_class)
-        if rng.random() >= p:
-            return OUTCOME_PASS
-        mix = self.outcome_mix(voltage_mv, safe_vmin_mv, droop_class)
-        draw = rng.random()
-        cumulative = 0.0
-        for outcome, weight in mix.items():
-            cumulative += weight
-            if draw < cumulative:
-                return outcome
-        return OUTCOME_CRASH  # pragma: no cover - float rounding guard
-
-    def raise_for_outcome(
-        self, outcome: str, voltage_mv: float
-    ) -> None:
-        """Raise the matching :class:`VoltageFault` for a failed outcome."""
-        if outcome == OUTCOME_PASS:
-            return
-        fault = _FAULT_CLASSES.get(outcome)
-        if fault is None:
-            raise ConfigurationError(f"unknown outcome {outcome!r}")
-        raise fault(voltage_mv)
 
     def probability_all_pass(
         self,

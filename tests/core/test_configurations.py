@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.configurations import (
     CONFIG_NAMES,
-    make_policy,
     run_configuration,
     run_evaluation,
 )
 from repro.errors import ConfigurationError
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.governors import BaselinePolicy
+from repro.policies.registry import resolve_policy
 from repro.policies.safevmin import SafeVminPolicy
 from repro.workloads.generator import ServerWorkloadGenerator
 
@@ -18,38 +18,38 @@ from repro.workloads.generator import ServerWorkloadGenerator
 class TestFactory:
     def test_all_names_buildable(self, spec3, policy3):
         for name in CONFIG_NAMES:
-            policy = make_policy(spec3, name, policy=policy3)
+            policy = resolve_policy(name, spec3, table=policy3)
             assert policy is not None
 
     def test_baseline_type(self, spec3):
         assert isinstance(
-            make_policy(spec3, "baseline"), BaselinePolicy
+            resolve_policy("baseline", spec3), BaselinePolicy
         )
 
     def test_registry_keys_accepted_directly(self, spec3, policy3):
         assert isinstance(
-            make_policy(spec3, "safe-vmin", policy=policy3),
+            resolve_policy("safe-vmin", spec3, table=policy3),
             SafeVminPolicy,
         )
 
     def test_safe_vmin_type(self, spec3, policy3):
         assert isinstance(
-            make_policy(spec3, "safe_vmin", policy=policy3),
+            resolve_policy("safe_vmin", spec3, table=policy3),
             SafeVminPolicy,
         )
 
     def test_placement_daemon_without_voltage(self, spec3, policy3):
-        daemon = make_policy(spec3, "placement", policy=policy3)
+        daemon = resolve_policy("placement", spec3, table=policy3)
         assert isinstance(daemon, OnlineMonitoringDaemon)
         assert not daemon.control_voltage
 
     def test_optimal_daemon_with_voltage(self, spec3, policy3):
-        daemon = make_policy(spec3, "optimal", policy=policy3)
+        daemon = resolve_policy("optimal", spec3, table=policy3)
         assert daemon.control_voltage
 
     def test_unknown_config(self, spec3):
         with pytest.raises(ConfigurationError):
-            make_policy(spec3, "turbo")
+            resolve_policy("turbo", spec3)
 
 
 @pytest.fixture(scope="module")

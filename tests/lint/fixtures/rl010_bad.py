@@ -17,3 +17,7 @@ def park_all(chip, spec, now):
 
 def rail_write(slimpro, now):
     slimpro.set_voltage_mv(880, now)
+
+
+def move_threads(system, process, cores):
+    system.migrate_many({process: cores})

@@ -65,16 +65,16 @@ class _NoExecCache(dict):
 class FullRefreshSystem(ServerSystem):
     """A :class:`ServerSystem` that recomputes everything after every event.
 
-    No incremental refresh, execution-state cache, reschedule elision
-    or same-timestamp event coalescing, and each lane's power is one
-    whole ``chip_power`` evaluation at its leakage multiplier: the
-    original hot path, the ground truth the incremental one must equal
-    bit for bit.
+    No incremental refresh, execution-state cache or reschedule
+    elision, and each lane's power is one whole ``chip_power``
+    evaluation at its leakage multiplier: the original hot path, the
+    ground truth the incremental one must equal bit for bit. Both
+    dispatch and audit every event on its own, same-instant events
+    included.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._coalesce = False
         self._elide = False
         self._exec_cache = _NoExecCache()
 

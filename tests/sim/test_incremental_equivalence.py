@@ -1,8 +1,8 @@
 """Incremental-refresh equivalence: fast path ≡ full-refresh oracle.
 
 The simulator's incremental hot path (dirty-set refresh, execution-state
-cache, reschedule elision, same-timestamp coalescing) claims *bit-for-bit*
-identity with the original recompute-everything flow, which survives as
+cache, reschedule elision) claims *bit-for-bit* identity with the
+original recompute-everything flow, which survives as
 :class:`tests.replay_oracle.FullRefreshSystem`. These properties
 replay random workloads under both modes and compare every observable
 of the run — not approximately, but with ``==`` on the raw floats.
@@ -24,17 +24,22 @@ from repro.perf.contention import bandwidth_utilization, contention_factor
 from repro.perf.model import bandwidth_demand_gbs, execution_state
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec, xgene3_spec
+from repro.platform.thermal import ThermalModel
 from repro.power.model import PowerModel
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.governors import BaselinePolicy
 from repro.policies.safevmin import SafeVminPolicy
 from repro.policies.surfaces import Policy
-from repro.sim.system import ServerSystem
+from repro.sim.system import ServerSystem, SimLane
 from repro.telemetry.manifest import canonical_json
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.suites import evaluation_pool, get_benchmark
 
-from tests.replay_oracle import FullRefreshSystem, observables
+from tests.replay_oracle import (
+    FullRefreshSystem,
+    observables,
+    replay_observables,
+)
 
 SPEC2 = xgene2_spec()
 SPEC3 = xgene3_spec()
@@ -109,14 +114,6 @@ class TestIncrementalEquivalence:
         )
         assert fast == oracle
 
-    @given(workloads())
-    @settings(max_examples=10, deadline=None)
-    def test_fault_policy_off_bit_identical(self, workload):
-        fast, oracle = run_both(
-            workload, BaselinePolicy, fault_policy="off"
-        )
-        assert fast == oracle
-
     def test_rail_only_refresh_bit_identical(self):
         # At t=1 s an arrival finds all eight cores busy: the daemon's
         # fail-safe raise moves the rail and nothing is placed, so the
@@ -133,6 +130,32 @@ class TestIncrementalEquivalence:
             workload,
             lambda: OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
         )
+        assert fast == oracle
+
+    def test_same_instant_phase_events_bit_identical(self):
+        # Two copies of one phased program started together cross every
+        # phase boundary at one instant, and at an 85 degC ambient the
+        # trimmed rail sits below the thermally shifted safe Vmin there:
+        # both flows must dispatch and audit those events alike.
+        workload = Workload(
+            jobs=tuple(JobSpec(i, "stream-compute", 1, 0.0) for i in (0, 1)),
+            duration_s=300.0,
+            max_cores=8,
+            seed=0,
+        )
+        replays = []
+        for system_cls in (ServerSystem, FullRefreshSystem):
+            lane = SimLane(thermal=ThermalModel(SPEC2, ambient_c=85.0))
+            system = system_cls(
+                Chip(SPEC2),
+                workload,
+                SafeVminPolicy(SPEC2, policy=POLICY2),
+                lanes=[lane],
+            )
+            system.run()
+            replays.append(replay_observables(system, lane))
+        fast, oracle = replays
+        assert fast["violations"]
         assert fast == oracle
 
 
@@ -201,7 +224,6 @@ class TestIdleTailEnergy:
             workload,
             _IdleTickPolicy(),
             trace_period_s=None,
-            fault_policy="off",
         )
         result = system.run()
         finish_s = result.processes[0].finish_s

@@ -11,8 +11,8 @@ result field, the violation list, the shared process and PMU state and
 the temperature series — against a one-lane replay of its inputs.
 
 The contract is checked when a system is built: a multi-lane system
-refuses a trace, ``fault_policy="raise"`` and a policy that reads lane
-state, and an undeclared read of :attr:`Observation.energy_j` raises.
+refuses a trace and a policy that reads lane state, and an undeclared
+read of :attr:`Observation.energy_j` raises.
 """
 
 import pytest
@@ -181,17 +181,6 @@ class TestLaneContract:
         spec = get_spec("xgene2")
         with pytest.raises(ConfigurationError, match="trace"):
             ServerSystem(Chip(spec), _workload(), lanes=_two_lanes())
-
-    def test_raise_fault_policy_refused(self):
-        spec = get_spec("xgene2")
-        with pytest.raises(ConfigurationError, match="raise"):
-            ServerSystem(
-                Chip(spec),
-                _workload(),
-                fault_policy="raise",
-                trace_period_s=None,
-                lanes=_two_lanes(),
-            )
 
     @pytest.mark.parametrize(
         "make",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import SimulationError, SystemCrash
+from repro.core.configurations import run_configuration
+from repro.errors import SimulationError
 from repro.perf.model import job_duration_s
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec
@@ -34,6 +35,43 @@ def run_system(jobs, policy=None, chip=None, **kwargs):
         **kwargs,
     )
     return system.run(), system
+
+
+def _placement(system):
+    """The chip's occupancy and every running process's cores."""
+    chip = system.chip
+    return (
+        {core: chip.occupant_of(core) for core in chip.active_cores},
+        {p.pid: p.cores for p in system.running_processes()},
+    )
+
+
+def _rejected_move(targets):
+    """Run two jobs and, once both run, emit ``targets(a, b)`` as moves.
+
+    Returns the pair, the rejection's message and the placement when the
+    move was emitted and after it was rejected.
+    """
+
+    class Mover(BaselinePolicy):
+        def decide(self, obs):
+            action = super().decide(obs)
+            running = obs.running_processes()
+            if obs.event is PolicyEvent.STARTED and len(running) == 2:
+                self.pair = running
+                self.before = _placement(obs.system)
+                action.migrations = targets(*running)
+            return action
+
+    policy = Mover()
+    system = ServerSystem(
+        Chip(xgene2_spec()),
+        make_workload([("namd", 2, 0.0), ("EP", 2, 0.0)]),
+        policy=policy,
+    )
+    with pytest.raises(SimulationError) as error:
+        system.run()
+    return policy.pair, str(error.value), policy.before, _placement(system)
 
 
 class TestSingleJob:
@@ -173,32 +211,18 @@ class TestVoltageAudit:
         assert result.violations
         assert result.violations[0].depth_mv > 0
 
-    def test_raise_policy_crashes(self):
-        chip = Chip(xgene2_spec())
-        system = ServerSystem(
-            chip,
-            make_workload([("namd", 8, 0.0)]),
-            _RecklessPolicy(),
-            fault_policy="raise",
-        )
-        with pytest.raises(SystemCrash):
-            system.run()
-
-    def test_off_policy_ignores(self):
-        result, _ = run_system(
-            [("namd", 8, 0.0)],
-            policy=_RecklessPolicy(),
-            fault_policy="off",
-        )
-        assert result.violations == []
-
     def test_unknown_policy_rejected(self, chip2, short_workload2):
-        with pytest.raises(SimulationError):
+        # The audit always records: there is no fault policy to choose.
+        with pytest.raises(TypeError, match="fault_policy"):
             ServerSystem(
                 chip2,
                 short_workload2,
                 BaselinePolicy(),
                 fault_policy="maybe",
+            )
+        with pytest.raises(TypeError, match="fault_policy"):
+            run_configuration(
+                "xgene2", short_workload2, "baseline", fault_policy="raise"
             )
 
 
@@ -225,22 +249,20 @@ class TestMigrationApi:
         assert result.total_migrations == 2
 
     def test_migrate_to_busy_core_rejected(self):
-        class Bad(BaselinePolicy):
-            def decide(self, obs):
-                action = super().decide(obs)
-                if obs.event is not PolicyEvent.STARTED:
-                    return action
-                running = obs.running_processes()
-                if len(running) == 2:
-                    a, b = running
-                    # One-sided move onto b's busy cores: not a swap.
-                    obs.system.migrate(a, b.cores)
-                return action
+        # One-sided move onto b's busy cores: not a swap.
+        (a, b), error, before, after = _rejected_move(
+            lambda a, b: {a.pid: tuple(b.cores)}
+        )
+        assert f"core {b.cores[0]} is taken by pid {b.pid}" in error
+        assert after == before
 
-        with pytest.raises(SimulationError):
-            run_system(
-                [("namd", 2, 0.0), ("EP", 2, 0.0)], policy=Bad()
-            )
+    def test_movers_sharing_a_target_rejected(self):
+        # The jobs run on cores 0, 2 and 4, 6: 1 and 3 are idle.
+        (a, b), error, before, after = _rejected_move(
+            lambda a, b: {a.pid: (1, 3), b.pid: (1, 3)}
+        )
+        assert f"core 1 is taken by pid {a.pid}" in error
+        assert after == before
 
 
 class TestAdmitCores:

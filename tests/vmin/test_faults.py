@@ -1,14 +1,9 @@
 """Tests for the sub-Vmin failure model (paper Section III.B, Fig. 5)."""
 
-import random
-
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    SilentDataCorruption,
-    SystemCrash,
-)
+from repro.errors import ConfigurationError
+from repro.vmin.characterize import VminCampaign
 from repro.vmin.faults import (
     FAULT_OUTCOMES,
     OUTCOME_CRASH,
@@ -72,45 +67,29 @@ class TestOutcomeMix:
 
 
 class TestSampling:
-    def test_always_passes_above_vmin(self, model):
-        rng = random.Random(0)
-        outcomes = {
-            model.sample_outcome(820, 800, 1, rng) for _ in range(100)
-        }
-        assert outcomes == {OUTCOME_PASS}
+    """Runs drawn as a trials campaign draws them, one level at a time."""
 
-    def test_always_fails_below_crash(self, model):
-        rng = random.Random(0)
+    @pytest.fixture
+    def campaign(self, spec2, model):
+        return VminCampaign(spec2, fault_model=model, seed=42)
+
+    def test_always_passes_above_vmin(self, campaign):
+        record = campaign._run_level(820, 800, 1, 100)
+        assert record.outcomes == {OUTCOME_PASS: 100}
+
+    def test_always_fails_below_crash(self, campaign, model):
         region = model.unsafe_region(800, 1)
-        outcomes = {
-            model.sample_outcome(
-                region.crash_voltage_mv - 5, 800, 1, rng
-            )
-            for _ in range(100)
-        }
-        assert OUTCOME_PASS not in outcomes
+        record = campaign._run_level(
+            region.crash_voltage_mv - 5, 800, 1, 100
+        )
+        assert record.failures == 100
 
-    def test_sampling_statistics_match_pfail(self, model):
-        rng = random.Random(42)
+    def test_sampling_statistics_match_pfail(self, campaign, model):
         voltage, vmin, klass = 785, 800, 1
         p = model.pfail(voltage, vmin, klass)
         n = 4000
-        fails = sum(
-            model.sample_outcome(voltage, vmin, klass, rng) != OUTCOME_PASS
-            for _ in range(n)
-        )
-        assert fails / n == pytest.approx(p, abs=0.03)
-
-    def test_raise_for_outcome(self, model):
-        model.raise_for_outcome(OUTCOME_PASS, 800)  # no-op
-        with pytest.raises(SilentDataCorruption):
-            model.raise_for_outcome(OUTCOME_SDC, 780)
-        with pytest.raises(SystemCrash):
-            model.raise_for_outcome(OUTCOME_CRASH, 760)
-
-    def test_raise_unknown_outcome(self, model):
-        with pytest.raises(ConfigurationError):
-            model.raise_for_outcome("gremlins", 780)
+        record = campaign._run_level(voltage, vmin, klass, n)
+        assert record.failures / n == pytest.approx(p, abs=0.03)
 
 
 class TestAllPassProbability:

@@ -223,9 +223,10 @@ POLICIES_PACKAGE = "repro.policies"
 ACTUATION_FUNNEL = "repro.policies.actuation.apply_action"
 
 #: Method names that mutate hardware set-points (SLIMpro rail writes,
-#: CPPC frequency requests). Calling any of these outside
-#: ``repro.platform`` or the actuation funnel bypasses arbitration and
-#: the safe-Vmin clamp (RL010).
+#: CPPC frequency requests) or thread placement (the simulator's
+#: atomic migration). Calling any of these outside ``repro.platform``
+#: or the actuation funnel bypasses arbitration, the fail-safe raise
+#: and the safe-Vmin clamp (RL010).
 ACTUATION_METHODS = frozenset(
     {
         "set_voltage",
@@ -234,6 +235,7 @@ ACTUATION_METHODS = frozenset(
         "set_all_frequencies",
         "request",
         "request_all",
+        "migrate_many",
     }
 )
 

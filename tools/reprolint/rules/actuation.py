@@ -1,22 +1,26 @@
 """RL010 — actuation funnel discipline.
 
-Hardware set-points are owned by the control plane: policies *describe*
-the change they want as an :class:`~repro.policies.surfaces.Action`,
-arbitration merges and clamps it, and one funnel
-(``repro.policies.actuation.apply_action``) performs the SLIMpro and
-CPPC writes in fail-safe order. A direct mutator call anywhere else —
-``chip.set_voltage(...)`` in an experiment, ``cppc.request(...)`` in a
-governor — bypasses both the stack arbitration and the mandatory
-safe-Vmin clamp, which is exactly the class of bug the clamp exists to
-make impossible.
+Hardware set-points and thread placement are owned by the control
+plane: policies *describe* the change they want as an
+:class:`~repro.policies.surfaces.Action`, arbitration merges and clamps
+it, and one funnel (``repro.policies.actuation.apply_action``) performs
+the SLIMpro and CPPC writes and the migrations in fail-safe order. A
+direct mutator call anywhere else — ``chip.set_voltage(...)`` in an
+experiment, ``cppc.request(...)`` in a governor,
+``system.migrate_many(...)`` in a daemon — bypasses both the stack
+arbitration and the mandatory safe-Vmin clamp (a migration that spreads
+threads over more PMDs raises the safe Vmin, so the rail must rise
+first), which is exactly the class of bug the clamp exists to make
+impossible.
 
 The check flags any call whose attribute name is a known actuation
-mutator (rail writes, per-PMD and chip-wide frequency requests) in
-``repro.*`` modules outside ``repro.platform`` — the device models
-themselves own their mutators. Inside ``repro.policies`` only the
-actuation funnel is sanctioned, and it says so with reasoned
-suppressions; every other policy module must return Actions. Test code
-is exempt (tests drive the devices directly to characterize them).
+mutator (rail writes, per-PMD and chip-wide frequency requests, the
+simulator's atomic migration) in ``repro.*`` modules outside
+``repro.platform`` — the device models themselves own their mutators.
+Inside ``repro.policies`` only the actuation funnel is sanctioned, and
+it says so with reasoned suppressions; every other policy module must
+return Actions. Test code is exempt (tests drive the devices directly
+to characterize them).
 """
 
 from __future__ import annotations
