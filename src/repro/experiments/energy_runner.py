@@ -164,9 +164,8 @@ class EnergyRunner:
                 stepped = int(
                     -(-true_vmin // CAMPAIGN_STEP_MV) * CAMPAIGN_STEP_MV
                 )
-                voltage = min(stepped, self.spec.nominal_voltage_mv)
-                cache.put(key, voltage)
-                results[i] = voltage
+                results[i] = min(stepped, self.spec.nominal_voltage_mv)
+            cache.put_sweep((key, results[i]) for i, key, _, _ in pending)
         return results
 
     def measure(

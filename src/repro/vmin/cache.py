@@ -27,11 +27,18 @@ and anything else is a miss. The key scheme is::
     }))
 
 Storage is a two-level hierarchy: a process-local LRU dictionary in
-front of an optional on-disk JSON store (one file per key, written
-atomically). The disk tier is what lets parallel orchestrator workers
-and repeated ``repro run-all`` invocations share campaign results. A
-corrupted or unreadable disk entry is discarded and counted, never
-raised.
+front of an optional on-disk store. The disk tier is what lets parallel
+orchestrator workers and repeated ``repro run-all`` invocations share
+campaign results. It holds one *pack* file per campaign sweep
+(:meth:`VminCache.put_sweep`): each entry is streamed as one
+``[key, value]`` JSON line into a temporary file, and one atomic rename
+publishes it under a name hashed from the sweep's ordered keys, so two
+workers writing the same sweep publish identical bytes to the same
+name. Lookups stay per key: a memory miss indexes the packs the cache
+has not seen yet, rescanning the directory only when its mtime says new
+packs may have appeared (a skipped rescan costs a recompute, never a
+wrong value). A corrupted or unreadable pack is deleted and counted
+once, never raised. Files of any other layout are ignored.
 """
 
 from __future__ import annotations
@@ -46,7 +53,19 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Optional, TypeVar, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from .. import telemetry
 from ..errors import ConfigurationError
@@ -56,6 +75,12 @@ from ..platform.specs import ChipSpec
 
 #: JSON-representable cache value.
 CacheValue = Any
+
+#: Suffix of a published pack: one campaign sweep, one ``[key, value]``
+#: JSON line per entry.
+PACK_SUFFIX = ".pack"
+
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 _F = TypeVar("_F", bound=Callable[..., Any])
 
@@ -204,12 +229,118 @@ class CacheStats:
         )
 
 
+def _pack_name(keys: Iterable[str]) -> str:
+    """File name of the pack holding ``keys``, in order."""
+    return _digest(list(keys))[:32] + PACK_SUFFIX
+
+
+def _decode_line(line: bytes) -> Optional[List[Any]]:
+    """A pack line's ``[key, value]`` pair, or None when it is not one."""
+    try:
+        entry = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str):
+        return entry
+    return None
+
+
+def _pack_offsets(name: str, data: bytes) -> Optional[List[Tuple[str, int]]]:
+    """Key and byte offset of every entry of pack ``name``, or None.
+
+    A pack is whole only when every line is a ``[key, value]`` pair with
+    a string key, the last line ends in a newline and the keys hash to
+    the file's name, so a truncation at a line boundary is caught too.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    offsets: List[Tuple[str, int]] = []
+    offset = 0
+    for line in data[:-1].split(b"\n"):
+        entry = _decode_line(line)
+        if entry is None:
+            return None
+        offsets.append((entry[0], offset))
+        offset += len(line) + 1
+    if _pack_name(key for key, _ in offsets) != name:
+        return None
+    return offsets
+
+
+class _PackWriter:
+    """One sweep's pack: streamed into a temporary file, then published.
+
+    Any ``OSError`` (or a value JSON cannot encode) abandons the pack:
+    its temporary file is deleted and nothing is published. Disk
+    persistence is best-effort; the memory tier already holds the values.
+    """
+
+    def __init__(self, cache_dir: Path) -> None:
+        self.cache_dir = cache_dir
+        #: (key, byte offset) of every line written, in order.
+        self.offsets: List[Tuple[str, int]] = []
+        self._size = 0
+        self._handle: Optional[BinaryIO] = None
+        self._tmp_name: Optional[str] = None
+        self._abandoned = False
+
+    def add(self, key: str, value: CacheValue) -> None:
+        """Append one ``[key, value]`` line to the pack."""
+        if self._abandoned:
+            return
+        try:
+            data = (_LINE_ENCODER.encode([key, value]) + "\n").encode("utf-8")
+            if self._handle is None:
+                fd, self._tmp_name = tempfile.mkstemp(
+                    dir=str(self.cache_dir), suffix=".tmp"
+                )
+                self._handle = os.fdopen(fd, "wb")
+            self._handle.write(data)
+        except (OSError, TypeError, ValueError):
+            self.abandon()
+            return
+        self.offsets.append((key, self._size))
+        self._size += len(data)
+
+    def publish(self) -> Optional[Path]:
+        """Move the finished pack into place; its path, or None."""
+        if self._abandoned or self._handle is None:
+            return None
+        handle, self._handle = self._handle, None
+        assert self._tmp_name is not None
+        path = self.cache_dir / _pack_name(key for key, _ in self.offsets)
+        try:
+            handle.close()
+            os.replace(self._tmp_name, path)
+        except OSError:
+            self.abandon()
+            return None
+        self._tmp_name = None
+        return path
+
+    def abandon(self) -> None:
+        """Drop the pack: close and delete its temporary file."""
+        self._abandoned = True
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
+        if self._tmp_name is not None:
+            try:
+                os.unlink(self._tmp_name)
+            except OSError:
+                pass
+            self._tmp_name = None
+
+
 class VminCache:
     """Two-tier (LRU memory + optional disk) characterization cache.
 
     ``capacity`` bounds the in-memory tier; ``capacity=0`` disables it
     (and, with no ``cache_dir``, disables caching entirely, which is the
-    supported way to opt out). ``cache_dir`` enables the on-disk JSON
+    supported way to opt out). ``cache_dir`` enables the on-disk pack
     store shared across processes and invocations.
     """
 
@@ -225,6 +356,12 @@ class VminCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheValue]" = OrderedDict()
         self._lock = threading.Lock()
+        #: Where each key indexed so far sits on disk: (pack, offset).
+        self._disk_index: Dict[str, Tuple[Path, int]] = {}
+        #: Pack names indexed, published or discarded by this cache.
+        self._seen_packs: Set[str] = set()
+        #: Directory mtime at the last scan (None: never scanned).
+        self._scanned_mtime: Optional[int] = None
         if self.cache_dir is not None:
             try:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +402,7 @@ class VminCache:
                 self.stats.hits += 1
                 telemetry.inc(metric_names.VMIN_CACHE_HITS)
                 return self._entries[key]
-            value = self._disk_load(key)
+            value = self._pack_lookup(key)
             if value is None:
                 self.stats.misses += 1
                 telemetry.inc(metric_names.VMIN_CACHE_MISSES)
@@ -278,12 +415,38 @@ class VminCache:
             return value
 
     def put(self, key: str, value: CacheValue) -> None:
-        """Store a JSON-representable value under ``key``."""
-        with self._lock:
-            self.stats.stores += 1
-            telemetry.inc(metric_names.VMIN_CACHE_STORES)
-            self._memory_store(key, value)
-            self._disk_store(key, value)
+        """Store a JSON-representable value under ``key`` (a one-entry
+        pack on disk)."""
+        self.put_sweep(((key, value),))
+
+    def put_sweep(self, entries: Iterable[Tuple[str, CacheValue]]) -> None:
+        """Store one campaign sweep's ``(key, value)`` entries.
+
+        Each entry reaches the memory tier as soon as ``entries`` yields
+        it and, with a disk tier, is streamed into the sweep's one pack
+        file, published when ``entries`` is exhausted.
+        """
+        writer = None if self.cache_dir is None else _PackWriter(self.cache_dir)
+        try:
+            for key, value in entries:
+                with self._lock:
+                    self.stats.stores += 1
+                    telemetry.inc(metric_names.VMIN_CACHE_STORES)
+                    self._memory_store(key, value)
+                if writer is not None:
+                    writer.add(key, value)
+        except BaseException:
+            if writer is not None:
+                writer.abandon()
+            raise
+        if writer is None:
+            return
+        path = writer.publish()
+        if path is not None:
+            with self._lock:
+                self._seen_packs.add(path.name)
+                for key, offset in writer.offsets:
+                    self._disk_index[key] = (path, offset)
 
     def clear(self) -> None:
         """Drop the in-memory tier (the disk store is left alone)."""
@@ -291,7 +454,7 @@ class VminCache:
             self._entries.clear()
 
     def disk_bytes(self) -> int:
-        """Total size of the on-disk store, bytes (0 when memory-only).
+        """Total size of the published packs, bytes (0 when memory-only).
 
         Scans the cache directory; meant for end-of-run telemetry and
         the run manifest, not for hot-path accounting.
@@ -300,7 +463,7 @@ class VminCache:
             return 0
         total = 0
         try:
-            for path in self.cache_dir.glob("*.json"):
+            for path in self.cache_dir.glob("*" + PACK_SUFFIX):
                 try:
                     total += path.stat().st_size
                 except OSError:
@@ -330,53 +493,79 @@ class VminCache:
 
     # -- disk tier -------------------------------------------------------------
 
-    def _disk_path(self, key: str) -> Path:
+    def _pack_lookup(self, key: str) -> Optional[CacheValue]:
+        if self.cache_dir is None:
+            return None
+        location = self._disk_index.get(key)
+        if location is None and self._index_new_packs():
+            location = self._disk_index.get(key)
+        if location is None:
+            return None
+        path, offset = location
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                line = handle.readline()
+        except FileNotFoundError:  # deleted by another process
+            return None
+        except OSError:
+            line = b""
+        entry = _decode_line(line) if line.endswith(b"\n") else None
+        if entry is None or entry[0] != key:
+            # The pack changed after it was indexed: discard it rather
+            # than poison the campaign.
+            self._discard(path)
+            return None
+        return entry[1]
+
+    def _index_new_packs(self) -> bool:
+        """Index every pack not seen yet; False when none appeared.
+
+        Publishing a pack changes the directory's mtime, so an
+        unchanged mtime skips the listing.
+        """
         assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.json"
-
-    def _disk_load(self, key: str) -> Optional[CacheValue]:
-        if self.cache_dir is None:
-            return None
-        path = self._disk_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if not isinstance(entry, dict) or entry.get("key") != key:
-                raise ValueError("cache entry does not match its key")
-            return entry["value"]
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            # Corrupted entry: discard it and treat the lookup as a miss
-            # rather than poisoning the campaign.
-            self.stats.corrupt_discarded += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, key: str, value: CacheValue) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._disk_path(key)
-        try:
-            payload = json.dumps({"key": key, "value": value})
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.cache_dir), suffix=".tmp"
+            mtime = os.stat(self.cache_dir).st_mtime_ns
+            if mtime == self._scanned_mtime:
+                return False
+            self._scanned_mtime = mtime
+            names = sorted(
+                name
+                for name in os.listdir(self.cache_dir)
+                if name.endswith(PACK_SUFFIX) and name not in self._seen_packs
             )
+        except OSError:
+            return False
+        for name in names:
+            self._seen_packs.add(name)
+            path = self.cache_dir / name
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
+                data = path.read_bytes()
+            except FileNotFoundError:
+                continue
             except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-        except (OSError, TypeError, ValueError):
-            # Disk persistence is best-effort; the memory tier already
-            # holds the value.
+                data = b""
+            offsets = _pack_offsets(name, data)
+            if offsets is None:
+                self._discard(path)
+                continue
+            for key, offset in offsets:
+                self._disk_index[key] = (path, offset)
+        return bool(names)
+
+    def _discard(self, path: Path) -> None:
+        """Count and delete a corrupt pack; its keys then miss."""
+        self.stats.corrupt_discarded += 1
+        telemetry.inc(metric_names.VMIN_CACHE_CORRUPT)
+        self._disk_index = {
+            key: location
+            for key, location in self._disk_index.items()
+            if location[0] != path
+        }
+        try:
+            path.unlink()
+        except OSError:
             pass
 
 

@@ -42,7 +42,7 @@ from ..kernels.faults import (
     outcome_mix_grid,
     pfail_grid,
 )
-from ..kernels.vmin import evaluate_grid
+from ..kernels.vmin import VminGrid, evaluate_grid
 from ..platform.specs import ChipSpec
 from .cache import (
     VminCache,
@@ -405,6 +405,7 @@ class VminCampaign:
         fail_pfails = pf[fail_rows, fail_cols].tolist()
         true_vmins = grid.total_mv.tolist()
         nominal = self.spec.nominal_voltage_mv
+        computed: List[SafeVminResult] = []
         for g, i in enumerate(pending):
             if has_fail_list[g]:
                 last = first_fail_list[g]
@@ -434,8 +435,10 @@ class VminCampaign:
                 runs_per_step=runs,
             )
             results[i] = result
-            if cache is not None:
-                cache.put(
+            computed.append(result)
+        if cache is not None:
+            cache.put_sweep(
+                (
                     keys[i],
                     {
                         "safe_vmin_mv": result.safe_vmin_mv,
@@ -444,6 +447,8 @@ class VminCampaign:
                         "steps": self._encode_steps(result.steps),
                     },
                 )
+                for i, result in zip(pending, computed)
+            )
         return results
 
     # -- unsafe-region scan --------------------------------------------------------
@@ -545,23 +550,41 @@ class VminCampaign:
             [points[i].cores for i in pending],
             [points[i].workload_delta_mv for i in pending],
         )
+        safes = np.asarray([safes_all[i] for i in pending], dtype=np.int64)
+        rows = self._scan_rows(grid, safes)
+        for i, (crash_voltage, steps) in zip(pending, rows):
+            results[i] = UnsafeScanResult(
+                point=points[i],
+                safe_vmin_mv=safes_all[i],
+                crash_voltage_mv=crash_voltage,
+                steps=steps,
+            )
+        if cache is not None:
+            cache.put_sweep(
+                (
+                    keys[i],
+                    {
+                        "crash_voltage_mv": crash_voltage,
+                        "steps": self._encode_steps(steps),
+                    },
+                )
+                for i, (crash_voltage, steps) in zip(pending, rows)
+            )
+        return results
+
+    def _scan_rows(
+        self, grid: VminGrid, safes: np.ndarray
+    ) -> List[Tuple[int, List[VoltageStepRecord]]]:
+        """Crash voltage and recorded steps of each row's scan.
+
+        Row ``g`` of ``grid`` scans down from ``safes[g]``: one kernel
+        sweep over every row's levels.
+        """
         runs = self.scan_runs
         min_v = self.spec.min_voltage_mv
-        safes = np.asarray([safes_all[i] for i in pending], dtype=np.int64)
         max_levels = int(max(0, (int(safes.max()) - min_v) // self.step_mv + 1))
         if max_levels == 0:
-            for g, i in enumerate(pending):
-                results[i] = self._store_scan(
-                    cache,
-                    keys[i],
-                    UnsafeScanResult(
-                        point=points[i],
-                        safe_vmin_mv=safes_all[i],
-                        crash_voltage_mv=min_v,
-                        steps=[],
-                    ),
-                )
-            return results
+            return [(min_v, []) for _ in range(len(safes))]
         # Row g sweeps its own axis: safe, safe - step, ... >= min voltage.
         vmat = safes[:, None] - self.step_mv * np.arange(
             max_levels, dtype=np.int64
@@ -585,7 +608,7 @@ class VminCampaign:
         # their outcome split computed at all: every row stops at its
         # crash level (or its last valid one).
         max_used = 0
-        for g in range(len(pending)):
+        for g in range(len(safes)):
             if has_crash_list[g]:
                 max_used = max(max_used, first_crash_list[g] + 1)
             else:
@@ -603,7 +626,8 @@ class VminCampaign:
         pf_rows = pf_used.tolist()
         failure_rows = failures[:, :max_used].tolist()
         split_rows = splits_used.tolist()
-        for g, i in enumerate(pending):
+        rows: List[Tuple[int, List[VoltageStepRecord]]] = []
+        for g in range(len(safes)):
             if has_crash_list[g]:
                 n_steps = first_crash_list[g] + 1
                 crash_voltage = vmat_rows[g][n_steps - 1]
@@ -625,33 +649,8 @@ class VminCampaign:
                 steps.append(
                     VoltageStepRecord(volt_row[j], runs, pf_row[j], outcomes)
                 )
-            results[i] = self._store_scan(
-                cache,
-                keys[i],
-                UnsafeScanResult(
-                    point=points[i],
-                    safe_vmin_mv=safes_all[i],
-                    crash_voltage_mv=crash_voltage,
-                    steps=steps,
-                ),
-            )
-        return results
-
-    def _store_scan(
-        self,
-        cache: Optional[VminCache],
-        key: str,
-        result: UnsafeScanResult,
-    ) -> UnsafeScanResult:
-        if cache is not None:
-            cache.put(
-                key,
-                {
-                    "crash_voltage_mv": result.crash_voltage_mv,
-                    "steps": self._encode_steps(result.steps),
-                },
-            )
-        return result
+            rows.append((crash_voltage, steps))
+        return rows
 
     # -- pfail curve -------------------------------------------------------------
 

@@ -213,6 +213,21 @@ def test_verify_job_checks_determinism_and_cache(workflow):
     assert (Path(__file__).parent / "golden/run_all_xgene3.txt").is_file()
 
 
+def test_verify_job_reruns_on_a_truncated_pack(workflow):
+    steps = workflow["jobs"]["verify"]["steps"]
+    names = [step.get("name") for step in steps]
+    position = names.index("A truncated pack changes nothing")
+    assert position == names.index("Warm output is byte-identical") + 1
+    text = str(steps[position]["run"])
+    assert "pack=$(ls .vmin-cache/*.pack | head -n 1)" in text
+    assert 'truncate -s -5 "$pack"' in text
+    assert (
+        "repro run-all --jobs 2 --platform xgene2 --cache-dir .vmin-cache"
+        " > run_all_truncated.txt" in text
+    )
+    assert "diff tests/golden/run_all_xgene2.txt run_all_truncated.txt" in text
+
+
 def test_verify_job_diffs_report_run_alone(workflow):
     # `repro report` runs table3/table4 as inputs but prints only the
     # report, which must equal the report section of the golden run-all.

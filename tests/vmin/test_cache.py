@@ -1,13 +1,20 @@
 """Tests for the content-addressed Vmin characterization cache."""
 
 import dataclasses
+import errno
 import json
+import multiprocessing
+import os
+import tempfile
 
 import pytest
 
+from repro import telemetry
 from repro.allocation import Allocation
 from repro.experiments.energy_runner import EnergyRunner
+from repro.experiments.orchestrator import run_experiments
 from repro.platform.specs import get_spec
+from repro.telemetry import names as metric_names
 from repro.vmin.cache import (
     VminCache,
     configure_default_cache,
@@ -111,6 +118,20 @@ class TestVminCacheCore:
         assert delta.misses == 0
 
 
+def _packs(cache_dir):
+    return sorted(cache_dir.glob("*.pack"))
+
+
+def _only_pack(cache_dir):
+    packs = _packs(cache_dir)
+    assert len(packs) == 1
+    return packs[0]
+
+
+#: One campaign sweep: three entries stored as one pack.
+SWEEP = [("a", {"vmin": 880}), ("b", {"vmin": 870}), ("c", [1, 2.5])]
+
+
 class TestDiskStore:
     def test_round_trip_across_instances(self, tmp_path):
         first = VminCache(cache_dir=tmp_path)
@@ -119,11 +140,49 @@ class TestDiskStore:
         assert second.get("k") == {"vmin": 880}
         assert second.stats.disk_hits == 1
 
+    def test_sweep_is_one_pack_read_per_key(self, tmp_path):
+        first = VminCache(cache_dir=tmp_path)
+        first.put_sweep(iter(SWEEP))
+        pack = _only_pack(tmp_path)
+        assert len(pack.read_bytes().splitlines()) == len(SWEEP)
+        second = VminCache(cache_dir=tmp_path)
+        for key, value in SWEEP:
+            assert second.get(key) == value
+        assert second.get("missing") is None
+        assert second.stats.disk_hits == len(SWEEP)
+        assert second.stats.misses == 1
+
+    def test_stores_reach_memory_in_sweep_order(self, tmp_path):
+        cache = VminCache(capacity=2, cache_dir=tmp_path)
+        cache.put_sweep(iter(SWEEP))
+        assert cache.stats.stores == 3 and cache.stats.evictions == 1
+        assert "a" not in cache and "b" in cache and "c" in cache
+        # An evicted entry is still served by the cache's own pack.
+        assert cache.get("a") == {"vmin": 880}
+        assert cache.stats.disk_hits == 1
+
+    def test_same_sweep_publishes_same_bytes(self, tmp_path):
+        VminCache(cache_dir=tmp_path / "one").put_sweep(iter(SWEEP))
+        VminCache(cache_dir=tmp_path / "two").put_sweep(iter(SWEEP))
+        one, two = _only_pack(tmp_path / "one"), _only_pack(tmp_path / "two")
+        assert one.name == two.name
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_new_packs_found_by_a_live_cache(self, tmp_path):
+        reader = VminCache(cache_dir=tmp_path)
+        assert reader.get("k") is None
+        VminCache(cache_dir=tmp_path).put("k", 1)
+        # Publishing changed the dir's mtime, which makes the reader
+        # rescan; pin a distinct mtime so a coarse clock cannot hide it.
+        os.utime(tmp_path, ns=(0, 0))
+        assert reader.get("k") == 1
+        assert reader.stats.disk_hits == 1
+
     def test_corrupted_entry_discarded_not_raised(self, tmp_path):
         cache = VminCache(cache_dir=tmp_path)
         cache.put("k", {"vmin": 880})
-        path = tmp_path / "k.json"
-        path.write_text("{ not json !!!")
+        path = _only_pack(tmp_path)
+        path.write_text("{ not json !!!\n")
         fresh = VminCache(cache_dir=tmp_path)
         assert fresh.get("k") is None
         assert fresh.stats.corrupt_discarded == 1
@@ -131,16 +190,167 @@ class TestDiskStore:
 
     def test_mismatched_key_discarded(self, tmp_path):
         cache = VminCache(cache_dir=tmp_path)
-        (tmp_path / "k.json").write_text(
-            json.dumps({"key": "other", "value": 1})
-        )
-        assert cache.get("k") is None
-        assert cache.stats.corrupt_discarded == 1
+        cache.put("k", 1)
+        # A pack whose keys do not hash to its name.
+        path = _only_pack(tmp_path)
+        path.write_text(json.dumps(["other", 1]) + "\n")
+        fresh = VminCache(cache_dir=tmp_path)
+        assert fresh.get("k") is None
+        assert fresh.get("other") is None
+        assert fresh.stats.corrupt_discarded == 1
+        assert not path.exists()
 
     def test_unserializable_value_still_cached_in_memory(self, tmp_path):
         cache = VminCache(cache_dir=tmp_path)
         cache.put("k", {0, 1})  # sets are not JSON-serializable
         assert cache.get("k") == {0, 1}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disk_bytes_counts_published_packs_only(self, tmp_path):
+        run_experiments(names=["fig3"], jobs=1, cache_dir=tmp_path)
+        (tmp_path / "stale.tmp").write_text("partial")
+        (tmp_path / ("0" * 64 + ".json")).write_text('{"key": 1}')
+        packs = _packs(tmp_path)
+        assert packs
+        total = sum(path.stat().st_size for path in packs)
+        assert get_default_cache().disk_bytes() == total > 0
+
+
+def _write_sweep(cache_dir, barrier):
+    """Child process: store SWEEP, holding the pack open at ``barrier``."""
+
+    def entries():
+        for i, entry in enumerate(SWEEP):
+            yield entry
+            if i == 0:
+                barrier.wait(timeout=30)
+
+    VminCache(cache_dir=cache_dir).put_sweep(entries())
+
+
+def _corrupt(path, how):
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if how == "truncated":
+        path.write_bytes(data[: len(data) - 5])
+    elif how == "truncated at a line boundary":
+        path.write_bytes(b"".join(lines[:-1]))
+    elif how == "emptied":
+        path.write_bytes(b"")
+    elif how == "garbled line":
+        path.write_bytes(lines[0] + b"{ not json !!!\n" + lines[2])
+    elif how == "non-string key":
+        path.write_bytes(lines[0] + b'[7,{"vmin":870}]\n' + lines[2])
+
+
+class TestPackFaults:
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "truncated",
+            "truncated at a line boundary",
+            "emptied",
+            "garbled line",
+            "non-string key",
+        ],
+    )
+    def test_corrupt_pack_deleted_and_counted_once(self, tmp_path, how):
+        VminCache(cache_dir=tmp_path).put_sweep(iter(SWEEP))
+        path = _only_pack(tmp_path)
+        _corrupt(path, how)
+        fresh = VminCache(cache_dir=tmp_path)
+        with telemetry.session() as registry:
+            for key, _ in SWEEP:
+                assert fresh.get(key) is None
+        assert fresh.stats.misses == len(SWEEP)
+        assert fresh.stats.corrupt_discarded == 1
+        assert registry.counter(metric_names.VMIN_CACHE_CORRUPT) == 1
+        assert not path.exists()
+
+    def test_pack_corrupted_after_indexing_discarded(self, tmp_path):
+        VminCache(cache_dir=tmp_path).put_sweep(iter(SWEEP))
+        fresh = VminCache(cache_dir=tmp_path)
+        assert fresh.get("a") == {"vmin": 880}
+        path = _only_pack(tmp_path)
+        _corrupt(path, "garbled line")
+        assert fresh.get("b") is None
+        assert fresh.get("c") is None
+        assert fresh.stats.corrupt_discarded == 1
+        assert not path.exists()
+
+    def test_concurrent_writers_of_one_sweep(self, tmp_path):
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(target=_write_sweep, args=(tmp_path, barrier))
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        assert [path.suffix for path in tmp_path.iterdir()] == [".pack"]
+        reader = VminCache(cache_dir=tmp_path)
+        for key, value in SWEEP:
+            assert reader.get(key) == value
+        assert reader.stats.disk_hits == len(SWEEP)
+        assert reader.stats.corrupt_discarded == 0
+
+    @pytest.mark.parametrize("where", ["mkstemp", "write", "replace"])
+    def test_os_error_keeps_memory_tier(self, tmp_path, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "injected")
+
+        real_fdopen = os.fdopen
+        writes = []
+
+        class FailingWrites:
+            """A pack file whose every write after the first fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                writes.append(data)
+                if len(writes) > 1:
+                    refuse()
+                return self.handle.write(data)
+
+            def close(self):
+                self.handle.close()
+
+        if where == "mkstemp":
+            monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        elif where == "write":
+            monkeypatch.setattr(
+                os, "fdopen", lambda *a, **k: FailingWrites(real_fdopen(*a, **k))
+            )
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        cache = VminCache(cache_dir=tmp_path)
+        cache.put_sweep(iter(SWEEP))
+        cache.put("k", 1)
+        monkeypatch.undo()
+        for key, value in SWEEP + [("k", 1)]:
+            assert cache.get(key) == value
+        assert cache.stats.hits == len(SWEEP) + 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_old_per_key_entries_ignored(self, tmp_path):
+        # The per-key layout: one ``{key, value}`` JSON file per entry.
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"key": "k", "value": 1}))
+        before = path.read_bytes()
+        cache = VminCache(cache_dir=tmp_path)
+        assert cache.get("k") is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt_discarded == 0
+        assert cache.disk_bytes() == 0
+        assert path.read_bytes() == before
 
 
 class TestDefaultCache:
