@@ -46,7 +46,7 @@ from .errors import (
 )
 from .perf import execution_state, job_duration_s
 from .platform import Chip, ChipSpec, get_spec, xgene2_spec, xgene3_spec
-from .power import EnergyMeter, PowerModel, ed2p, edp
+from .power import EnergyMeter, PowerModel, ed2p
 from .sim import ServerSystem, SystemResult
 from .vmin import FaultModel, VminCampaign, VminModel
 from .workloads import (
@@ -92,7 +92,6 @@ __all__ = [
     "characterization_set",
     "cores_for",
     "ed2p",
-    "edp",
     "execution_state",
     "get_benchmark",
     "get_spec",

@@ -1,26 +1,5 @@
-"""Analysis helpers: statistics and plain-text table rendering."""
+"""Analysis helpers: plain-text table rendering."""
 
-from .export import series_to_csv, trace_to_csv, write_csv
-from .stats import (
-    compare_to_paper,
-    geometric_mean,
-    mean,
-    relative_error,
-    span,
-    within,
-)
-from .tables import format_series, format_table
+from .tables import format_table
 
-__all__ = [
-    "compare_to_paper",
-    "format_series",
-    "format_table",
-    "geometric_mean",
-    "series_to_csv",
-    "trace_to_csv",
-    "write_csv",
-    "mean",
-    "relative_error",
-    "span",
-    "within",
-]
+__all__ = ["format_table"]

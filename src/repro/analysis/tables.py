@@ -1,8 +1,8 @@
-"""Plain-text rendering of experiment tables and series.
+"""Plain-text rendering of experiment tables.
 
-Every experiment module renders through these helpers so the benchmark
-harness and the CLI print the paper's tables and figure-series in one
-consistent format.
+Every experiment module renders through :func:`format_table` so the
+benchmark harness and the CLI print the paper's tables and figure
+series in one consistent format.
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ def format_table(
             "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
         )
     return "\n".join(lines)
-
-
-def format_series(
-    name: str,
-    pairs: Iterable[Sequence[object]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render an (x, y) series as a two-column table."""
-    return format_table((x_label, y_label), pairs, title=name)
 
 
 def _cell(value: object) -> str:

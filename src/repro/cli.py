@@ -46,6 +46,7 @@ error, 1 for any other error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -59,6 +60,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def positive_duration(text: str) -> float:
+    """A ``--duration``: finite and positive seconds.
+
+    ``nan`` and ``inf`` parse as floats, but no workload can be drawn
+    over them; refusing them here exits 2 before anything runs.
+    """
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}"
+        )
     return value
 
 
@@ -92,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--duration",
-        type=float,
-        default=600.0,
+        type=positive_duration,
+        # A string default is parsed by ``type`` like a given value.
+        default="600",
         help="workload duration in seconds for evaluation runs",
     )
     parser.add_argument(

@@ -81,15 +81,3 @@ class L3RateClassifier:
         if rate_per_mcycles > bound:
             return WorkloadClass.MEMORY_INTENSIVE
         return WorkloadClass.CPU_INTENSIVE
-
-    def classify(
-        self,
-        rate_per_mcycles: float,
-        previous: WorkloadClass = WorkloadClass.UNKNOWN,
-    ) -> ClassificationSample:
-        """Decide a process class from one measured L3C rate."""
-        return ClassificationSample(
-            rate_per_mcycles=rate_per_mcycles,
-            previous=previous,
-            decided=self.decide(rate_per_mcycles, previous),
-        )

@@ -29,10 +29,8 @@ from ..allocation import Allocation, FreeCores
 from ..errors import PlacementError
 from ..platform.chip import ChipState
 from ..platform.specs import ChipSpec
-from ..policies.actuation import apply_action
 from ..policies.surfaces import Action
 from ..sim.process import SimProcess, WorkloadClass
-from ..sim.system import ServerSystem
 from .policy import VminPolicyTable
 
 
@@ -68,7 +66,7 @@ class PlacementPlan:
 
 
 class PlacementEngine:
-    """Computes and applies placement plans with the fail-safe protocol."""
+    """Computes placement plans and their fail-safe-ordered actions."""
 
     def __init__(
         self,
@@ -195,18 +193,9 @@ class PlacementEngine:
             plan.utilized_pmds, plan.max_active_freq_hz
         )
 
-    # -- application (fail-safe ordering, Fig. 13) ---------------------------------
+    # -- fail-safe actions (Fig. 13) ----------------------------------------------
 
     def _transitional_mv(self, state: ChipState, plan: PlacementPlan) -> int:
-        required = self.policy.safe_voltage_mv(
-            max(len(state.active_pmds), plan.utilized_pmds),
-            max(state.max_active_frequency(), plan.max_active_freq_hz),
-        )
-        return max(required, plan.voltage_mv or 0)
-
-    def transitional_voltage_mv(
-        self, system: ServerSystem, plan: PlacementPlan
-    ) -> int:
         """Rail level that is safe before, during and after the change.
 
         The worst case over the old and new configurations: the policy
@@ -214,7 +203,11 @@ class PlacementEngine:
         class, so evaluating at (max PMDs, max clock) bounds every
         intermediate state of the transition.
         """
-        return self._transitional_mv(system.chip.state(), plan)
+        required = self.policy.safe_voltage_mv(
+            max(len(state.active_pmds), plan.utilized_pmds),
+            max(state.max_active_frequency(), plan.max_active_freq_hz),
+        )
+        return max(required, plan.voltage_mv or 0)
 
     def action_for(self, plan: PlacementPlan, state: ChipState) -> Action:
         """Express a plan as one fail-safe-ordered control action.
@@ -234,10 +227,6 @@ class PlacementEngine:
             pmd_freqs_hz=dict(plan.pmd_freqs_hz),
             voltage_mv=plan.voltage_mv if self.control_voltage else None,
         )
-
-    def apply(self, system: ServerSystem, plan: PlacementPlan) -> None:
-        """Apply a plan with the raise-voltage-first fail-safe protocol."""
-        apply_action(system, self.action_for(plan, system.chip.state()))
 
     def arrival_raise_mv(
         self, state: ChipState, nthreads: int
@@ -259,9 +248,3 @@ class PlacementEngine:
             worst_pmds,
             max(state.max_active_frequency(), self.cpu_freq_hz),
         )
-
-    def raise_for_arrival(self, system: ServerSystem, nthreads: int) -> None:
-        """Actuate :meth:`arrival_raise_mv` against the live system."""
-        required = self.arrival_raise_mv(system.chip.state(), nthreads)
-        if required is not None:
-            apply_action(system, Action(raise_voltage_mv=required))

@@ -38,13 +38,6 @@ class PfailCurve:
     #: voltage (mV) -> mean pfail over the benchmark set.
     points: Tuple[Tuple[int, float], ...]
 
-    def pfail_at(self, voltage_mv: int) -> float:
-        """Mean pfail at one voltage (exact match required)."""
-        for volt, pfail in self.points:
-            if volt == voltage_mv:
-                return pfail
-        raise KeyError(voltage_mv)
-
     def safe_vmin_mv(self) -> int:
         """Lowest voltage with pfail == 0 (the last safe step)."""
         safe = [volt for volt, pfail in self.points if pfail <= 0.0]

@@ -30,6 +30,7 @@ import importlib
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -329,7 +330,13 @@ def _run_schedule(
             done, _ = wait(set(running), return_when=FIRST_COMPLETED)
             for future in done:
                 entry = running.pop(future)
-                finish(entry, *future.result())
+                try:
+                    outcome, result = future.result()
+                except BrokenProcessPool as exc:
+                    # A worker died: the pool fails every pending
+                    # future alike, so name the first one to surface.
+                    raise ExperimentError(entry.name, exc) from exc
+                finish(entry, outcome, result)
                 for deps in waiting.values():
                     deps.discard(entry.name)
     return outcomes

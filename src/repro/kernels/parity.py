@@ -70,14 +70,6 @@ SCALAR_ONLY: Dict[str, str] = {
     "repro.vmin.model.VminModel.factor_decomposition": (
         "report-time diagnostic dict; never evaluated over grids"
     ),
-    "repro.vmin.faults.FaultModel.unsafe_region": (
-        "returns an UnsafeRegion object; the numeric part is"
-        " width_mv_grid"
-    ),
-    "repro.vmin.faults.FaultModel.probability_all_pass": (
-        "(1 - pfail) ** runs convenience; batched callers compose"
-        " pfail_grid with analytic_failure_counts"
-    ),
     "repro.power.model.PowerModel.core_dynamic_w": (
         "component term folded into chip_power_grid"
     ),

@@ -8,15 +8,7 @@ counters for cycles, L3 accesses and voltage-droop events.
 
 from .chip import Chip, ChipState
 from .cppc import CppcController, FrequencyTransition
-from .pmu import (
-    DROOP_BINS_MV,
-    CounterSample,
-    CoreCounters,
-    KernelModuleReader,
-    PerfToolReader,
-    Pmu,
-    l3_rate_per_mcycles,
-)
+from .pmu import DROOP_BINS_MV, CoreCounters, Pmu
 from .registry import (
     CharacterizationGrid,
     DroopParams,
@@ -57,7 +49,6 @@ __all__ = [
     "ChipSpec",
     "ChipState",
     "CacheSpec",
-    "CounterSample",
     "CoreCounters",
     "CppcController",
     "DROOP_BINS_MV",
@@ -65,10 +56,8 @@ __all__ = [
     "FaultParams",
     "FrequencyClass",
     "FrequencyTransition",
-    "KernelModuleReader",
     "LEAKAGE_TEMP_COEFF_PER_C",
     "PerfCalibration",
-    "PerfToolReader",
     "PlatformModel",
     "Pmu",
     "SlimPro",
@@ -79,7 +68,6 @@ __all__ = [
     "VoltageTransition",
     "get_platform",
     "get_spec",
-    "l3_rate_per_mcycles",
     "load_platform_file",
     "model_for_spec",
     "platform_key_for_spec",

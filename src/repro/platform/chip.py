@@ -20,7 +20,7 @@ from ..errors import ConfigurationError, SchedulingError
 from .cppc import CppcController
 from .pmu import Pmu
 from .slimpro import SlimPro
-from .specs import ChipSpec, FrequencyClass, get_spec
+from .specs import ChipSpec, FrequencyClass
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,6 @@ class ChipState:
         return frozenset(
             self.spec.pmd_of_core(core) for core in self.active_cores
         )
-
-    @property
-    def n_active_cores(self) -> int:
-        """Number of cores currently running a thread."""
-        return len(self.active_cores)
 
     def frequency_of_core(self, core_id: int) -> int:
         """Effective frequency of the PMD owning ``core_id``."""
@@ -102,13 +97,6 @@ class Chip:
         #: changes without diffing the map.
         self.occupancy_version = 0
 
-    # -- factory -----------------------------------------------------------
-
-    @classmethod
-    def from_name(cls, name: str, silicon_seed: int = 0) -> "Chip":
-        """Build a chip by platform short name (``xgene2`` / ``xgene3``)."""
-        return cls(get_spec(name), silicon_seed=silicon_seed)
-
     # -- voltage / frequency knobs ------------------------------------------
 
     @property
@@ -147,11 +135,6 @@ class Chip:
             self.occupancy_version += 1
         self._occupants[core_id] = occupant
 
-    def release(self, core_id: int) -> None:
-        """Mark a core as idle."""
-        if self._occupants.pop(core_id, None) is not None:
-            self.occupancy_version += 1
-
     def release_occupant(self, occupant: object) -> None:
         """Release every core held by ``occupant``."""
         released = [
@@ -165,12 +148,6 @@ class Chip:
     def occupant_of(self, core_id: int) -> Optional[object]:
         """Occupant tag of a core, or ``None`` when idle."""
         return self._occupants.get(core_id)
-
-    def cores_of_occupant(self, occupant: object) -> Tuple[int, ...]:
-        """Cores currently held by ``occupant``, sorted."""
-        return tuple(
-            sorted(c for c, o in self._occupants.items() if o == occupant)
-        )
 
     @property
     def active_cores(self) -> FrozenSet[int]:
@@ -207,14 +184,6 @@ class Chip:
             pmd_frequencies_hz=self.cppc.frequencies(),
             active_cores=self.active_cores,
         )
-
-    def reset(self) -> None:
-        """Return to power-on state: nominal voltage, fmax, all cores idle."""
-        self._occupants.clear()
-        self.occupancy_version += 1
-        self.slimpro.reset_to_nominal()
-        self.cppc.request_all(self.spec.fmax_hz)
-        self.pmu.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

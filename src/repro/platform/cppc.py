@@ -19,8 +19,9 @@ small (~3 %) clock-skipping reduction. On X-Gene 3 the division behaviour
 was never observed below 1.5 GHz, so every setting at or below fmax/2
 shares the half-clock Vmin.
 
-This module translates frequency requests into per-PMD effective settings
-and reports the frequency class used by the Vmin model.
+This module translates frequency requests into per-PMD effective settings;
+:class:`~repro.platform.chip.ChipState` reports the frequency class the
+Vmin model uses.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigurationError
-from .specs import ChipSpec, FrequencyClass
+from .specs import ChipSpec
 
 
 @dataclass
@@ -85,35 +86,6 @@ class CppcController:
         for pmd_id in range(self.spec.n_pmds):
             self.request(pmd_id, applied, time_s)
         return applied
-
-    def frequency_class_of(self, pmd_id: int) -> FrequencyClass:
-        """Vmin-relevant class of one PMD's current setting."""
-        return self.spec.frequency_class(self.frequency_of(pmd_id))
-
-    def worst_frequency_class(self, pmd_ids=None) -> FrequencyClass:
-        """Most Vmin-demanding class among the given PMDs (default: all).
-
-        ``HIGH`` dominates ``SKIP`` which dominates ``DIVIDE``: the rail
-        must satisfy the most demanding clock domain, because all cores
-        share one supply (Section II.A).
-        """
-        order = {
-            FrequencyClass.DIVIDE: 0,
-            FrequencyClass.SKIP: 1,
-            FrequencyClass.HIGH: 2,
-        }
-        ids = list(pmd_ids) if pmd_ids is not None else range(self.spec.n_pmds)
-        if not ids:
-            return FrequencyClass.DIVIDE
-        classes = [self.spec.frequency_class(self._freqs[i]) for i in ids]
-        return max(classes, key=order.__getitem__)
-
-    def max_frequency(self, pmd_ids=None) -> int:
-        """Highest current setting among the given PMDs (default: all)."""
-        ids = list(pmd_ids) if pmd_ids is not None else range(self.spec.n_pmds)
-        if not ids:
-            return self.spec.fmin_hz
-        return max(self._freqs[i] for i in ids)
 
     def transition_count(self) -> int:
         """Number of frequency changes applied so far."""

@@ -9,17 +9,17 @@ counters:
   exposed by the embedded oscilloscope of X-Gene 3 (Section IV.A).
 
 The counters here are plain monotonically-increasing registers; the system
-simulator advances them as simulated time passes. Two *reader* front-ends
-model the measurement-quality point the paper makes in Section VI.A: the
-authors wrote a kernel module for near-zero-overhead exact reads instead of
-using ``perf``/PAPI, which impose about ±3 % measurement noise.
+simulator advances them as simulated time passes. The daemon reads its
+classification counters through one path,
+:data:`repro.core.monitoring.CounterReader`: the exact kernel-module read
+the paper wrote instead of using ``perf``/PAPI and their ±3 % noise
+(Section VI.A), or a noisy perf-like read for the measurement ablation.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from .specs import ChipSpec
@@ -40,16 +40,6 @@ class CoreCounters:
     cycles: float = 0.0
     instructions: float = 0.0
     l3_accesses: float = 0.0
-
-    def advance(
-        self, cycles: float, instructions: float, l3_accesses: float
-    ) -> None:
-        """Accumulate activity; all deltas must be non-negative."""
-        if min(cycles, instructions, l3_accesses) < 0:
-            raise ConfigurationError("PMU deltas must be non-negative")
-        self.cycles += cycles
-        self.instructions += instructions
-        self.l3_accesses += l3_accesses
 
 
 class Pmu:
@@ -72,105 +62,3 @@ class Pmu:
                 f"{self.spec.name}: core {core_id} out of range"
             )
         return self.cores[core_id]
-
-    def record_droops(self, bin_mv: Tuple[int, int], count: float) -> None:
-        """Accumulate droop detections in one magnitude bin."""
-        if bin_mv not in self.droop_events:
-            raise ConfigurationError(f"unknown droop bin {bin_mv}")
-        if count < 0:
-            raise ConfigurationError("droop count must be non-negative")
-        self.droop_events[bin_mv] += count
-
-    def total_cycles(self) -> float:
-        """Sum of cycle counters across all cores."""
-        return sum(c.cycles for c in self.cores)
-
-    def reset(self) -> None:
-        """Zero every register (used between characterization runs)."""
-        for core in self.cores:
-            core.cycles = core.instructions = core.l3_accesses = 0.0
-        for bin_ in self.droop_events:
-            self.droop_events[bin_] = 0.0
-
-
-@dataclass
-class CounterSample:
-    """One read of a core's registers, as returned by a reader."""
-
-    core_id: int
-    cycles: float
-    instructions: float
-    l3_accesses: float
-
-
-class KernelModuleReader:
-    """Exact, near-zero-overhead counter reads (the paper's kernel module).
-
-    Section VI.A: *"we developed a kernel module able to provide access to
-    the performance counters from user-space ... we did not use tools like
-    Perf or PAPI because these tools impose an extra overhead in
-    measurements (±3 %), while we need very accurate values"*.
-    """
-
-    #: Modelled cost of one read, in seconds (two register reads).
-    read_cost_s = 2e-7
-
-    def __init__(self, pmu: Pmu):
-        self._pmu = pmu
-
-    def read(self, core_id: int) -> CounterSample:
-        """Read one core's registers exactly."""
-        regs = self._pmu.core(core_id)
-        return CounterSample(
-            core_id=core_id,
-            cycles=regs.cycles,
-            instructions=regs.instructions,
-            l3_accesses=regs.l3_accesses,
-        )
-
-
-class PerfToolReader:
-    """Reads with ±``noise`` relative error, modelling perf/PAPI overhead.
-
-    Used by the measurement-noise ablation to show why the paper's daemon
-    needs exact reads near the 3 K/1 M-cycle classification threshold.
-    """
-
-    read_cost_s = 5e-5
-
-    def __init__(self, pmu: Pmu, noise: float = 0.03, seed: int = 0):
-        if not 0 <= noise < 1:
-            raise ConfigurationError(f"noise must be in [0, 1), got {noise}")
-        self._pmu = pmu
-        self._noise = noise
-        self._rng = random.Random(seed)
-
-    def read(self, core_id: int) -> CounterSample:
-        """Read one core's registers with multiplicative noise applied."""
-        regs = self._pmu.core(core_id)
-
-        def noisy(value: float) -> float:
-            return value * (1.0 + self._rng.uniform(-self._noise, self._noise))
-
-        return CounterSample(
-            core_id=core_id,
-            cycles=noisy(regs.cycles),
-            instructions=noisy(regs.instructions),
-            l3_accesses=noisy(regs.l3_accesses),
-        )
-
-
-def l3_rate_per_mcycles(
-    before: CounterSample, after: CounterSample
-) -> Optional[float]:
-    """L3 accesses per one million cycles between two samples.
-
-    This is the daemon's classification metric (Section IV.B): one counter
-    read, one read again after ~1 M cycles, subtract. Returns ``None``
-    when no cycles elapsed (an idle core), since the rate is undefined.
-    """
-    dcycles = after.cycles - before.cycles
-    if dcycles <= 0:
-        return None
-    daccesses = after.l3_accesses - before.l3_accesses
-    return 1e6 * daccesses / dcycles

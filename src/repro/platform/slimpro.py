@@ -18,7 +18,7 @@ charge a (tiny) transition cost for every voltage change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import VoltageRangeError
 
@@ -72,7 +72,6 @@ class SlimPro:
         self.settle_time_s = float(settle_time_s)
         self._voltage_mv = self.nominal_mv
         self.transitions: List[VoltageTransition] = []
-        self._listeners: List[Callable[[int, int], None]] = []
 
     @property
     def voltage_mv(self) -> int:
@@ -107,17 +106,7 @@ class SlimPro:
             previous = self._voltage_mv
             self._voltage_mv = target
             self.transitions.append(VoltageTransition(time_s, previous, target))
-            for listener in self._listeners:
-                listener(previous, target)
         return self._voltage_mv
-
-    def reset_to_nominal(self, time_s: float = 0.0) -> int:
-        """Return the rail to its power-on (nominal) voltage."""
-        return self.set_voltage(self.nominal_mv, time_s)
-
-    def add_listener(self, callback: Callable[[int, int], None]) -> None:
-        """Register ``callback(old_mv, new_mv)`` for every transition."""
-        self._listeners.append(callback)
 
     def transition_count(self) -> int:
         """Number of voltage changes applied so far."""

@@ -93,12 +93,6 @@ class ThermalModel:
         self._temperature_c = target + (self._temperature_c - target) * decay
         return self._temperature_c
 
-    def reset(self, temperature_c: Optional[float] = None) -> None:
-        """Reset to ambient (or a given temperature)."""
-        self._temperature_c = (
-            temperature_c if temperature_c is not None else self.ambient_c
-        )
-
     # -- derived effects ----------------------------------------------------
 
     def leakage_multiplier(

@@ -41,6 +41,8 @@ DEFAULT_COMPARE_KEYS = (
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from ..cli import positive_duration
+
     parser = argparse.ArgumentParser(
         prog="repro policy",
         description="Inspect and compare control-plane policy bundles.",
@@ -73,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--duration",
-        type=float,
-        default=600.0,
+        type=positive_duration,
+        # A string default is parsed by ``type`` like a given value.
+        default="600",
         help="workload duration in seconds (default: 600)",
     )
     compare.add_argument(

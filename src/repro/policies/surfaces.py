@@ -34,7 +34,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -208,7 +208,8 @@ class Action:
     #: Rail settle level, mV, applied last (may lower the voltage).
     voltage_mv: Optional[int] = None
     #: For ``ADMIT`` events only: the cores to place the arriving
-    #: process on; ``None`` defers to the system scheduler.
+    #: process on; ``None`` means the system's default spread
+    #: placement (:meth:`~repro.sim.system.ServerSystem._try_admit`).
     admit_cores: Optional[Tuple[int, ...]] = None
     #: Advisory chip power cap, W (consumed by capping policy stacks,
     #: not actuated directly — the chip has no cap register).
@@ -270,12 +271,3 @@ class Policy:
         """One-line human description (used by ``repro policy show``)."""
         doc = (type(self).__doc__ or "").strip()
         return doc.splitlines()[0] if doc else type(self).__name__
-
-
-@dataclass(slots=True)
-class _FieldMerge:
-    """Bookkeeping for one merged field during stack arbitration."""
-
-    value: object = None
-    taken: bool = False
-    overrides: int = field(default=0)

@@ -2,9 +2,7 @@
 
 from .energy import (
     EnergyMeter,
-    RunEnergy,
     ed2p,
-    edp,
     penalty_percent,
     savings_percent,
 )
@@ -15,9 +13,7 @@ __all__ = [
     "PowerBreakdown",
     "PowerModel",
     "PowerParams",
-    "RunEnergy",
     "ed2p",
-    "edp",
     "penalty_percent",
     "savings_percent",
 ]

@@ -9,15 +9,10 @@ metric that weighs performance more heavily than EDP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import ConfigurationError
 from ..units import Joules, Seconds, Watts
-
-
-def edp(energy_j: Joules, delay_s: Seconds) -> float:
-    """Energy-delay product, J*s."""
-    return energy_j * delay_s
 
 
 def ed2p(energy_j: Joules, delay_s: Seconds) -> float:
@@ -73,53 +68,3 @@ class EnergyMeter:
         self.energy_j += power_w * dt_s
         self.elapsed_s += dt_s
         self._time_s += dt_s
-
-    @property
-    def average_power_w(self) -> Watts:
-        """Mean power over everything accumulated so far."""
-        if self.elapsed_s == 0:
-            return 0.0
-        return self.energy_j / self.elapsed_s
-
-    def ed2p(self, delay_s: Optional[Seconds] = None) -> float:
-        """ED2P using the accumulated energy and (by default) elapsed time."""
-        delay = self.elapsed_s if delay_s is None else delay_s
-        return ed2p(self.energy_j, delay)
-
-
-@dataclass(frozen=True)
-class RunEnergy:
-    """Energy summary of one completed run."""
-
-    duration_s: float
-    energy_j: float
-
-    @property
-    def average_power_w(self) -> Watts:
-        """Mean power over the run."""
-        if self.duration_s == 0:
-            return 0.0
-        return self.energy_j / self.duration_s
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product of the run."""
-        return edp(self.energy_j, self.duration_s)
-
-    @property
-    def ed2p(self) -> float:
-        """Energy-delay-squared product of the run."""
-        return ed2p(self.energy_j, self.duration_s)
-
-    def normalized(self, instances: int) -> "RunEnergy":
-        """Energy divided by the number of replicated instances.
-
-        Section II.B: N copies of a single-threaded benchmark execute N
-        units of work, so their energy is normalized by N to compare
-        fairly with parallel programs that execute one unit.
-        """
-        if instances < 1:
-            raise ConfigurationError("instances must be >= 1")
-        return RunEnergy(
-            duration_s=self.duration_s, energy_j=self.energy_j / instances
-        )

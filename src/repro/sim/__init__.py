@@ -1,4 +1,4 @@
-"""Discrete-event server simulator: processes, scheduler, traces.
+"""Discrete-event server simulator: processes, admission, traces.
 
 Control policies live in :mod:`repro.policies`; the simulator only
 dispatches ``Observation -> Action`` (see :class:`ServerSystem`).
@@ -11,7 +11,6 @@ from .process import (
     SimProcess,
     WorkloadClass,
 )
-from .scheduler import ClusterScheduler, SpreadScheduler
 from .system import (
     ServerSystem,
     SimLane,
@@ -21,7 +20,6 @@ from .system import (
 from .tracing import TimelineTrace, TraceSample, moving_average
 
 __all__ = [
-    "ClusterScheduler",
     "Event",
     "EventQueue",
     "ProcessCounters",
@@ -30,7 +28,6 @@ __all__ = [
     "SimClock",
     "SimLane",
     "SimProcess",
-    "SpreadScheduler",
     "SystemResult",
     "TimelineTrace",
     "TraceSample",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import SimulationError
-from ..workloads.phases import AnyBenchmark, phase_boundaries, profile_at
+from ..workloads.phases import AnyBenchmark, profile_at
 from ..workloads.profiles import BenchmarkProfile
 
 
@@ -39,13 +39,6 @@ class ProcessCounters:
 
     cycles: float = 0.0
     l3_accesses: float = 0.0
-
-    def advance(self, cycles: float, l3_accesses: float) -> None:
-        """Accumulate one interval's worth of activity."""
-        if cycles < 0 or l3_accesses < 0:
-            raise SimulationError("counter deltas must be non-negative")
-        self.cycles += cycles
-        self.l3_accesses += l3_accesses
 
 
 @dataclass(eq=False, slots=True)
@@ -96,13 +89,6 @@ class SimProcess:
         """
         return profile_at(self.profile, self.done_fraction)
 
-    def next_phase_boundary(self) -> Optional[float]:
-        """Next done-fraction where the behaviour changes, if any."""
-        for boundary in phase_boundaries(self.profile):
-            if boundary > self.done_fraction + 1e-9:
-                return boundary
-        return None
-
     @property
     def reference_class(self) -> WorkloadClass:
         """Ground-truth class of the *current phase* at the reference
@@ -148,12 +134,6 @@ class SimProcess:
         self.cores = ()
         self.remaining_fraction = 0.0
         self.finish_s = time_s
-
-    def progress(self, fraction: float) -> None:
-        """Consume a fraction of the remaining work."""
-        if fraction < 0:
-            raise SimulationError("progress fraction must be non-negative")
-        self.remaining_fraction = max(0.0, self.remaining_fraction - fraction)
 
     def turnaround_s(self) -> float:
         """Arrival-to-finish time of a completed job."""

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..allocation import Allocation, pick_free_cores
 from ..errors import ConfigurationError, SimulationError
 from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
@@ -72,7 +73,6 @@ from ..workloads.phases import phase_boundaries, resolve_benchmark
 from ..workloads.profiles import BenchmarkProfile
 from .engine import Event, EventQueue, SimClock
 from .process import ProcessCounters, SimProcess, WorkloadClass
-from .scheduler import SpreadScheduler
 from .tracing import TimelineTrace, TraceSample
 
 #: Remaining-work fractions below this are "done" (float guard).
@@ -106,12 +106,9 @@ class ReplayPlan:
     process's execution state, all of which stay fixed until the next
     full recompute: occupancy, clocks and active behaviours are exactly
     what forces one. The loops evaluate the same float expressions, in
-    the same order, as the per-process methods they replace
-    (:meth:`~repro.sim.process.ProcessCounters.advance`,
-    :meth:`~repro.platform.pmu.CoreCounters.advance`,
-    :meth:`~repro.sim.process.SimProcess.progress`,
-    :meth:`~repro.sim.process.SimProcess.next_phase_boundary`), so the
-    results are bit-identical.
+    the same order, as the per-process steps they replace, which the
+    test oracle ``tests/replay_oracle.py::LoopOracleSystem`` keeps, so
+    the results are bit-identical.
     """
 
     process: SimProcess
@@ -238,11 +235,10 @@ class ServerSystem:
             lane for lane in self.lanes if lane.thermal is not None
         )
         #: The lane-independent power breakdown, leakage unscaled; fixed
-        #: until the next full recompute or rail change.
+        #: until the next full recompute.
         self._power = PowerBreakdown(0.0, 0.0, 0.0, 0.0)
         #: Skip the cancel+schedule pair of an unchanged future event.
         self._elide = True
-        self.scheduler = SpreadScheduler()
         self.clock = SimClock()
         self.events = EventQueue()
         self.trace = (
@@ -483,12 +479,21 @@ class ServerSystem:
             self.queue.append(process)
 
     def _try_admit(self, process: SimProcess) -> bool:
+        """Start ``process`` on the policy's cores, else spread it.
+
+        With no cores from the policy, the default placement is the
+        Linux CFS balancer's: threads spread across PMDs (Fig. 2's
+        *spreaded* allocation), queued while too few cores are idle.
+        """
         action = self._dispatch_policy(PolicyEvent.ADMIT, process)
         cores = action.admit_cores if action is not None else None
         if cores is None:
-            cores = self.scheduler.select_cores(self.chip, process.nthreads)
-        if cores is None:
-            return False
+            idle = self.chip.idle_cores
+            if len(idle) < process.nthreads:
+                return False
+            cores = pick_free_cores(
+                self.spec, idle, process.nthreads, Allocation.SPREADED
+            )
         process.start(self.now, tuple(cores))
         for core in process.cores:
             self.chip.occupy(core, process.pid)
@@ -632,39 +637,29 @@ class ServerSystem:
     def _refresh(self) -> None:
         """Recompute rates, power and completion times after any change.
 
-        The incremental path recomputes only what its inputs invalidated:
-
-        * occupancy / per-PMD clock / behaviour-profile changes — full
-          recompute (contention couples every process to every other);
-        * rail-voltage changes (and thermal coupling) — power and the
-          safety audit only; execution states are voltage-independent;
-        * nothing changed — completion times (the clock advanced) and
-          the safety audit against the cached safe-Vmin level.
+        An occupancy, per-PMD clock, rail-voltage or behaviour-profile
+        change forces a full recompute (contention couples every
+        process to every other). Otherwise only what the advancing
+        clock moves is redone: the thermal lanes' power, completion
+        times and the safety audit against the cached safe-Vmin level.
         """
         chip = self.chip
         if (
             chip.occupancy_version != self._occ_version
             or chip.cppc.transition_count() != self._freq_version
+            or chip.slimpro.transition_count() != self._volt_version
             or self._behaviour_changed()
         ):
             self._refreshes_full += 1
             self._recompute_all()
             return
         self._refreshes_incremental += 1
-        state = self._state
-        volt_version = chip.slimpro.transition_count()
-        if volt_version != self._volt_version:
-            self._volt_version = volt_version
-            state = chip.state()
-            self._state = state
-            self._recompute_power(state)
-        else:
-            # Temperature moves every interval: leakage and the thermal
-            # Vmin shift must track it even on otherwise-clean refreshes.
-            for lane in self._thermal_lanes:
-                self._lane_power(lane)
+        # Temperature moves every interval: leakage and the thermal
+        # Vmin shift must track it even on otherwise-clean refreshes.
+        for lane in self._thermal_lanes:
+            self._lane_power(lane)
         self._reschedule_completions()
-        self._audit_cached(state)
+        self._audit_cached(self._state)
 
     def _behaviour_changed(self) -> bool:
         """Whether a running process entered a new phase.
@@ -731,8 +726,8 @@ class ServerSystem:
                 boundaries=tuple(phase_boundaries(process.profile)),
                 behaviour=behaviour,
             )
-            # The checks the per-interval advance/progress calls made:
-            # with dt > 0, every delta is non-negative iff these are.
+            # With dt > 0, every counter and progress delta is
+            # non-negative iff these are.
             if min(freq, plan.l3_rate_freq, activity, plan.duration_s) < 0:
                 raise SimulationError(
                     f"pid {process.pid}: negative clock, L3 rate, "
@@ -755,10 +750,10 @@ class ServerSystem:
     def _plan_droops(self, state: ChipState, plans: List[ReplayPlan]) -> None:
         """Fix the droop rates the next intervals accumulate at.
 
-        The rates are the jitter-free ones
-        :meth:`~repro.vmin.droop.DroopModel.events_for_interval` scales
-        by each interval's cycles, and every input they depend on is
-        fixed until the next full recompute.
+        The rates are the jitter-free
+        :meth:`~repro.vmin.droop.DroopModel.rates_per_mcycles`, scaled by
+        each interval's cycles, and every input they depend on is fixed
+        until the next full recompute.
         """
         pmds = state.active_pmds
         if not pmds:
@@ -772,8 +767,7 @@ class ServerSystem:
             jitter=False,
         )
         freq = state.max_active_frequency()
-        # The checks events_for_interval and record_droops made on every
-        # interval's cycles and counts, made once.
+        # Every interval's droop counts are non-negative iff these are.
         if freq < 0 or min(rates.values()) < 0:
             raise SimulationError(
                 "negative clock or droop rate in the droop plan"

@@ -24,13 +24,7 @@ from .characterize import (
     VminCampaign,
     VoltageStepRecord,
 )
-from .droop import (
-    DroopModel,
-    droop_bin,
-    droop_bin_index,
-    droop_ladder,
-    max_droop_mv,
-)
+from .droop import DroopModel, droop_bin, droop_bin_index, droop_ladder
 from .faults import (
     FAULT_OUTCOMES,
     OUTCOME_CRASH,
@@ -39,7 +33,6 @@ from .faults import (
     OUTCOME_SDC,
     OUTCOME_TIMEOUT,
     FaultModel,
-    UnsafeRegion,
 )
 from .prediction import (
     PredictionReport,
@@ -74,7 +67,6 @@ __all__ = [
     "OUTCOME_SDC",
     "OUTCOME_TIMEOUT",
     "SafeVminResult",
-    "UnsafeRegion",
     "UnsafeScanResult",
     "VminBreakdown",
     "VminCache",
@@ -93,7 +85,6 @@ __all__ = [
     "reset_default_cache",
     "set_default_cache",
     "spec_fingerprint",
-    "max_droop_mv",
     "variation_attenuation",
     "workload_delta_limit_mv",
 ]

@@ -15,7 +15,6 @@ cycles the way the X-Gene 3 embedded oscilloscope reports them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -73,38 +72,6 @@ def droop_ladder(spec: ChipSpec) -> Tuple[int, ...]:
 def droop_bin(spec: ChipSpec, utilized_pmds: int) -> Tuple[int, int]:
     """Droop-magnitude bin bounds in mV for a utilized-PMD count."""
     return DROOP_BINS_MV[droop_bin_index(spec, utilized_pmds)]
-
-
-def max_droop_mv(
-    spec: ChipSpec,
-    utilized_pmds: int,
-    freq_class: FrequencyClass = FrequencyClass.HIGH,
-) -> float:
-    """Representative maximum droop magnitude for a configuration.
-
-    Lower effective frequencies draw current more smoothly, shaving a few
-    mV off the worst droop (this is why Table II's 1.5 GHz Vmin column
-    sits 10-20 mV below the 3 GHz one).
-    """
-    low, high = droop_bin(spec, utilized_pmds)
-    magnitude = (low + high) / 2.0
-    if freq_class is FrequencyClass.SKIP:
-        magnitude -= 5.0
-    elif freq_class is FrequencyClass.DIVIDE:
-        magnitude -= 12.0
-    return max(0.0, magnitude)
-
-
-@dataclass(frozen=True)
-class DroopActivity:
-    """Workload-dependent droop *rate* knobs (not magnitude).
-
-    The magnitude ceiling is allocation-determined; how *often* droops
-    fire still varies with the program's switching activity.
-    """
-
-    #: Relative switching-activity factor (~IPC-proportional), around 1.0.
-    activity: float = 1.0
 
 
 class DroopModel:
@@ -190,18 +157,3 @@ class DroopModel:
                 self._flat_rates.clear()
             self._flat_rates[key] = dict(rates)
         return rates
-
-    def events_for_interval(
-        self,
-        utilized_pmds: int,
-        cycles: float,
-        freq_class: FrequencyClass = FrequencyClass.HIGH,
-        activity: float = 1.0,
-    ) -> Dict[Tuple[int, int], float]:
-        """Expected droop detections over ``cycles`` cycles, per bin."""
-        if cycles < 0:
-            raise ConfigurationError("cycles must be non-negative")
-        rates = self.rates_per_mcycles(
-            utilized_pmds, freq_class, activity, jitter=False
-        )
-        return {bin_: rate * cycles / 1e6 for bin_, rate in rates.items()}

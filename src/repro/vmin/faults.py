@@ -16,7 +16,6 @@ of the max-threads lines in Fig. 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError
@@ -42,19 +41,6 @@ def _smoothstep(x: float) -> float:
     if x >= 1.0:
         return 1.0
     return x * x * (3.0 - 2.0 * x)
-
-
-@dataclass(frozen=True)
-class UnsafeRegion:
-    """Summary of the unsafe region below one configuration's Vmin."""
-
-    safe_vmin_mv: float
-    crash_voltage_mv: float
-
-    @property
-    def width_mv(self) -> float:
-        """Voltage span between first failures and certain failure."""
-        return self.safe_vmin_mv - self.crash_voltage_mv
 
 
 class FaultModel:
@@ -95,15 +81,6 @@ class FaultModel:
         return max(
             self.MIN_WIDTH_MV,
             self.MAX_WIDTH_MV - self.WIDTH_STEP_MV * droop_class,
-        )
-
-    def unsafe_region(
-        self, safe_vmin_mv: Millivolts, droop_class: int
-    ) -> UnsafeRegion:
-        """Safe Vmin and crash point for one configuration."""
-        return UnsafeRegion(
-            safe_vmin_mv=safe_vmin_mv,
-            crash_voltage_mv=safe_vmin_mv - self.width_mv(droop_class),
         )
 
     def pfail(
@@ -147,16 +124,3 @@ class FaultModel:
             OUTCOME_HANG: hang / total,
             OUTCOME_TIMEOUT: timeout / total,
         }
-
-    def probability_all_pass(
-        self,
-        voltage_mv: Millivolts,
-        safe_vmin_mv: Millivolts,
-        droop_class: int,
-        runs: int,
-    ) -> float:
-        """Probability that ``runs`` independent runs all pass."""
-        if runs < 0:
-            raise ConfigurationError("runs must be non-negative")
-        p = self.pfail(voltage_mv, safe_vmin_mv, droop_class)
-        return (1.0 - p) ** runs

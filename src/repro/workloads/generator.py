@@ -11,6 +11,7 @@ replayed under different policies for apples-to-apples comparisons.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -51,57 +52,6 @@ class Workload:
     def jobs_sorted(self) -> List[JobSpec]:
         """Jobs ordered by start time (ties by id)."""
         return sorted(self.jobs, key=lambda j: (j.start_time_s, j.job_id))
-
-    # -- serialization (share exact workloads across machines/tools) ------
-
-    def to_json(self) -> str:
-        """Serialize to a JSON string (see :meth:`from_json`)."""
-        import json
-
-        return json.dumps(
-            {
-                "duration_s": self.duration_s,
-                "max_cores": self.max_cores,
-                "seed": self.seed,
-                "jobs": [
-                    {
-                        "job_id": j.job_id,
-                        "benchmark": j.benchmark,
-                        "nthreads": j.nthreads,
-                        "start_time_s": j.start_time_s,
-                    }
-                    for j in self.jobs
-                ],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Workload":
-        """Rebuild a workload serialized with :meth:`to_json`."""
-        import json
-
-        data = json.loads(text)
-        try:
-            jobs = tuple(
-                JobSpec(
-                    job_id=j["job_id"],
-                    benchmark=j["benchmark"],
-                    nthreads=j["nthreads"],
-                    start_time_s=j["start_time_s"],
-                )
-                for j in data["jobs"]
-            )
-            return cls(
-                jobs=jobs,
-                duration_s=data["duration_s"],
-                max_cores=data["max_cores"],
-                seed=data["seed"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"malformed workload JSON: {exc}"
-            ) from exc
 
 
 @dataclass(frozen=True)
@@ -173,10 +123,14 @@ class ServerWorkloadGenerator:
         seed-keyed stream from :meth:`rng_for`, so repeated calls with
         the same configuration return identical workloads. A draw with
         no job raises :class:`ConfigurationError`: no evaluation has a
-        baseline to compare against on an idle machine.
+        baseline to compare against on an idle machine. So does a
+        duration that is not finite and positive: ``nan`` and ``inf``
+        could size no occupancy array and end no phase loop.
         """
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration must be finite and positive, got {duration_s!r}"
+            )
         if rng is None:
             rng = self.rng_for()
         phases = self._phases(rng, duration_s)

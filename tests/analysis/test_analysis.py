@@ -1,57 +1,9 @@
-"""Tests for analysis helpers (statistics and table rendering)."""
+"""Tests for the plain-text table rendering."""
 
 import pytest
 
-from repro.analysis.stats import (
-    compare_to_paper,
-    geometric_mean,
-    mean,
-    relative_error,
-    span,
-    within,
-)
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
-
-
-class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
-    def test_geometric_mean_empty(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_span(self):
-        assert span([3.0, -1.0, 2.0]) == 4.0
-
-    def test_relative_error(self):
-        assert relative_error(110.0, 100.0) == pytest.approx(0.1)
-
-    def test_relative_error_zero_reference(self):
-        with pytest.raises(ConfigurationError):
-            relative_error(1.0, 0.0)
-
-    def test_within(self):
-        assert within(105.0, 100.0, 0.06)
-        assert not within(110.0, 100.0, 0.05)
-
-    def test_compare_to_paper(self):
-        rows = compare_to_paper(
-            {"energy": 95.0}, {"energy": 100.0}
-        )
-        assert rows[0]["rel_err"] == pytest.approx(0.05)
-
-    def test_compare_missing_measurement(self):
-        with pytest.raises(ConfigurationError):
-            compare_to_paper({}, {"energy": 100.0})
 
 
 class TestTables:
@@ -80,65 +32,7 @@ class TestTables:
         assert "0.25" in text
 
     def test_series(self):
-        text = format_series("S", [(1, 2.0)], "x", "y")
+        # Figure series render as titled two-column tables.
+        text = format_table(("x", "y"), [(1, 2.0)], title="S")
         assert text.splitlines()[0] == "S"
         assert "x" in text and "y" in text
-
-
-class TestCsvExport:
-    def test_write_csv_roundtrip(self, tmp_path):
-        import csv
-
-        from repro.analysis.export import write_csv
-
-        path = write_csv(
-            tmp_path / "out.csv", ("a", "b"), [(1, "x"), (2, "y")]
-        )
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "x"], ["2", "y"]]
-
-    def test_write_csv_creates_directories(self, tmp_path):
-        from repro.analysis.export import write_csv
-
-        path = write_csv(tmp_path / "deep" / "dir" / "out.csv", ("a",), [(1,)])
-        assert path.exists()
-
-    def test_write_csv_validates_width(self, tmp_path):
-        from repro.analysis.export import write_csv
-
-        with pytest.raises(ConfigurationError):
-            write_csv(tmp_path / "bad.csv", ("a", "b"), [(1,)])
-
-    def test_trace_to_csv(self, tmp_path):
-        import csv
-
-        from repro.analysis.export import trace_to_csv
-        from repro.sim.tracing import TimelineTrace, TraceSample
-
-        trace = TimelineTrace()
-        trace.append(
-            TraceSample(
-                time_s=0.0,
-                power_w=10.0,
-                busy_cores=4,
-                running_processes=2,
-                cpu_intensive=1,
-                memory_intensive=1,
-                voltage_mv=870,
-                mean_active_freq_hz=3e9,
-            )
-        )
-        path = trace_to_csv(tmp_path / "trace.csv", trace)
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0][0] == "time_s"
-        assert rows[1][1] == "10.0"
-
-    def test_series_to_csv(self, tmp_path):
-        from repro.analysis.export import series_to_csv
-
-        path = series_to_csv(
-            tmp_path / "s.csv", [(1, 2)], "volt", "pfail"
-        )
-        assert "volt" in path.read_text()

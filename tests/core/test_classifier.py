@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.classifier import DEFAULT_THRESHOLD, L3RateClassifier
+from repro.core.classifier import (
+    DEFAULT_THRESHOLD,
+    ClassificationSample,
+    L3RateClassifier,
+)
 from repro.errors import ConfigurationError
 from repro.sim.process import WorkloadClass
 
@@ -17,53 +21,47 @@ class TestThreshold:
         assert DEFAULT_THRESHOLD == 3000.0
 
     def test_above_threshold_memory(self, classifier):
-        sample = classifier.classify(8000.0)
-        assert sample.decided is WorkloadClass.MEMORY_INTENSIVE
+        assert classifier.decide(8000.0) is WorkloadClass.MEMORY_INTENSIVE
 
     def test_below_threshold_cpu(self, classifier):
-        sample = classifier.classify(100.0)
-        assert sample.decided is WorkloadClass.CPU_INTENSIVE
+        assert classifier.decide(100.0) is WorkloadClass.CPU_INTENSIVE
 
     def test_exactly_threshold_is_cpu(self, classifier):
         # Paper: "more than 3K" -> memory.
-        sample = classifier.classify(3000.0)
-        assert sample.decided is WorkloadClass.CPU_INTENSIVE
+        assert classifier.decide(3000.0) is WorkloadClass.CPU_INTENSIVE
 
     def test_negative_rate_rejected(self, classifier):
         with pytest.raises(ConfigurationError):
-            classifier.classify(-1.0)
+            classifier.decide(-1.0)
+
+
+def sample(classifier, rate, previous):
+    """One monitor classification: the record the monitor keeps."""
+    return ClassificationSample(
+        rate, previous, classifier.decide(rate, previous)
+    )
 
 
 class TestHysteresis:
     def test_borderline_does_not_flap(self, classifier):
         # A rate oscillating just inside the band keeps the class.
-        first = classifier.classify(
-            3100.0, previous=WorkloadClass.CPU_INTENSIVE
-        )
-        assert first.decided is WorkloadClass.CPU_INTENSIVE  # < upper
-        second = classifier.classify(
-            2950.0, previous=WorkloadClass.MEMORY_INTENSIVE
-        )
-        assert second.decided is WorkloadClass.MEMORY_INTENSIVE  # > lower
+        first = classifier.decide(3100.0, WorkloadClass.CPU_INTENSIVE)
+        assert first is WorkloadClass.CPU_INTENSIVE  # < upper
+        second = classifier.decide(2950.0, WorkloadClass.MEMORY_INTENSIVE)
+        assert second is WorkloadClass.MEMORY_INTENSIVE  # > lower
 
     def test_clear_crossing_flips(self, classifier):
-        sample = classifier.classify(
-            5000.0, previous=WorkloadClass.CPU_INTENSIVE
-        )
-        assert sample.decided is WorkloadClass.MEMORY_INTENSIVE
-        assert sample.changed
+        flip = sample(classifier, 5000.0, WorkloadClass.CPU_INTENSIVE)
+        assert flip.decided is WorkloadClass.MEMORY_INTENSIVE
+        assert flip.changed
 
     def test_changed_flag_only_on_flip(self, classifier):
-        stays = classifier.classify(
-            100.0, previous=WorkloadClass.CPU_INTENSIVE
-        )
+        stays = sample(classifier, 100.0, WorkloadClass.CPU_INTENSIVE)
         assert not stays.changed
 
     def test_unknown_never_counts_as_change(self, classifier):
-        sample = classifier.classify(
-            100.0, previous=WorkloadClass.UNKNOWN
-        )
-        assert not sample.changed
+        first = sample(classifier, 100.0, WorkloadClass.UNKNOWN)
+        assert not first.changed
 
     def test_bounds(self):
         c = L3RateClassifier(threshold=3000.0, hysteresis=0.1)

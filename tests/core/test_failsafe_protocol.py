@@ -2,13 +2,17 @@
 
 These exercise the transitional-voltage arithmetic and the
 raise-before/settle-after ordering directly, complementing the
-end-to-end daemon tests.
+end-to-end daemon tests. Plans reach the chip the way the daemon's do:
+as an :class:`~repro.policies.surfaces.Action` through
+:func:`~repro.policies.actuation.apply_action`.
 """
 
 
 from repro.core.placement import PlacementEngine
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene3_spec
+from repro.policies.actuation import apply_action
+from repro.policies.surfaces import Action
 from repro.sim.process import SimProcess, WorkloadClass
 from repro.sim.system import ServerSystem
 from repro.workloads.generator import Workload
@@ -37,6 +41,23 @@ def running(system, pid, name, cores, cls):
     return proc
 
 
+def apply_plan(engine, system, plan):
+    """Actuate ``plan`` as the daemon does: one fail-safe action."""
+    apply_action(system, engine.action_for(plan, system.chip.state()))
+
+
+def raise_for_arrival(engine, system, nthreads):
+    """The daemon's ``ADMIT`` step: the fail-safe raise, if any."""
+    required = engine.arrival_raise_mv(system.chip.state(), nthreads)
+    if required is not None:
+        apply_action(system, Action(raise_voltage_mv=required))
+
+
+def transitional_mv(engine, system, plan):
+    """The raise level of ``plan``'s action from the live state."""
+    return engine.action_for(plan, system.chip.state()).raise_voltage_mv
+
+
 class TestTransitionalVoltage:
     def test_covers_both_old_and_new(self, policy3):
         spec = xgene3_spec()
@@ -54,7 +75,7 @@ class TestTransitionalVoltage:
         )
         proc.observed_class = WorkloadClass.CPU_INTENSIVE
         plan = engine.plan([proc])
-        transitional = engine.transitional_voltage_mv(system, plan)
+        transitional = transitional_mv(engine, system, plan)
         old_level = policy3.safe_voltage_mv(8, spec.fmax_hz)
         new_level = plan.voltage_mv
         assert transitional >= old_level
@@ -72,7 +93,7 @@ class TestTransitionalVoltage:
         )
         proc.observed_class = WorkloadClass.CPU_INTENSIVE
         plan = engine.plan([proc])
-        assert engine.transitional_voltage_mv(system, plan) >= (
+        assert transitional_mv(engine, system, plan) >= (
             plan.voltage_mv
         )
 
@@ -93,14 +114,14 @@ class TestApplyOrdering:
             for pid in range(8)
         ]
         big_plan = engine.plan(procs)
-        engine.apply(system, big_plan)
+        apply_plan(engine, system, big_plan)
         voltage_big = system.chip.voltage_mv
         # Now all but one finish.
         for proc in procs[1:]:
             system.chip.release_occupant(proc.pid)
             proc.finish(1.0)
         small_plan = engine.plan([procs[0]])
-        engine.apply(system, small_plan)
+        apply_plan(engine, system, small_plan)
         assert system.chip.voltage_mv == small_plan.voltage_mv
         assert small_plan.voltage_mv < voltage_big
         # The transition log never dipped below the requirement of the
@@ -115,9 +136,9 @@ class TestApplyOrdering:
         system = idle_system(spec)
         running(system, 1, "namd", (0, 1), WorkloadClass.CPU_INTENSIVE)
         plan = engine.retune(system.running_processes())
-        engine.apply(system, plan)
+        apply_plan(engine, system, plan)
         level_before = system.chip.voltage_mv
-        engine.raise_for_arrival(system, nthreads=8)
+        raise_for_arrival(engine, system, nthreads=8)
         # Headroom for up to 4 more PMDs at the CPU clock.
         assert system.chip.voltage_mv >= level_before
         assert system.chip.voltage_mv >= policy3.safe_voltage_mv(
@@ -131,5 +152,5 @@ class TestApplyOrdering:
         )
         system = idle_system(spec)
         before = system.chip.voltage_mv
-        engine.raise_for_arrival(system, nthreads=8)
+        raise_for_arrival(engine, system, nthreads=8)
         assert system.chip.voltage_mv == before

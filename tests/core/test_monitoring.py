@@ -11,6 +11,7 @@ from repro.core.monitoring import (
 from repro.errors import ConfigurationError
 from repro.sim.process import SimProcess, WorkloadClass
 from repro.workloads.suites import get_benchmark
+from tests.replay_oracle import advance_process_counters
 
 
 class FakeSystem:
@@ -39,7 +40,7 @@ class TestSampling:
     def test_first_sample_only_snapshots(self):
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG")
-        proc.counters.advance(5e6, 5e4)
+        advance_process_counters(proc.counters, 5e6, 5e4)
         changes = monitor.sample(FakeSystem([proc]))
         assert changes == []
         assert proc.observed_class is WorkloadClass.UNKNOWN
@@ -47,9 +48,9 @@ class TestSampling:
     def test_classifies_after_window(self):
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG")
-        proc.counters.advance(1e6, 1e4)
+        advance_process_counters(proc.counters, 1e6, 1e4)
         monitor.sample(FakeSystem([proc]))  # snapshot
-        proc.counters.advance(2e6, 2e4)  # 10000/1M cycles: memory
+        advance_process_counters(proc.counters, 2e6, 2e4)  # 10000/1M cycles: memory
         changes = monitor.sample(FakeSystem([proc]))
         assert proc.observed_class is WorkloadClass.MEMORY_INTENSIVE
         assert len(changes) == 1
@@ -58,7 +59,7 @@ class TestSampling:
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG")
         monitor.sample(FakeSystem([proc]))
-        proc.counters.advance(MIN_WINDOW_CYCLES / 2, 1e4)
+        advance_process_counters(proc.counters, MIN_WINDOW_CYCLES / 2, 1e4)
         monitor.sample(FakeSystem([proc]))
         assert proc.observed_class is WorkloadClass.UNKNOWN
 
@@ -68,7 +69,7 @@ class TestSampling:
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG", nthreads=4)
         monitor.sample(FakeSystem([proc]))
-        proc.counters.advance(2e6, 2e4)  # only 0.5M cycles per thread
+        advance_process_counters(proc.counters, 2e6, 2e4)  # only 0.5M cycles per thread
         monitor.sample(FakeSystem([proc]))
         assert proc.observed_class is WorkloadClass.UNKNOWN
 
@@ -78,7 +79,7 @@ class TestSampling:
         monitor = MonitoringDaemon()
         proc = running_proc(1, "namd")
         monitor.sample(FakeSystem([proc]))
-        proc.counters.advance(2e6, 100)
+        advance_process_counters(proc.counters, 2e6, 100)
         changes = monitor.sample(FakeSystem([proc]))
         assert proc.observed_class is WorkloadClass.CPU_INTENSIVE
         assert changes == []
@@ -87,9 +88,9 @@ class TestSampling:
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG")
         monitor.sample(FakeSystem([proc]))
-        proc.counters.advance(2e6, 2e4)
+        advance_process_counters(proc.counters, 2e6, 2e4)
         monitor.sample(FakeSystem([proc]))  # -> memory
-        proc.counters.advance(2e6, 100)  # now CPU-like phase
+        advance_process_counters(proc.counters, 2e6, 100)  # now CPU-like phase
         changes = monitor.sample(FakeSystem([proc]))
         assert len(changes) == 1
         assert changes[0].sample.decided is WorkloadClass.CPU_INTENSIVE
@@ -99,7 +100,7 @@ class TestSampling:
         proc = running_proc(1, "CG")
         monitor.sample(FakeSystem([proc]))
         monitor.forget(proc)
-        proc.counters.advance(2e6, 2e4)
+        advance_process_counters(proc.counters, 2e6, 2e4)
         changes = monitor.sample(FakeSystem([proc]))
         # After forget, the next sample is a fresh snapshot again.
         assert changes == []
@@ -108,7 +109,7 @@ class TestSampling:
         monitor = MonitoringDaemon()
         proc = running_proc(1, "CG")
         monitor.sample(FakeSystem([proc]))
-        proc.counters.advance(2e6, 2e4)
+        advance_process_counters(proc.counters, 2e6, 2e4)
         monitor.sample(FakeSystem([proc]))
         assert monitor.samples_taken == 1
 
@@ -116,12 +117,12 @@ class TestSampling:
 class TestReaders:
     def test_kernel_reader_exact(self):
         proc = running_proc(1, "CG")
-        proc.counters.advance(123.0, 45.0)
+        advance_process_counters(proc.counters, 123.0, 45.0)
         assert kernel_module_reader(proc) == (123.0, 45.0)
 
     def test_perf_reader_noisy(self):
         proc = running_proc(1, "CG")
-        proc.counters.advance(1e6, 3e3)
+        advance_process_counters(proc.counters, 1e6, 3e3)
         reader = PerfLikeReader(noise=0.03, seed=2)
         cycles, accesses = reader(proc)
         assert cycles != 1e6
@@ -147,7 +148,7 @@ class TestReaders:
             ):
                 monitor.sample(FakeSystem([proc]))
                 # Rate right below the threshold boundary: 2990 / 1M.
-                proc.counters.advance(2e6, 2 * 2990)
+                advance_process_counters(proc.counters, 2e6, 2 * 2990)
                 monitor.sample(FakeSystem([proc]))
                 out.add(proc.observed_class)
         assert decisions_exact == {WorkloadClass.CPU_INTENSIVE}

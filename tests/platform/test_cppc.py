@@ -1,8 +1,13 @@
-"""Tests for the CPPC frequency controller."""
+"""Tests for the CPPC frequency controller and the classes of its clocks.
+
+The Vmin-relevant frequency class and top clock of a set of PMDs are
+:class:`~repro.platform.chip.ChipState` queries over the utilized PMDs.
+"""
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.platform.chip import ChipState
 from repro.platform.cppc import CppcController
 from repro.platform.specs import FrequencyClass
 from repro.units import ghz, MHZ
@@ -47,44 +52,64 @@ class TestRequests:
         assert cppc2.transition_count() == 1
 
 
+def state_of(cppc, pmds=None):
+    """A chip snapshot at the controller's clocks, ``pmds`` utilized."""
+    spec = cppc.spec
+    pmds = range(spec.n_pmds) if pmds is None else pmds
+    return ChipState(
+        spec=spec,
+        voltage_mv=spec.nominal_voltage_mv,
+        pmd_frequencies_hz=cppc.frequencies(),
+        active_cores=frozenset(spec.cores_of_pmd(pmd)[0] for pmd in pmds),
+    )
+
+
 class TestFrequencyClasses:
     def test_worst_class_is_high_when_any_pmd_high(self, cppc2):
         cppc2.request_all(900 * MHZ)
         cppc2.request(3, ghz(2.4))
-        assert cppc2.worst_frequency_class() is FrequencyClass.HIGH
+        assert (
+            state_of(cppc2).worst_active_frequency_class()
+            is FrequencyClass.HIGH
+        )
 
     def test_worst_class_subset(self, cppc2):
         cppc2.request_all(ghz(2.4))
         cppc2.request(0, 900 * MHZ)
         assert (
-            cppc2.worst_frequency_class([0]) is FrequencyClass.DIVIDE
+            state_of(cppc2, [0]).worst_active_frequency_class()
+            is FrequencyClass.DIVIDE
         )
         assert (
-            cppc2.worst_frequency_class([0, 1]) is FrequencyClass.HIGH
+            state_of(cppc2, [0, 1]).worst_active_frequency_class()
+            is FrequencyClass.HIGH
         )
-
-    def test_worst_class_empty_subset_is_mildest(self, cppc2):
-        assert cppc2.worst_frequency_class([]) is FrequencyClass.DIVIDE
 
     def test_xgene3_low_is_skip(self, cppc3):
         cppc3.request_all(375 * MHZ)
-        assert cppc3.worst_frequency_class() is FrequencyClass.SKIP
+        assert (
+            state_of(cppc3).worst_active_frequency_class()
+            is FrequencyClass.SKIP
+        )
 
     def test_class_of_single_pmd(self, cppc2):
         cppc2.request(2, ghz(1.2))
-        assert cppc2.frequency_class_of(2) is FrequencyClass.SKIP
+        assert (
+            state_of(cppc2, [2]).worst_active_frequency_class()
+            is FrequencyClass.SKIP
+        )
 
 
 class TestMaxFrequency:
     def test_max_over_all(self, cppc2):
         cppc2.request_all(ghz(1.2))
         cppc2.request(2, ghz(2.4))
-        assert cppc2.max_frequency() == ghz(2.4)
+        assert state_of(cppc2).max_active_frequency() == ghz(2.4)
 
     def test_max_over_subset(self, cppc2):
         cppc2.request_all(ghz(1.2))
         cppc2.request(2, ghz(2.4))
-        assert cppc2.max_frequency([0, 1]) == ghz(1.2)
+        assert state_of(cppc2, [0, 1]).max_active_frequency() == ghz(1.2)
 
     def test_max_of_empty_is_floor(self, cppc2, spec2):
-        assert cppc2.max_frequency([]) == spec2.fmin_hz
+        assert state_of(cppc2, []).max_active_frequency() == spec2.fmin_hz

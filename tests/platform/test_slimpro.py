@@ -38,10 +38,6 @@ class TestVoltageSetting:
     def test_max_defaults_to_nominal(self, regulator):
         assert regulator.max_mv == 980
 
-    def test_reset_to_nominal(self, regulator):
-        regulator.set_voltage(700)
-        assert regulator.reset_to_nominal() == 980
-
 
 class TestTransitions:
     def test_transitions_recorded(self, regulator):
@@ -55,18 +51,6 @@ class TestTransitions:
         regulator.set_voltage(900)
         regulator.set_voltage(900)
         assert regulator.transition_count() == 1
-
-    def test_listener_called(self, regulator):
-        seen = []
-        regulator.add_listener(lambda old, new: seen.append((old, new)))
-        regulator.set_voltage(875)
-        assert seen == [(980, 875)]
-
-    def test_listener_not_called_without_change(self, regulator):
-        seen = []
-        regulator.add_listener(lambda old, new: seen.append((old, new)))
-        regulator.set_voltage(980)
-        assert seen == []
 
 
 class TestValidation:

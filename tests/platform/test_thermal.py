@@ -49,11 +49,6 @@ class TestRcResponse:
         thermal3.step(40.0, 0.0)
         assert thermal3.temperature_c == before
 
-    def test_reset(self, thermal3):
-        thermal3.step(40.0, 100.0)
-        thermal3.reset()
-        assert thermal3.temperature_c == thermal3.ambient_c
-
     def test_validation(self, spec3, thermal3):
         with pytest.raises(ConfigurationError):
             thermal3.step(-1.0, 1.0)

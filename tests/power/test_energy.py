@@ -5,18 +5,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.power.energy import (
     EnergyMeter,
-    RunEnergy,
     ed2p,
-    edp,
     penalty_percent,
     savings_percent,
 )
 
 
 class TestMetrics:
-    def test_edp(self):
-        assert edp(100.0, 10.0) == 1000.0
-
     def test_ed2p(self):
         assert ed2p(100.0, 10.0) == 10000.0
 
@@ -47,7 +42,6 @@ class TestEnergyMeter:
         meter.accumulate(20.0, 5.0)
         assert meter.energy_j == 150.0
         assert meter.elapsed_s == 10.0
-        assert meter.average_power_w == 15.0
 
     def test_zero_interval_noop(self):
         meter = EnergyMeter()
@@ -64,9 +58,6 @@ class TestEnergyMeter:
         with pytest.raises(ConfigurationError):
             meter.accumulate(-1.0, 1.0)
 
-    def test_average_power_empty(self):
-        assert EnergyMeter().average_power_w == 0.0
-
     def test_samples_kept_on_request(self):
         meter = EnergyMeter(keep_samples=True)
         meter.accumulate(10.0, 1.0)
@@ -77,32 +68,3 @@ class TestEnergyMeter:
         meter = EnergyMeter()
         meter.accumulate(10.0, 1.0)
         assert meter.samples == []
-
-    def test_meter_ed2p(self):
-        meter = EnergyMeter()
-        meter.accumulate(10.0, 10.0)
-        assert meter.ed2p() == ed2p(100.0, 10.0)
-        assert meter.ed2p(delay_s=5.0) == ed2p(100.0, 5.0)
-
-
-class TestRunEnergy:
-    def test_derived_metrics(self):
-        run = RunEnergy(duration_s=10.0, energy_j=100.0)
-        assert run.average_power_w == 10.0
-        assert run.edp == 1000.0
-        assert run.ed2p == 10000.0
-
-    def test_normalization(self):
-        # Section II.B: N instances -> energy / N.
-        run = RunEnergy(duration_s=10.0, energy_j=100.0)
-        normalized = run.normalized(4)
-        assert normalized.energy_j == 25.0
-        assert normalized.duration_s == 10.0
-
-    def test_normalization_validates(self):
-        run = RunEnergy(duration_s=10.0, energy_j=100.0)
-        with pytest.raises(ConfigurationError):
-            run.normalized(0)
-
-    def test_zero_duration_power(self):
-        assert RunEnergy(0.0, 0.0).average_power_w == 0.0

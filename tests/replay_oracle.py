@@ -4,14 +4,15 @@
 :class:`~repro.sim.system.ReplayPlan` per running process at every full
 recompute, and its per-event loops walk the plans with flat arithmetic.
 :class:`LoopOracleSystem` keeps the loops those plans replaced, which
-advance every running process through its own methods on every event:
+advance every running process one call at a time on every event. The
+per-process steps are the helpers of this module, and nothing in
+``src/`` calls them:
 
-* fluid integration through :meth:`ProcessCounters.advance`,
-  ``Pmu.core(c).advance`` and :meth:`SimProcess.progress`, reading the
-  clocks from a fresh chip snapshot, and droops through
-  :meth:`DroopModel.events_for_interval` and :meth:`Pmu.record_droops`;
-* completion and phase rescheduling through
-  :meth:`SimProcess.next_phase_boundary`;
+* fluid integration through :func:`advance_process_counters`,
+  :func:`advance_core_counters` and :func:`progress`, reading the clocks
+  from a fresh chip snapshot, and droops through
+  :func:`events_for_interval` and :func:`record_droops`;
+* completion and phase rescheduling through :func:`next_phase_boundary`;
 * the behaviour-change scan over every running process.
 
 It also checks, at every refresh, the invariant the simulator's running
@@ -30,21 +31,26 @@ The tests replay one workload through both and compare every register;
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from hypothesis import strategies as st
 
 from repro.core.policy import VminPolicyTable
+from repro.errors import ConfigurationError, SimulationError
 from repro.platform.chip import Chip
-from repro.platform.specs import get_spec
+from repro.platform.pmu import CoreCounters, Pmu
+from repro.platform.specs import FrequencyClass, get_spec
 from repro.platform.thermal import ThermalModel
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.ed2p import Ed2pClockPlan, Ed2pPolicy, ed2p_clock_plan
 from repro.policies.governors import BaselinePolicy
 from repro.policies.safevmin import SafeVminPolicy
 from repro.policies.surfaces import Policy
+from repro.sim.process import ProcessCounters, SimProcess
 from repro.sim.system import REMAINING_EPS, ServerSystem, SimLane
+from repro.vmin.droop import DroopModel
 from repro.workloads.generator import JobSpec, Workload
+from repro.workloads.phases import phase_boundaries
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.suites import evaluation_pool
 
@@ -53,6 +59,72 @@ PHASED_PROGRAMS = [
     "stream-compute", "setup-then-crunch", "compute-then-writeback"
 ]
 POLICY_KEYS = ("baseline", "safe-vmin", "daemon")
+
+
+def advance_process_counters(
+    counters: ProcessCounters, cycles: float, l3_accesses: float
+) -> None:
+    """Accumulate one interval of a process's PMU activity."""
+    if cycles < 0 or l3_accesses < 0:
+        raise SimulationError("counter deltas must be non-negative")
+    counters.cycles += cycles
+    counters.l3_accesses += l3_accesses
+
+
+def advance_core_counters(
+    regs: CoreCounters,
+    cycles: float,
+    instructions: float,
+    l3_accesses: float,
+) -> None:
+    """Accumulate one interval of a core's registers."""
+    if min(cycles, instructions, l3_accesses) < 0:
+        raise ConfigurationError("PMU deltas must be non-negative")
+    regs.cycles += cycles
+    regs.instructions += instructions
+    regs.l3_accesses += l3_accesses
+
+
+def progress(process: SimProcess, fraction: float) -> None:
+    """Consume a fraction of a process's remaining work."""
+    if fraction < 0:
+        raise SimulationError("progress fraction must be non-negative")
+    process.remaining_fraction = max(
+        0.0, process.remaining_fraction - fraction
+    )
+
+
+def next_phase_boundary(process: SimProcess) -> Optional[float]:
+    """Next done-fraction where a process's behaviour changes, if any."""
+    for boundary in phase_boundaries(process.profile):
+        if boundary > process.done_fraction + 1e-9:
+            return boundary
+    return None
+
+
+def record_droops(pmu: Pmu, bin_mv: Tuple[int, int], count: float) -> None:
+    """Accumulate droop detections in one magnitude bin."""
+    if bin_mv not in pmu.droop_events:
+        raise ConfigurationError(f"unknown droop bin {bin_mv}")
+    if count < 0:
+        raise ConfigurationError("droop count must be non-negative")
+    pmu.droop_events[bin_mv] += count
+
+
+def events_for_interval(
+    model: DroopModel,
+    utilized_pmds: int,
+    cycles: float,
+    freq_class: FrequencyClass = FrequencyClass.HIGH,
+    activity: float = 1.0,
+) -> Dict[Tuple[int, int], float]:
+    """Expected droop detections over ``cycles`` cycles, per bin."""
+    if cycles < 0:
+        raise ConfigurationError("cycles must be non-negative")
+    rates = model.rates_per_mcycles(
+        utilized_pmds, freq_class, activity, jitter=False
+    )
+    return {bin_: rate * cycles / 1e6 for bin_, rate in rates.items()}
 
 
 class _NoExecCache(dict):
@@ -135,28 +207,30 @@ class LoopOracleSystem(ServerSystem):
             accesses = (
                 exec_state.l3_rate_per_mcycles * freq * dt / 1e6
             ) * process.nthreads
-            process.counters.advance(cycles, accesses)
+            advance_process_counters(process.counters, cycles, accesses)
             for core in process.cores:
                 core_freq = state.frequency_of_core(core)
-                pmu.core(core).advance(
+                advance_core_counters(
+                    pmu.core(core),
                     cycles=core_freq * dt,
                     instructions=core_freq * dt * exec_state.effective_activity,
                     l3_accesses=accesses / process.nthreads,
                 )
-            process.progress(dt / exec_state.duration_s)
+            progress(process, dt / exec_state.duration_s)
         pmds = state.active_pmds
         if pmds:
             activity = sum(
                 proc_states[p.pid].effective_activity for p in running
             ) / max(1, len(running))
-            events = self.droop_model.events_for_interval(
+            events = events_for_interval(
+                self.droop_model,
                 utilized_pmds=len(pmds),
                 cycles=state.max_active_frequency() * dt,
                 freq_class=state.worst_active_frequency_class(),
                 activity=max(0.05, activity),
             )
             for bin_mv, count in events.items():
-                pmu.record_droops(bin_mv, count)
+                record_droops(pmu, bin_mv, count)
         for lane in self.lanes:
             lane.meter.accumulate(lane.power_w, dt)
             if lane.thermal is not None:
@@ -195,7 +269,7 @@ class LoopOracleSystem(ServerSystem):
 
     def _reschedule_phase_of(self, process, duration_s: float) -> None:
         old = self._phase_events.get(process.pid)
-        boundary = process.next_phase_boundary()
+        boundary = next_phase_boundary(process)
         if boundary is None:
             if old is not None:
                 del self._phase_events[process.pid]

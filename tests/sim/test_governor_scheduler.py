@@ -1,8 +1,11 @@
-"""Tests for the governor policies and the default scheduler."""
+"""Tests for the governor policies.
+
+The default spread admission they run under is tested with the
+simulator (``tests/sim/test_system.py::TestAdmitCores``).
+"""
 
 import pytest
 
-from repro.allocation import utilized_pmds
 from repro.errors import ConfigurationError
 from repro.policies.actuation import apply_action
 from repro.policies.governors import (
@@ -11,7 +14,6 @@ from repro.policies.governors import (
     PowersavePolicy,
 )
 from repro.policies.surfaces import Observation, PolicyEvent
-from repro.sim.scheduler import ClusterScheduler, SpreadScheduler
 
 
 class _BareSystem:
@@ -49,7 +51,7 @@ class TestOndemandChipScope:
         policy = OndemandPolicy()
         chip2.occupy(5, "p")
         govern(chip2, policy)
-        chip2.release(5)
+        chip2.release_occupant("p")
         govern(chip2, policy)
         assert chip2.cppc.frequencies() == (spec2.fmin_hz,) * 4
 
@@ -81,35 +83,3 @@ class TestPinnedGovernors:
     def test_powersave(self, chip2, spec2):
         govern(chip2, PowersavePolicy())
         assert chip2.cppc.frequencies() == (spec2.fmin_hz,) * 4
-
-
-class TestSpreadScheduler:
-    def test_spreads_across_pmds(self, chip2, spec2):
-        cores = SpreadScheduler().select_cores(chip2, 4)
-        assert len(utilized_pmds(spec2, cores)) == 4
-
-    def test_respects_occupancy(self, chip2):
-        chip2.occupy(0, "p")
-        chip2.occupy(2, "p")
-        cores = SpreadScheduler().select_cores(chip2, 2)
-        assert set(cores).isdisjoint({0, 2})
-
-    def test_none_when_insufficient(self, chip2):
-        for core in range(7):
-            chip2.occupy(core, "p")
-        assert SpreadScheduler().select_cores(chip2, 2) is None
-
-    def test_exactly_fits(self, chip2):
-        cores = SpreadScheduler().select_cores(chip2, 8)
-        assert sorted(cores) == list(range(8))
-
-
-class TestClusterScheduler:
-    def test_packs_pmds(self, chip2, spec2):
-        cores = ClusterScheduler().select_cores(chip2, 4)
-        assert len(utilized_pmds(spec2, cores)) == 2
-
-    def test_none_when_insufficient(self, chip2):
-        for core in range(8):
-            chip2.occupy(core, "p")
-        assert ClusterScheduler().select_cores(chip2, 1) is None

@@ -1,10 +1,16 @@
-"""Tests for the process lifecycle model."""
+"""Tests for the process lifecycle model.
+
+Progress and counter accumulation run through replay plans; the
+per-interval steps they replace are the loop oracle's helpers, whose
+checks are pinned here.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.process import ProcessState, SimProcess, WorkloadClass
 from repro.workloads.suites import get_benchmark
+from tests.replay_oracle import advance_process_counters, progress
 
 
 @pytest.fixture
@@ -75,28 +81,28 @@ class TestMigration:
 
 class TestProgress:
     def test_progress_consumes_work(self, proc):
-        proc.progress(0.3)
+        progress(proc, 0.3)
         assert proc.remaining_fraction == pytest.approx(0.7)
 
     def test_progress_clamps_at_zero(self, proc):
-        proc.progress(1.5)
+        progress(proc, 1.5)
         assert proc.remaining_fraction == 0.0
 
     def test_negative_progress_rejected(self, proc):
         with pytest.raises(SimulationError):
-            proc.progress(-0.1)
+            progress(proc, -0.1)
 
 
 class TestCountersAndClass:
     def test_counters_accumulate(self, proc):
-        proc.counters.advance(1e6, 4e3)
-        proc.counters.advance(1e6, 2e3)
+        advance_process_counters(proc.counters, 1e6, 4e3)
+        advance_process_counters(proc.counters, 1e6, 2e3)
         assert proc.counters.cycles == 2e6
         assert proc.counters.l3_accesses == 6e3
 
     def test_counter_deltas_validated(self, proc):
         with pytest.raises(SimulationError):
-            proc.counters.advance(-1, 0)
+            advance_process_counters(proc.counters, -1, 0)
 
     def test_reference_class_memory(self, proc):
         assert proc.reference_class is WorkloadClass.MEMORY_INTENSIVE

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.allocation import utilized_pmds
 from repro.core.configurations import run_configuration
 from repro.errors import SimulationError
 from repro.perf.model import job_duration_s
@@ -265,6 +266,25 @@ class TestMigrationApi:
         assert after == before
 
 
+class _AdmissionRecorder(Policy):
+    """Takes no action; records where each process was started."""
+
+    def __init__(self):
+        self.placed = {}
+
+    def decide(self, obs):
+        if obs.event is PolicyEvent.STARTED:
+            self.placed[obs.process.pid] = tuple(obs.process.cores)
+        return None
+
+
+def admitted_cores(jobs):
+    """pid -> cores each job started on under the default admission."""
+    policy = _AdmissionRecorder()
+    run_system(jobs, policy=policy)
+    return policy.placed
+
+
 class TestAdmitCores:
     def test_admit_cores_honoured(self):
         class Pinner(Policy):
@@ -282,6 +302,30 @@ class TestAdmitCores:
         result, _ = run_system([("namd", 1, 0.0)], policy=policy)
         assert policy.placed_on == (5,)
         assert result.processes[0].finish_s is not None
+
+    # With no cores from the policy, the system spreads the threads
+    # across PMDs (the Linux CFS default), or queues the process.
+
+    def test_spreads_across_pmds(self, spec2):
+        placed = admitted_cores([("CG", 4, 0.0)])
+        assert len(utilized_pmds(spec2, placed[0])) == 4
+
+    def test_respects_occupancy(self):
+        placed = admitted_cores([("namd", 2, 0.0), ("EP", 2, 0.0)])
+        assert set(placed[1]).isdisjoint(placed[0])
+
+    def test_queued_when_insufficient(self):
+        result, _ = run_system(
+            [("namd", 1, 0.0)] * 7 + [("EP", 2, 0.0)], policy=Policy()
+        )
+        waiting = result.processes[-1]
+        first_free = min(p.finish_s for p in result.processes[:-1])
+        assert waiting.start_s == first_free
+        assert waiting.finish_s is not None
+
+    def test_exactly_fits(self):
+        placed = admitted_cores([("CG", 8, 0.0)])
+        assert sorted(placed[0]) == list(range(8))
 
 
 class TestTicks:

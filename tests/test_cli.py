@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import SimulationError
-from repro.experiments import fig3_vmin_characterization
+from repro.experiments import fig3_vmin_characterization, tables34
 from repro.experiments.registry import REGISTRY, experiment_names
 from repro.platform.specs import xgene2_spec, xgene3_spec
 from repro.vmin.cache import reset_default_cache
@@ -190,3 +191,42 @@ class TestErrorExits:
         )
         assert failed is not None
         assert failed.group(1) in experiment_names()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+    @pytest.mark.parametrize(
+        "command, prog",
+        [(["table3"], "repro"), (["policy", "compare"], "repro policy compare")],
+        ids=["table3", "policy-compare"],
+    )
+    def test_duration_must_be_finite_and_positive(
+        self, capsys, command, prog, value
+    ):
+        # nan used to die in the generator with a traceback and inf to
+        # draw phases forever; both are refused before anything runs.
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, f"--duration={value}"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert errors == [
+            f"{prog}: error: argument --duration: must be finite and "
+            f"positive, got '{value}'"
+        ]
+
+    def test_dead_pool_worker_is_named(self, monkeypatch, capsys):
+        # ``report`` runs table3 and table4 on the two workers first.
+        def die(**kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(tables34, "render_table3", die)
+        assert main(["report", "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failed = re.fullmatch(
+            r"repro: error: (table3|table4): .*terminated abruptly.*\n",
+            captured.err,
+        )
+        assert failed is not None

@@ -13,7 +13,7 @@ from repro.perf.model import (
     solo_slowdown,
 )
 from repro.platform.specs import xgene2_spec, xgene3_spec
-from repro.power.energy import EnergyMeter, ed2p, edp
+from repro.power.energy import EnergyMeter
 from repro.power.model import PowerModel
 from repro.platform.chip import ChipState
 from repro.sim.engine import EventQueue
@@ -258,10 +258,6 @@ class TestPowerProperties:
         assert math.isclose(
             meter.energy_j, expected, rel_tol=1e-9, abs_tol=1e-9
         )
-
-    @given(st.floats(0.1, 1e6), st.floats(0.1, 1e5))
-    def test_ed2p_edp_relation(self, energy, delay):
-        assert math.isclose(ed2p(energy, delay), edp(energy, delay) * delay)
 
 
 class TestEngineProperties:

@@ -24,8 +24,8 @@ class TestPfailCurve:
         assert model.pfail(900, 800, 0) == 0.0
 
     def test_one_at_crash_point(self, model):
-        region = model.unsafe_region(800, 0)
-        assert model.pfail(region.crash_voltage_mv, 800, 0) == 1.0
+        crash_mv = 800 - model.width_mv(0)
+        assert model.pfail(crash_mv, 800, 0) == 1.0
 
     def test_monotone_decreasing_in_voltage(self, model):
         values = [model.pfail(v, 800, 1) for v in range(810, 720, -5)]
@@ -57,8 +57,8 @@ class TestOutcomeMix:
         assert mix[OUTCOME_SDC] > mix[OUTCOME_CRASH]
 
     def test_crash_dominates_deep(self, model):
-        region = model.unsafe_region(800, 1)
-        mix = model.outcome_mix(region.crash_voltage_mv, 800, 1)
+        crash_mv = 800 - model.width_mv(1)
+        mix = model.outcome_mix(crash_mv, 800, 1)
         assert mix[OUTCOME_CRASH] > mix[OUTCOME_SDC]
 
     def test_all_outcomes_present(self, model):
@@ -78,10 +78,8 @@ class TestSampling:
         assert record.outcomes == {OUTCOME_PASS: 100}
 
     def test_always_fails_below_crash(self, campaign, model):
-        region = model.unsafe_region(800, 1)
-        record = campaign._run_level(
-            region.crash_voltage_mv - 5, 800, 1, 100
-        )
+        crash_mv = 800 - model.width_mv(1)
+        record = campaign._run_level(crash_mv - 5, 800, 1, 100)
         assert record.failures == 100
 
     def test_sampling_statistics_match_pfail(self, campaign, model):
@@ -90,23 +88,3 @@ class TestSampling:
         n = 4000
         record = campaign._run_level(voltage, vmin, klass, n)
         assert record.failures / n == pytest.approx(p, abs=0.03)
-
-
-class TestAllPassProbability:
-    def test_safe_level_certain(self, model):
-        assert model.probability_all_pass(800, 800, 1, 1000) == 1.0
-
-    def test_thousand_runs_catch_small_pfail(self, model):
-        # The 1000-run criterion: even tiny pfail makes a full pass
-        # unlikely -- why the paper's Vmin needs that many runs.
-        voltage = 799  # 1 mV below
-        p_all = model.probability_all_pass(voltage, 800, 1, 1000)
-        assert p_all < 0.95
-
-    def test_negative_runs_rejected(self, model):
-        with pytest.raises(ConfigurationError):
-            model.probability_all_pass(800, 800, 1, -1)
-
-    def test_region_width_property(self, model):
-        region = model.unsafe_region(800, 2)
-        assert region.width_mv == pytest.approx(model.width_mv(2))
