@@ -54,6 +54,7 @@ from typing import List, Optional
 from .errors import ConfigurationError, ExperimentError, ReproError
 from .experiments import orchestrator
 from .experiments.registry import experiment_names
+from .workloads.generator import MAX_DURATION_S
 
 
 def _positive_int(text: str) -> int:
@@ -64,15 +65,22 @@ def _positive_int(text: str) -> int:
 
 
 def positive_duration(text: str) -> float:
-    """A ``--duration``: finite and positive seconds.
+    """A ``--duration``: finite and positive seconds, at most
+    :data:`~repro.workloads.generator.MAX_DURATION_S`.
 
     ``nan`` and ``inf`` parse as floats, but no workload can be drawn
-    over them; refusing them here exits 2 before anything runs.
+    over them, and a huge finite value would size the generator's
+    occupancy array in terabytes; refusing them here exits 2 before
+    anything runs.
     """
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text!r}"
+        )
+    if value > MAX_DURATION_S:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_DURATION_S:.0f} s, got {text!r}"
         )
     return value
 

@@ -117,14 +117,28 @@ def run_evaluation(
     configs: Sequence[str] = CONFIG_NAMES,
     trace_period_s: Optional[float] = 1.0,
     workload: Optional[Workload] = None,
+    replayed: Optional[EvaluationResult] = None,
 ) -> EvaluationResult:
     """Generate one workload and replay it under several configurations.
 
     This regenerates the paper's Tables III (X-Gene 2) and IV (X-Gene 3):
     one random server workload per machine, executed under every
-    configuration with identical job arrivals.
+    configuration with identical job arrivals. ``replayed`` hands over
+    an evaluation made on the same chip with the same silicon seed and
+    trace period (Fig. 14's runs, for the tables): its workload and
+    replays are taken as they are, and only the configurations it
+    lacks are replayed.
     """
     spec = get_spec(platform)
+    done: Dict[str, SystemResult] = {}
+    if replayed is not None:
+        if replayed.platform != spec.name:
+            raise ConfigurationError(
+                f"replays of {replayed.platform} cannot evaluate "
+                f"{spec.name}"
+            )
+        workload = replayed.workload
+        done = replayed.results
     if workload is None:
         generator = ServerWorkloadGenerator(max_cores=spec.n_cores, seed=seed)
         workload = generator.generate(duration_s)
@@ -134,7 +148,9 @@ def run_evaluation(
         )
     policy = VminPolicyTable.from_characterization(spec)
     results = {
-        config: run_configuration(
+        config: done[config]
+        if config in done
+        else run_configuration(
             platform,
             workload,
             config,

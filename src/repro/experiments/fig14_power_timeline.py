@@ -12,21 +12,37 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..analysis.tables import format_table
-from ..core.configurations import run_evaluation
+from ..core.configurations import EvaluationResult, run_evaluation
 from ..sim.tracing import TimelineTrace
 from ..workloads.generator import Workload
 
 
 @dataclass
 class Fig14Result:
-    """Power traces of the Baseline and Optimal (or policy) runs."""
+    """The Baseline and Optimal (or policy) runs of one workload.
 
-    platform: str
-    workload: Workload
-    baseline_trace: TimelineTrace
-    optimal_trace: TimelineTrace
+    Fig. 15 formats the non-baseline run's trace, and Tables III and IV
+    take both runs on their chip instead of replaying them.
+    """
+
+    evaluation: EvaluationResult
     #: Configuration name / policy key of the non-baseline run.
     config: str = "optimal"
+
+    @property
+    def platform(self) -> str:
+        """Platform name of the runs."""
+        return self.evaluation.platform
+
+    @property
+    def baseline_trace(self) -> TimelineTrace:
+        """Power trace of the Baseline run."""
+        return self.evaluation.results["baseline"].trace
+
+    @property
+    def optimal_trace(self) -> TimelineTrace:
+        """Power trace of the Optimal (or policy) run."""
+        return self.evaluation.results[self.config].trace
 
     def average_power(self) -> Tuple[float, float]:
         """(baseline, optimal) average sampled power."""
@@ -94,13 +110,7 @@ def run(
         configs=("baseline", config),
         workload=workload,
     )
-    return Fig14Result(
-        platform=evaluation.platform,
-        workload=evaluation.workload,
-        baseline_trace=evaluation.results["baseline"].trace,
-        optimal_trace=evaluation.results[config].trace,
-        config=config,
-    )
+    return Fig14Result(evaluation=evaluation, config=config)
 
 
 def render(

@@ -2,21 +2,20 @@
 
 The per-second trace of the evaluation run: the 1-minute moving average
 of the system load, plus the number of running CPU-intensive and
-memory-intensive processes. Reproduction criteria: phases of high and
-low utilisation with occasional peaks at the machine's capacity, and a
-mix of both classes throughout.
+memory-intensive processes. The run is Fig. 14's Optimal run, which
+the orchestrator hands over (``depends``). Reproduction criteria:
+phases of high and low utilisation with occasional peaks at the
+machine's capacity, and a mix of both classes throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.tables import format_table
-from ..core.configurations import run_configuration
 from ..sim.tracing import TimelineTrace, moving_average
-from ..workloads.generator import ServerWorkloadGenerator, Workload
-from ..platform.specs import get_spec
+from .fig14_power_timeline import Fig14Result
 
 
 @dataclass
@@ -81,36 +80,19 @@ class Fig15Result:
         )
 
 
-def run(
-    platform: str = "xgene3",
-    duration_s: float = 3600.0,
-    seed: int = 0,
-    config: str = "optimal",
-    workload: Optional[Workload] = None,
-) -> Fig15Result:
-    """Replay one workload and keep its load trace."""
-    spec = get_spec(platform)
-    if workload is None:
-        generator = ServerWorkloadGenerator(
-            max_cores=spec.n_cores, seed=seed
-        )
-        workload = generator.generate(duration_s)
-    result = run_configuration(platform, workload, config)
-    return Fig15Result(
-        platform=spec.name,
-        max_cores=spec.n_cores,
-        trace=result.trace,
-    )
-
-
 def render(
-    platform: str, duration_s: float, seed: int, policy: str | None
+    platform: str,
+    duration_s: float,
+    seed: int,
+    policy: str | None,
+    fig14: Fig14Result,
 ) -> Fig15Result:
-    """The Fig. 15 load timeline.
+    """The Fig. 15 load timeline of Fig. 14's non-baseline run.
 
-    A ``policy`` key replays the run under that policy (default: the
-    Optimal run the paper traces).
+    That is the Optimal run the paper traces, or the ``policy`` run.
     """
-    return run(
-        platform, duration_s=duration_s, seed=seed, config=policy or "optimal"
+    return Fig15Result(
+        platform=fig14.platform,
+        max_cores=fig14.evaluation.workload.max_cores,
+        trace=fig14.optimal_trace,
     )

@@ -6,33 +6,41 @@ schedules the ~20 registered experiments over a process pool:
 
 * the **registry** (:mod:`repro.experiments.registry`) declares every
   experiment with its paper artefact, its inputs and a cost hint;
-* scheduling is **topological** — independent figures run concurrently,
-  and an experiment's inputs (``depends``) always run before it,
-  requested or not, and hand it their result objects, across the pool
-  too; each result is kept only until its last dependent has run;
+* scheduling is **topological** over nodes, one per (experiment,
+  platform) — independent figures run concurrently, and an
+  experiment's inputs (``depends``) always run before it, requested or
+  not, and hand it their result objects, across the pool too; a
+  request and an input with the same key run once, and each result is
+  kept only until its last dependent has run;
 * results are **merged deterministically**: the ``format()`` text of
   every requested experiment is assembled in the requested order
   regardless of completion order, so ``--jobs 4`` output is
   byte-identical to ``--jobs 1`` output; inputs that were not requested
-  run but are not printed;
+  run but are not printed, while the summary lists every node;
 * every worker shares the characterization cache
   (:mod:`repro.vmin.cache`): in-memory within a process, and through
   the on-disk store across processes when a ``cache_dir`` is given, so
   repeated safe-Vmin campaigns across figures are not re-simulated.
 
 A renderer's :class:`~repro.errors.ReproError` or ``OSError`` comes out
-as an :class:`~repro.errors.ExperimentError` naming the experiment.
+as an :class:`~repro.errors.ExperimentError` naming the node's label,
+and so does a pool worker that dies: each worker marks the node it
+starts, so the parent names the node whose worker died rather than
+one the broken pool failed with it.
 """
 
 from __future__ import annotations
 
 import importlib
+import multiprocessing
+import os
+import signal
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..analysis.tables import format_table
@@ -44,18 +52,15 @@ from ..vmin.cache import (
     ensure_default_cache,
     get_default_cache,
 )
-from .registry import (
-    ExperimentEntry,
-    experiment_names,
-    get_entry,
-    topological_order,
-)
+from .registry import Node, experiment_names, topological_order
 
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """Result of one orchestrated experiment execution."""
+    """Result of one orchestrated node execution."""
 
+    #: The node's label: the experiment name, with ``@platform`` for an
+    #: input that runs on another platform than a request of it would.
     name: str
     artefact: str
     output: str
@@ -73,17 +78,21 @@ class ExperimentOutcome:
 
 @dataclass
 class RunSummary:
-    """Outcome of one orchestrated batch, in deterministic merge order."""
+    """Outcome of one orchestrated batch, in deterministic order."""
 
     jobs: int
     elapsed_s: float
+    #: Every node that ran: the requested experiments in requested
+    #: order, then the inputs nobody requested in schedule order.
     outcomes: List[ExperimentOutcome] = field(default_factory=list)
+    #: The requested experiments, which :meth:`merged_output` prints.
+    requested: Tuple[str, ...] = ()
     #: Run-level telemetry snapshot (orchestrator counters and the run
     #: span), present only when ``collect_telemetry=True``.
     metrics: Optional[Snapshot] = None
 
     def outcome(self, name: str) -> ExperimentOutcome:
-        """Outcome of one experiment by name."""
+        """Outcome of one node by label."""
         for item in self.outcomes:
             if item.name == name:
                 return item
@@ -96,12 +105,13 @@ class RunSummary:
         header, the experiment text and a blank line, per experiment.
         """
         return "".join(
-            f"== {item.name} ==\n{item.output}\n\n" for item in self.outcomes
+            f"== {name} ==\n{self.outcome(name).output}\n\n"
+            for name in self.requested
         )
 
     @property
     def cache_totals(self) -> CacheStats:
-        """Characterization cache counters summed over all experiments."""
+        """Characterization cache counters summed over all nodes."""
         total = CacheStats()
         for item in self.outcomes:
             total.hits += item.cache.hits
@@ -113,7 +123,7 @@ class RunSummary:
         return total
 
     def format_table(self) -> str:
-        """Per-experiment timing and cache-hit summary table."""
+        """Per-node timing and cache-hit summary table."""
         rows = [
             (
                 item.name,
@@ -149,15 +159,15 @@ class RunSummary:
 
     @property
     def serial_time_s(self) -> float:
-        """Sum of per-experiment wall times (the sequential cost)."""
+        """Sum of per-node wall times (the sequential cost)."""
         return sum(item.elapsed_s for item in self.outcomes)
 
 
 @dataclass(frozen=True)
 class _Settings:
-    """The arguments every experiment of one batch receives."""
+    """The arguments every node of one batch receives besides its
+    platform."""
 
-    platform: Optional[str]
     duration_s: float
     seed: int
     policy: Optional[str]
@@ -166,14 +176,15 @@ class _Settings:
 
 
 def _render(
-    entry: ExperimentEntry, settings: _Settings, inputs: Dict[str, object]
+    node: Node, settings: _Settings, inputs: Dict[str, object]
 ) -> Tuple[object, str]:
-    """The entry's result and its formatted text, errors named."""
+    """The node's result and its formatted text, errors named."""
+    entry = node.entry
     module = importlib.import_module(entry.module_path)
     renderer = getattr(module, entry.render_name)
     try:
         result = renderer(
-            platform=settings.platform or entry.default_platform,
+            platform=node.platform,
             duration_s=settings.duration_s,
             seed=settings.seed,
             policy=settings.policy,
@@ -181,39 +192,38 @@ def _render(
         )
         return result, result.format()
     except (ReproError, OSError) as exc:
-        raise ExperimentError(entry.name, exc) from exc
+        raise ExperimentError(node.label, exc) from exc
 
 
 def _execute(
-    name: str, settings: _Settings, inputs: Dict[str, object], keep: bool
+    node: Node, settings: _Settings, inputs: Dict[str, object], keep: bool
 ) -> Tuple[ExperimentOutcome, object]:
-    """Run one experiment in the current process (pool worker body).
+    """Run one node in the current process (pool worker body).
 
-    ``inputs`` are the results of the entry's ``depends``; the
-    experiment's own result comes back only when ``keep`` says a later
-    experiment takes it as an input (a pool worker pickles it).
+    ``inputs`` are the results of the node's inputs, by experiment name;
+    the node's own result comes back only when ``keep`` says a later
+    node takes it as an input (a pool worker pickles it).
     """
     ensure_default_cache(settings.cache_dir)
-    entry = get_entry(name)
     cache = get_default_cache()
     before = cache.stats.snapshot()
     metrics: Optional[Snapshot] = None
     started = time.perf_counter()
     if settings.collect_telemetry:
-        # Fresh registry per experiment, so the snapshot attributes
-        # every metric to exactly one experiment even when several run
-        # in the same worker process.
+        # Fresh registry per node, so the snapshot attributes every
+        # metric to exactly one node even when several run in the same
+        # worker process.
         with telemetry.session() as registry:
             with telemetry.span(metric_names.ORCH_EXPERIMENT_SPAN):
-                result, output = _render(entry, settings, inputs)
+                result, output = _render(node, settings, inputs)
             cache.publish_telemetry()
             metrics = registry.snapshot()
     else:
-        result, output = _render(entry, settings, inputs)
+        result, output = _render(node, settings, inputs)
     elapsed = time.perf_counter() - started
     outcome = ExperimentOutcome(
-        name=entry.name,
-        artefact=entry.artefact,
+        name=node.label,
+        artefact=node.entry.artefact,
         output=output,
         elapsed_s=elapsed,
         cache=cache.stats.delta(before),
@@ -235,26 +245,26 @@ def run_experiments(
     """Run a batch of experiments, optionally across worker processes.
 
     ``names`` defaults to the full registry in canonical order; their
-    inputs run too but are not part of the summary. The merge order of
-    :meth:`RunSummary.merged_output` always follows the requested order,
-    independent of scheduling. ``jobs=1`` runs everything in-process;
-    higher values fan independent experiments out over a process pool
-    while dependents wait for their inputs.
+    inputs run too and are listed in the summary after them. The merge
+    order of :meth:`RunSummary.merged_output` always follows the
+    requested order, independent of scheduling. ``jobs=1`` runs
+    everything in-process; higher values fan independent nodes out over
+    a process pool while dependents wait for their inputs.
 
-    With ``collect_telemetry=True`` every experiment carries a metric
+    With ``collect_telemetry=True`` every node carries a metric
     snapshot (:attr:`ExperimentOutcome.metrics`) and the summary carries
     the orchestrator-level snapshot (:attr:`RunSummary.metrics`) —
-    queue depth and busy-worker samples, the completed-experiment
-    counter and the run wall-time span.
+    queue depth and busy-worker samples, the completed-node counter and
+    the run wall-time span.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
-    requested = list(
+    requested = tuple(
         dict.fromkeys(names if names is not None else experiment_names())
     )
-    schedule = topological_order(requested)
+    schedule = topological_order(requested, platform)
     settings = _Settings(
-        platform, duration_s, seed, policy, cache_dir, collect_telemetry
+        duration_s, seed, policy, cache_dir, collect_telemetry
     )
     started = time.perf_counter()
     run_metrics: Optional[Snapshot] = None
@@ -265,78 +275,133 @@ def run_experiments(
             run_metrics = registry.snapshot()
     else:
         outcomes = _run_schedule(schedule, jobs, settings)
+    inputs = [node.label for node in schedule if node.label not in requested]
     return RunSummary(
         jobs=jobs,
         elapsed_s=time.perf_counter() - started,
-        outcomes=[outcomes[name] for name in requested],
+        outcomes=[outcomes[label] for label in (*requested, *inputs)],
+        requested=requested,
         metrics=run_metrics,
     )
 
 
+#: States a pool worker records for each node of the schedule.
+_STARTED, _FINISHED, _TERMINATED = 1, 2, 3
+
+#: Per-node states shared with the parent, and the node this worker is
+#: running (both set in pool workers only).
+_states: Any = None
+_running_index: Optional[int] = None
+
+
+def _worker_init(states: Any) -> None:
+    """Pool worker setup: keep the shared states, and mark the running
+    node terminated when the pool kills this worker after another died."""
+    global _states
+    _states = states
+    signal.signal(signal.SIGTERM, _on_terminate)
+
+
+def _on_terminate(signum: int, frame: object) -> None:
+    if _running_index is not None:
+        _states[_running_index] = _TERMINATED
+    os._exit(128 + signum)
+
+
+def _execute_in_worker(
+    index: int, *args: Any
+) -> Tuple[ExperimentOutcome, object]:
+    """:func:`_execute` with the node's start and finish recorded."""
+    global _running_index
+    _running_index = index
+    _states[index] = _STARTED
+    try:
+        return _execute(*args)
+    finally:
+        _states[index] = _FINISHED
+        _running_index = None
+
+
 def _run_schedule(
-    schedule: List[ExperimentEntry], jobs: int, settings: _Settings
+    schedule: List[Node], jobs: int, settings: _Settings
 ) -> Dict[str, ExperimentOutcome]:
-    """Run ``schedule`` serially or over the pool, handing every
-    experiment the results of its inputs."""
-    # Scheduled experiments still to take each result as an input.
-    readers = Counter(dep for entry in schedule for dep in entry.depends)
-    results: Dict[str, object] = {}
+    """Run ``schedule`` serially or over the pool, handing every node
+    the results of its inputs; outcomes by label."""
+    # Scheduled nodes still to take each result as an input.
+    readers = Counter(key for node in schedule for key in node.inputs)
+    results: Dict[Tuple[str, Optional[str]], object] = {}
     outcomes: Dict[str, ExperimentOutcome] = {}
 
-    def arguments(entry: ExperimentEntry) -> tuple:
-        inputs = {dep: results[dep] for dep in entry.depends}
-        return entry.name, settings, inputs, readers[entry.name] > 0
+    def arguments(node: Node) -> tuple:
+        inputs = {key[0]: results[key] for key in node.inputs}
+        return node, settings, inputs, readers[node.key] > 0
 
-    def finish(
-        entry: ExperimentEntry, outcome: ExperimentOutcome, result: object
-    ) -> None:
-        outcomes[entry.name] = outcome
-        if readers[entry.name]:
-            results[entry.name] = result
-        for dep in entry.depends:
-            readers[dep] -= 1
-            if not readers[dep]:
-                del results[dep]
+    def finish(node: Node, outcome: ExperimentOutcome, result: object) -> None:
+        outcomes[node.label] = outcome
+        if readers[node.key]:
+            results[node.key] = result
+        for key in node.inputs:
+            readers[key] -= 1
+            if not readers[key]:
+                del results[key]
         telemetry.inc(metric_names.ORCH_EXPERIMENTS_COMPLETED)
 
     if jobs == 1 or len(schedule) == 1:
-        for i, entry in enumerate(schedule):
+        for i, node in enumerate(schedule):
             telemetry.observe(
                 metric_names.ORCH_QUEUE_DEPTH, len(schedule) - i
             )
-            finish(entry, *_execute(*arguments(entry)))
+            finish(node, *_execute(*arguments(node)))
         return outcomes
-    position = {entry.name: i for i, entry in enumerate(schedule)}
-    waiting = {entry.name: set(entry.depends) for entry in schedule}
-    entry_of = {entry.name: entry for entry in schedule}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        running: Dict[Future, ExperimentEntry] = {}
-        while waiting or running:
-            # Launch every dependency-free experiment, costliest first,
-            # so long-running ones do not straggle at the end.
+    position = {node.key: i for i, node in enumerate(schedule)}
+    waiting = {node.key: set(node.inputs) for node in schedule}
+    node_of = {node.key: node for node in schedule}
+    states = multiprocessing.Array("b", len(schedule), lock=False)
+    running: Dict[Future, Node] = {}
+    broken: Optional[BrokenProcessPool] = None
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_worker_init, initargs=(states,)
+    ) as pool:
+        while (waiting or running) and broken is None:
+            # Launch every dependency-free node, costliest first, so
+            # long-running ones do not straggle at the end.
             ready = sorted(
-                (name for name, deps in waiting.items() if not deps),
-                key=lambda n: (-entry_of[n].cost, position[n]),
+                (key for key, deps in waiting.items() if not deps),
+                key=lambda k: (-node_of[k].entry.cost, position[k]),
             )
-            for name in ready:
-                del waiting[name]
-                future = pool.submit(_execute, *arguments(entry_of[name]))
-                running[future] = entry_of[name]
+            for key in ready:
+                del waiting[key]
+                future = pool.submit(
+                    _execute_in_worker,
+                    position[key],
+                    *arguments(node_of[key]),
+                )
+                running[future] = node_of[key]
             # Scheduler-health samples; completion-order dependent, so
             # they are histogram shapes, never part of any fingerprint
             # comparison between differently-scheduled runs.
             telemetry.observe(metric_names.ORCH_QUEUE_DEPTH, len(waiting))
             telemetry.observe(metric_names.ORCH_INFLIGHT, len(running))
             done, _ = wait(set(running), return_when=FIRST_COMPLETED)
-            for future in done:
-                entry = running.pop(future)
+            for future in sorted(done, key=lambda f: position[running[f].key]):
+                node = running.pop(future)
                 try:
                     outcome, result = future.result()
                 except BrokenProcessPool as exc:
-                    # A worker died: the pool fails every pending
-                    # future alike, so name the first one to surface.
-                    raise ExperimentError(entry.name, exc) from exc
-                finish(entry, outcome, result)
+                    broken = exc
+                    running[future] = node
+                    break
+                finish(node, outcome, result)
                 for deps in waiting.values():
-                    deps.discard(entry.name)
+                    deps.discard(node.key)
+    if broken is not None:
+        # The pool has shut down: every worker it killed has marked its
+        # node terminated, so a node still marked started is the one
+        # whose worker died on its own.
+        failed = sorted(
+            (node for future, node in running.items() if future.exception()),
+            key=lambda n: position[n.key],
+        )
+        died = [n for n in failed if states[position[n.key]] == _STARTED]
+        raise ExperimentError((died or failed)[0].label, broken) from broken
     return outcomes

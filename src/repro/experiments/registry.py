@@ -17,12 +17,18 @@ to the entry's ``default_platform`` when the run names none, and
 ``inputs`` holds one keyword per name in ``depends``: that experiment's
 result. Modules with several artefacts (``tables34``) use a distinct
 ``render_name`` per entry.
+
+:func:`topological_order` turns a request into :class:`Node` s, one per
+(experiment, platform): an input runs on the platform its dependent
+names for it (``input_platform``), else on the dependent's own, and a
+request and an input with the same key are one node, so a replay that
+several experiments take runs once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -44,6 +50,9 @@ class ExperimentEntry:
     #: run first, requested or not, and each result reaches the renderer
     #: as the keyword argument of its name.
     depends: Tuple[str, ...] = ()
+    #: Platform the inputs run on; ``None`` runs them on this
+    #: experiment's own platform.
+    input_platform: Optional[str] = None
     #: Relative cost hint in seconds; the scheduler launches costly
     #: experiments first to minimize the parallel makespan.
     cost: float = 0.1
@@ -162,7 +171,8 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="fig15",
         artefact="Fig. 15 — load and process classes",
         module="fig15_load_timeline",
-        cost=0.7,
+        depends=("fig14",),
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
@@ -172,7 +182,9 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        cost=0.7,
+        depends=("fig14",),
+        input_platform="xgene2",
+        cost=0.2,
         render_name="render_table3",
     ),
     ExperimentEntry(
@@ -182,7 +194,9 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        cost=1.1,
+        depends=("fig14",),
+        input_platform="xgene3",
+        cost=0.5,
         render_name="render_table4",
     ),
     ExperimentEntry(
@@ -226,41 +240,77 @@ def get_entry(
     )
 
 
+@dataclass(frozen=True)
+class Node:
+    """One experiment on one platform: what the orchestrator runs once."""
+
+    entry: ExperimentEntry
+    #: Platform the renderer receives (``None``: platform-independent).
+    platform: Optional[str]
+    #: Keys of the nodes whose results this one takes, in ``depends``
+    #: order.
+    inputs: Tuple[Tuple[str, Optional[str]], ...]
+    #: Name in summaries and errors: the experiment's, with
+    #: ``@platform`` appended when a request of it would run elsewhere.
+    label: str
+
+    @property
+    def key(self) -> Tuple[str, Optional[str]]:
+        """(experiment, platform): equal keys are one node."""
+        return (self.entry.name, self.platform)
+
+
 def topological_order(
     names: Sequence[str],
+    platform: Optional[str] = None,
     registry: Sequence[ExperimentEntry] = REGISTRY,
-) -> List[ExperimentEntry]:
-    """Entries for ``names`` and their inputs, in a deterministic
-    dependency-safe order.
+) -> List[Node]:
+    """Nodes for ``names`` on ``platform`` and their inputs, in a
+    deterministic dependency-safe order.
 
     Every ``depends`` entry is scheduled, requested or not (running
-    ``report`` alone runs ``table3`` and ``table4`` first); among ready
-    entries the canonical registry order breaks ties, so the result is
-    stable. ``registry`` defaults to the package registry and exists for
-    testing alternative catalogues.
+    ``report`` alone runs ``table3`` and ``table4`` first, and their
+    ``fig14`` inputs before them). ``platform`` is the run's override:
+    a requested experiment runs on it, else on its ``default_platform``.
+    Of the nodes whose inputs are done, the first in registry order,
+    then in order of discovery, comes next, so the result is stable.
+    ``registry`` defaults to the package registry and exists for testing
+    alternative catalogues.
     """
-    remaining: Dict[str, Set[str]] = {}
-    pending = list(names)
+    discovered: Dict[Tuple[str, Optional[str]], Node] = {}
+    pending = [(name, platform) for name in reversed(names)]
     while pending:
-        name = pending.pop()
-        if name not in remaining:
-            remaining[name] = set(get_entry(name, registry).depends)
-            pending.extend(remaining[name])
-    order: List[ExperimentEntry] = []
+        name, wanted = pending.pop()
+        entry = get_entry(name, registry)
+        on = wanted or entry.default_platform
+        if (name, on) in discovered:
+            continue
+        inputs_on = entry.input_platform or on
+        inputs = tuple(
+            (dep, inputs_on or get_entry(dep, registry).default_platform)
+            for dep in entry.depends
+        )
+        label = name if on == (platform or entry.default_platform) else (
+            f"{name}@{on}"
+        )
+        discovered[(name, on)] = Node(entry, on, inputs, label)
+        pending.extend((dep, inputs_on) for dep in reversed(entry.depends))
+    position = {entry.name: i for i, entry in enumerate(registry)}
+    rank = {
+        key: (position[key[0]], i) for i, key in enumerate(discovered)
+    }
+    remaining = {key: set(node.inputs) for key, node in discovered.items()}
+    order: List[Node] = []
     while remaining:
-        ready = [
-            entry
-            for entry in registry
-            if entry.name in remaining and not remaining[entry.name]
-        ]
+        ready = [key for key, deps in remaining.items() if not deps]
         if not ready:
-            cycle = ", ".join(sorted(remaining))
+            cycle = ", ".join(sorted(discovered[key].label for key in remaining))
             raise ConfigurationError(
                 f"dependency cycle among experiments: {cycle}"
             )
-        for entry in ready:
-            del remaining[entry.name]
-            for deps in remaining.values():
-                deps.discard(entry.name)
-            order.append(entry)
+        key = min(ready, key=rank.__getitem__)
+        del remaining[key]
+        for deps in remaining.values():
+            deps.discard(key)
+        order.append(discovered[key])
     return order

@@ -4,6 +4,9 @@ One generated 1-hour server workload per machine, replayed under
 Baseline, Safe-Vmin, Placement and Optimal. Reported per configuration:
 completion time, average power, energy, energy savings, ED2P and ED2P
 savings, as in the paper's Tables III (X-Gene 2) and IV (X-Gene 3).
+Each table takes Fig. 14's Baseline and Optimal (or policy) runs on its
+chip, which the orchestrator hands over (``depends``), and replays only
+the configurations Fig. 14 lacks.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ..core.configurations import (
     EvaluationResult,
     run_evaluation,
 )
-from ..workloads.generator import Workload
+from .fig14_power_timeline import Fig14Result
 
 #: Paper Table III / Table IV reference values, by platform registry key.
 PAPER_RESULTS: Dict[str, Dict[str, Dict[str, float]]] = {
@@ -108,13 +111,15 @@ def run(
     platform: str = "xgene2",
     duration_s: float = 3600.0,
     seed: int = 0,
-    workload: Optional[Workload] = None,
     policy: Optional[str] = None,
+    replayed: Optional[EvaluationResult] = None,
 ) -> TableResult:
     """Regenerate Table III (xgene2) or Table IV (xgene3).
 
     A ``policy`` registry key appends that policy as an extra
-    comparison row under the paper's four configurations.
+    comparison row under the paper's four configurations. ``replayed``
+    hands over earlier runs of the workload on this chip
+    (:func:`~repro.core.configurations.run_evaluation`).
     """
     configs = CONFIG_NAMES
     if policy is not None and policy not in CONFIG_NAMES:
@@ -124,21 +129,43 @@ def run(
             platform,
             duration_s=duration_s,
             seed=seed,
-            workload=workload,
             configs=configs,
+            replayed=replayed,
         )
     )
 
 
 def render_table3(
-    platform: str | None, duration_s: float, seed: int, policy: str | None
+    platform: str | None,
+    duration_s: float,
+    seed: int,
+    policy: str | None,
+    fig14: Fig14Result,
 ) -> TableResult:
-    """Table III (the paper fixes it to X-Gene 2)."""
-    return run("xgene2", duration_s=duration_s, seed=seed, policy=policy)
+    """Table III (the paper fixes it to X-Gene 2) over Fig. 14's
+    X-Gene 2 runs."""
+    return run(
+        "xgene2",
+        duration_s=duration_s,
+        seed=seed,
+        policy=policy,
+        replayed=fig14.evaluation,
+    )
 
 
 def render_table4(
-    platform: str | None, duration_s: float, seed: int, policy: str | None
+    platform: str | None,
+    duration_s: float,
+    seed: int,
+    policy: str | None,
+    fig14: Fig14Result,
 ) -> TableResult:
-    """Table IV (the paper fixes it to X-Gene 3)."""
-    return run("xgene3", duration_s=duration_s, seed=seed, policy=policy)
+    """Table IV (the paper fixes it to X-Gene 3) over Fig. 14's
+    X-Gene 3 runs."""
+    return run(
+        "xgene3",
+        duration_s=duration_s,
+        seed=seed,
+        policy=policy,
+        replayed=fig14.evaluation,
+    )

@@ -126,9 +126,11 @@ def build_manifest(
 
     ``summary`` is duck-typed (``jobs``, ``elapsed_s``, ``outcomes``
     with ``name``/``artefact``/``output``/``elapsed_s``/``cache`` and
-    optional ``metrics``, plus ``cache_totals``/``serial_time_s`` and an
-    optional run-level ``metrics`` snapshot) so this module stays free
-    of intra-package imports.
+    optional ``metrics``, plus ``requested``, ``cache_totals``/
+    ``serial_time_s`` and an optional run-level ``metrics`` snapshot) so
+    this module stays free of intra-package imports. ``experiments``
+    lists every node that ran, inputs included, so their counters add
+    up to the totals; ``config.experiments`` is what was requested.
     """
     experiments: List[Dict[str, Any]] = []
     per_experiment_metrics: List[Snapshot] = []
@@ -159,7 +161,7 @@ def build_manifest(
         "seed": int(seed),
         "jobs": int(summary.jobs),
         "disk_cache": cache_dir is not None,
-        "experiments": [outcome.name for outcome in summary.outcomes],
+        "experiments": list(summary.requested),
     }
     manifest: Dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -379,7 +381,7 @@ def summarize_manifest(manifest: Mapping[str, Any]) -> str:
     for entry in manifest.get("experiments", []):
         entry_cache = entry.get("cache", {})
         lines.append(
-            f"    {entry.get('name', '?'):<10} "
+            f"    {entry.get('name', '?'):<12} "
             f"{entry.get('elapsed_s', 0.0):7.2f}s  "
             f"cache {entry_cache.get('hits', 0)}/"
             f"{entry_cache.get('hits', 0) + entry_cache.get('misses', 0)}  "

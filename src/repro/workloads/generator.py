@@ -65,6 +65,13 @@ class LoadPhase:
     label: str
 
 
+#: Longest workload the generator draws, in seconds: one day, 24 times
+#: the paper's 1-hour evaluation. The occupancy array holds one entry
+#: per second, so a huge finite duration would otherwise ask for
+#: terabytes before the first job is placed.
+MAX_DURATION_S = 86_400.0
+
+
 #: Phase catalogue: (label, weight, min level, max level). The mix skews
 #: toward light/average periods with occasional peaks and a few idle
 #: stretches, resembling the paper's Fig. 15 load profile.
@@ -124,12 +131,18 @@ class ServerWorkloadGenerator:
         the same configuration return identical workloads. A draw with
         no job raises :class:`ConfigurationError`: no evaluation has a
         baseline to compare against on an idle machine. So does a
-        duration that is not finite and positive: ``nan`` and ``inf``
-        could size no occupancy array and end no phase loop.
+        duration that is not finite and positive (``nan`` and ``inf``
+        could size no occupancy array and end no phase loop) or that
+        exceeds :data:`MAX_DURATION_S`.
         """
         if not 0 < duration_s < math.inf:
             raise ConfigurationError(
                 f"duration must be finite and positive, got {duration_s!r}"
+            )
+        if duration_s > MAX_DURATION_S:
+            raise ConfigurationError(
+                f"duration must be at most {MAX_DURATION_S:.0f} s, "
+                f"got {duration_s!r}"
             )
         if rng is None:
             rng = self.rng_for()

@@ -117,6 +117,29 @@ class TestEvaluation:
             small_evaluation.row("turbo")
 
 
+class TestReplayedEvaluation:
+    """An evaluation takes earlier replays of its workload and replays
+    only the configurations they lack (Tables III/IV on Fig. 14)."""
+
+    def test_takes_replays_and_matches_a_fresh_evaluation(
+        self, small_evaluation
+    ):
+        earlier = run_evaluation(
+            "xgene2", duration_s=300.0, seed=11,
+            configs=("baseline", "optimal"),
+        )
+        table = run_evaluation("xgene2", replayed=earlier)
+        assert table.workload is earlier.workload
+        for config in ("baseline", "optimal"):
+            assert table.results[config] is earlier.results[config]
+        assert list(table.results) == list(CONFIG_NAMES)
+        assert table.rows() == small_evaluation.rows()
+
+    def test_replays_of_another_chip_rejected(self, small_evaluation):
+        with pytest.raises(ConfigurationError, match="cannot evaluate"):
+            run_evaluation("xgene3", replayed=small_evaluation)
+
+
 class TestRunConfiguration:
     def test_explicit_workload(self, spec2):
         workload = ServerWorkloadGenerator(max_cores=8, seed=3).generate(

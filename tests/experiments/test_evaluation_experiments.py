@@ -83,10 +83,15 @@ class TestTables34:
         assert ref["optimal"]["energy_savings_pct"] == 22.3
 
 
+@pytest.fixture(scope="module")
+def fig14_result():
+    return fig14.run("xgene3", duration_s=DURATION, seed=5)
+
+
 class TestFig14:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig14.run("xgene3", duration_s=DURATION, seed=5)
+    def result(self, fig14_result):
+        return fig14_result
 
     def test_optimal_average_below_baseline(self, result):
         base, opt = result.average_power()
@@ -108,8 +113,12 @@ class TestFig14:
 
 class TestFig15:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig15.run("xgene3", duration_s=DURATION, seed=5)
+    def result(self, fig14_result):
+        return fig15.render("xgene3", DURATION, 5, None, fig14=fig14_result)
+
+    def test_formats_fig14_optimal_run(self, result, fig14_result):
+        assert result.trace is fig14_result.optimal_trace
+        assert result.max_cores == 32
 
     def test_load_has_phases(self, result):
         loads = result.load_moving_average()

@@ -1,11 +1,16 @@
 """Tests for the experiment registry and the parallel orchestrator."""
 
+import functools
 import importlib
+import os
+import sys
+import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro import telemetry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import orchestrator
 from repro.experiments.registry import (
     REGISTRY,
@@ -94,19 +99,19 @@ class TestRegistry:
 
 class TestTopologicalOrder:
     def test_full_registry_keeps_dependencies_before_dependents(self):
-        order = [e.name for e in topological_order(experiment_names())]
-        position = {name: i for i, name in enumerate(order)}
-        for entry in REGISTRY:
-            for dep in entry.depends:
-                assert position[dep] < position[entry.name]
+        order = topological_order(experiment_names())
+        position = {node.key: i for i, node in enumerate(order)}
+        for node in order:
+            for key in node.inputs:
+                assert position[key] < position[node.key]
 
     def test_dependency_free_selection_keeps_registry_order(self):
-        order = [e.name for e in topological_order(["fig5", "table1"])]
+        order = [n.label for n in topological_order(["fig5", "table1"])]
         assert order == ["table1", "fig5"]
 
     def test_deps_outside_selection_are_scheduled(self):
-        order = [e.name for e in topological_order(["report"])]
-        assert order == ["table3", "table4", "report"]
+        order = [node.label for node in topological_order(["report"])]
+        assert order == ["fig14@xgene2", "fig14", "table3", "table4", "report"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -158,7 +163,9 @@ class TestInputs:
         summary = orchestrator.run_experiments(
             ["report"], duration_s=240.0, seed=5
         )
-        assert [o.name for o in summary.outcomes] == ["report"]
+        assert [o.name for o in summary.outcomes] == [
+            "report", "fig14@xgene2", "fig14", "table3", "table4"
+        ]
         assert summary.merged_output().count("== ") == 1
 
     def test_report_replays_nothing_of_its_own(self):
@@ -180,6 +187,137 @@ class TestInputs:
             names, jobs=2, duration_s=240.0, seed=5
         )
         assert parallel.merged_output() == sequential.merged_output()
+
+
+@dataclass
+class ToyResult:
+    """Result of a toy experiment: what it ran on and what it took."""
+
+    text: str
+
+    def format(self):
+        return self.text
+
+
+#: File each toy render appends its node to; set per test.
+TOY_LOG = None
+
+
+def _toy_log(line):
+    with open(TOY_LOG, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+
+
+def render_toy(platform, duration_s, seed, policy, **inputs):
+    _toy_log(f"toy@{platform}")
+    taken = ", ".join(f"{k}={v.text}" for k, v in sorted(inputs.items()))
+    return ToyResult(f"on {platform} [{taken}]")
+
+
+def render_slow(platform, duration_s, seed, policy):
+    _toy_log("slow started")
+    time.sleep(30)
+    return ToyResult("slow")
+
+
+def render_dies(platform, duration_s, seed, policy):
+    # Die only once the other worker is inside its node, so the broken
+    # pool fails a node that did not die with this one.
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        with open(TOY_LOG, encoding="utf-8") as handle:
+            if "slow started" in handle.read():
+                break
+        time.sleep(0.01)
+    os._exit(3)
+
+
+def _toy(name, **fields):
+    return ExperimentEntry(
+        name=name, artefact=name, module="toy", render_name="render_toy",
+        **fields,
+    )
+
+
+#: ``base`` on p1 is requested and ``user``'s input; ``other`` takes
+#: ``base`` on p2.
+TOY_REGISTRY = (
+    _toy("base", default_platform="p1"),
+    _toy("user", depends=("base",), default_platform="p1"),
+    _toy("other", depends=("base",), input_platform="p2"),
+    ExperimentEntry(
+        name="slow", artefact="slow", module="toy", render_name="render_slow"
+    ),
+    ExperimentEntry(
+        name="dies", artefact="dies", module="toy", render_name="render_dies"
+    ),
+)
+
+
+@pytest.fixture
+def toy_registry(monkeypatch, tmp_path):
+    """Run the orchestrator over :data:`TOY_REGISTRY`; returns the
+    render log's path. Pool workers fork after the patches."""
+    log = tmp_path / "renders.log"
+    log.write_text("")
+    monkeypatch.setattr(sys.modules[__name__], "TOY_LOG", str(log))
+    monkeypatch.setitem(
+        sys.modules, "repro.experiments.toy", sys.modules[__name__]
+    )
+    monkeypatch.setattr(
+        orchestrator,
+        "topological_order",
+        functools.partial(topological_order, registry=TOY_REGISTRY),
+    )
+    return log
+
+
+class TestNodes:
+    """A node is (experiment, platform), and each runs once per run."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_request_and_input_with_one_key_run_once(
+        self, toy_registry, jobs
+    ):
+        summary = orchestrator.run_experiments(
+            ["base", "user", "other"], jobs=jobs
+        )
+        # base and user on p1, other on no platform, base again on p2.
+        renders = toy_registry.read_text().splitlines()
+        assert sorted(renders) == [
+            "toy@None", "toy@p1", "toy@p1", "toy@p2"
+        ]
+        assert [o.name for o in summary.outcomes] == [
+            "base", "user", "other", "base@p2"
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_input_on_another_platform_is_listed_not_printed(
+        self, toy_registry, jobs
+    ):
+        summary = orchestrator.run_experiments(["other"], jobs=jobs)
+        assert [o.name for o in summary.outcomes] == ["other", "base@p2"]
+        assert summary.outcome("base@p2").output == "on p2 []"
+        assert summary.merged_output() == (
+            "== other ==\non None [base=on p2 []]\n\n"
+        )
+
+    def test_results_cross_the_pool(self, toy_registry):
+        names = ["user", "other", "base"]
+        serial = orchestrator.run_experiments(names, jobs=1)
+        pooled = orchestrator.run_experiments(names, jobs=2)
+        assert pooled.merged_output() == serial.merged_output()
+        assert pooled.outcome("user").output == "on p1 [base=on p1 []]"
+
+    def test_dead_worker_named_not_the_node_killed_with_it(
+        self, toy_registry
+    ):
+        # ``slow`` comes first in the schedule and is running when
+        # ``dies`` takes its worker down; the pool then kills ``slow``.
+        with pytest.raises(ExperimentError) as failure:
+            orchestrator.run_experiments(["slow", "dies"], jobs=2)
+        assert failure.value.experiment == "dies"
+        assert "slow started" in toy_registry.read_text()
 
 
 class TestRunExperiments:
@@ -264,9 +402,10 @@ class TestRunExperiments:
 class TestWorkerEntryPoint:
     def test_execute_populates_shared_disk_cache(self, tmp_path):
         settings = orchestrator._Settings(
-            None, 600.0, 0, None, str(tmp_path), False
+            600.0, 0, None, str(tmp_path), False
         )
-        outcome, result = orchestrator._execute("fig3", settings, {}, False)
+        (node,) = topological_order(["fig3"])
+        outcome, result = orchestrator._execute(node, settings, {}, False)
         assert result is None
         assert outcome.name == "fig3"
         assert outcome.output

@@ -4,14 +4,16 @@ Random small workloads replayed under the Baseline and the daemon must
 satisfy conservation and safety invariants regardless of composition.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.core.policy import VminPolicyTable
+from repro.perf.contention import L2_SHARING_PENALTY
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec
 from repro.policies.governors import BaselinePolicy
+from repro.policies.registry import resolve_policy
 from repro.sim.system import ServerSystem
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.suites import evaluation_pool
@@ -39,6 +41,27 @@ def workloads(draw):
     return Workload(
         jobs=tuple(jobs), duration_s=300.0, max_cores=8, seed=0
     )
+
+
+#: Three arrivals at t=0 on which the daemon's placement finishes 3.4 %
+#: sooner than the spread baseline (148.82 s against 154.10 s): bzip2
+#: stops sharing a PMD's L2 with CG, at nominal voltage and undervolted
+#: alike.
+PLACEMENT_WINS = Workload(
+    jobs=(
+        JobSpec(0, "CG", 2, 0.0),
+        JobSpec(1, "bzip2", 1, 0.0),
+        JobSpec(2, "CG", 4, 0.0),
+    ),
+    duration_s=300.0,
+    max_cores=8,
+    seed=0,
+)
+
+
+def _makespan(workload, key):
+    policy = resolve_policy(key, SPEC2, table=POLICY2)
+    return ServerSystem(Chip(SPEC2), workload, policy).run().makespan_s
 
 
 class TestSystemInvariants:
@@ -79,22 +102,29 @@ class TestSystemInvariants:
             )
 
     @given(workloads())
+    @example(PLACEMENT_WINS)
     @settings(max_examples=15, deadline=None)
-    def test_daemon_never_faster_than_baseline(self, workload):
-        base = ServerSystem(
-            Chip(SPEC2), workload, BaselinePolicy()
-        ).run()
-        opt = ServerSystem(
-            Chip(SPEC2),
-            workload,
-            OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
-        ).run()
-        # The daemon trades a bounded amount of time for energy: never
-        # meaningfully faster than the max-frequency baseline, never
-        # pathologically slower. The lower band is a few percent, not
-        # float noise: spread placement can genuinely relieve memory
-        # contention on some random workloads (e.g. four simultaneous
-        # arrivals mixing CG with bzip2/perlbench finish ~1.9% sooner
-        # once the CG threads stop sharing a PMD with a neighbour).
-        assert opt.makespan_s >= base.makespan_s * 0.97
-        assert opt.makespan_s <= base.makespan_s * 2.5
+    def test_undervolting_never_moves_the_makespan(self, workload):
+        # The rail sets power, never progress: against the same
+        # placement and clocks, the trimmed rail finishes at the same
+        # instant, to the bit.
+        assert _makespan(workload, "daemon") == _makespan(
+            workload, "daemon-placement"
+        )
+        assert _makespan(workload, "safe-vmin") == _makespan(
+            workload, "baseline-ondemand"
+        )
+
+    @given(workloads())
+    @example(PLACEMENT_WINS)
+    @settings(max_examples=15, deadline=None)
+    def test_placement_win_bounded_by_l2_sharing(self, workload):
+        base = _makespan(workload, "baseline-ondemand")
+        # Placement can only take a PMD's L2 sharing off a thread's
+        # memory time, which sharing inflates by at most
+        # 1 + L2_SHARING_PENALTY.
+        placed = _makespan(workload, "daemon-placement")
+        assert placed >= base / (1.0 + L2_SHARING_PENALTY)
+        # The daemon trades a bounded amount of time for energy, never
+        # a pathological one.
+        assert _makespan(workload, "daemon") <= base * 2.5

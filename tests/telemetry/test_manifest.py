@@ -62,6 +62,25 @@ class TestBuildAndSchema:
         assert summary.metrics["counters"][completed] == len(SUBSET)
         assert manifest["metrics"]["counters"][completed] == len(SUBSET)
 
+    def test_inputs_are_listed_and_counted(self):
+        # table3 takes fig14's xgene2 runs: an input listed after it,
+        # whose replays the run's totals include.
+        summary = orchestrator.run_experiments(
+            names=["table3"], jobs=1, collect_telemetry=True,
+            duration_s=240.0, seed=5,
+        )
+        built = telemetry.build_manifest(
+            summary, platform=None, duration_s=240.0, seed=5
+        )
+        assert list(iter_experiment_names(built)) == ["table3", "fig14@xgene2"]
+        assert built["config"]["experiments"] == ["table3"]
+        runs = [
+            entry["metrics"]["counters"][metric_names.SIM_RUNS]
+            for entry in built["experiments"]
+        ]
+        assert runs == [2, 2]
+        assert built["metrics"]["counters"][metric_names.SIM_RUNS] == 4
+
     def test_missing_key_is_a_schema_error(self, manifest):
         broken = copy.deepcopy(manifest)
         del broken["totals"]["cache"]

@@ -12,6 +12,20 @@ from repro.experiments.registry import REGISTRY, experiment_names
 from repro.platform.specs import xgene2_spec, xgene3_spec
 from repro.vmin.cache import reset_default_cache
 
+#: ``--duration`` values the CLI refuses, with the reason it gives.
+#: Above one day the generator's per-second occupancy array alone would
+#: outgrow any host (1e12 s asks for about 8 TB).
+BAD_DURATIONS = {
+    "nan": "must be finite and positive",
+    "inf": "must be finite and positive",
+    "-inf": "must be finite and positive",
+    "0": "must be finite and positive",
+    "-5": "must be finite and positive",
+    "86401": "must be at most 86400 s",
+    "1e12": "must be at most 86400 s",
+    "1e308": "must be at most 86400 s",
+}
+
 
 class TestParser:
     def test_all_commands_parse(self):
@@ -162,21 +176,23 @@ class TestErrorExits:
         assert captured.err == f"repro: error: fig3: {exc}\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, failed",
         [
-            ["table3", "--duration", "60"],
-            ["fig14", "--platform", "xgene2", "--duration", "60"],
-            ["fig15", "--platform", "xgene2", "--duration", "60"],
+            (["table3", "--duration", "60"], "fig14@xgene2"),
+            (["fig14", "--platform", "xgene2", "--duration", "60"], "fig14"),
+            (["fig15", "--platform", "xgene2", "--duration", "60"], "fig14"),
         ],
-        ids=lambda argv: argv[0],
+        ids=["table3", "fig14", "fig15"],
     )
-    def test_empty_workload_is_a_config_error(self, capsys, argv):
-        # xgene2's generator draws no job in 60 s at seed 0.
+    def test_empty_workload_is_a_config_error(self, capsys, argv, failed):
+        # xgene2's generator draws no job in 60 s at seed 0. Table III
+        # and Fig. 15 take Fig. 14's xgene2 runs, so the error names
+        # that input, the node that drew the workload.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"repro: error: {argv[0]}: no job arrives in 60 s on 8 cores "
+            f"repro: error: {failed}: no job arrives in 60 s on 8 cores "
             "at seed 0; use a longer duration\n"
         )
 
@@ -192,7 +208,7 @@ class TestErrorExits:
         assert failed is not None
         assert failed.group(1) in experiment_names()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+    @pytest.mark.parametrize("value", list(BAD_DURATIONS))
     @pytest.mark.parametrize(
         "command, prog",
         [(["table3"], "repro"), (["policy", "compare"], "repro policy compare")],
@@ -201,8 +217,9 @@ class TestErrorExits:
     def test_duration_must_be_finite_and_positive(
         self, capsys, command, prog, value
     ):
-        # nan used to die in the generator with a traceback and inf to
-        # draw phases forever; both are refused before anything runs.
+        # nan used to die in the generator with a traceback, inf to
+        # draw phases forever and 1e12 to ask for terabytes; all are
+        # refused before anything runs.
         with pytest.raises(SystemExit) as exit_:
             main([*command, f"--duration={value}"])
         assert exit_.value.code == 2
@@ -212,8 +229,8 @@ class TestErrorExits:
             line for line in captured.err.splitlines() if "error:" in line
         ]
         assert errors == [
-            f"{prog}: error: argument --duration: must be finite and "
-            f"positive, got '{value}'"
+            f"{prog}: error: argument --duration: {BAD_DURATIONS[value]}, "
+            f"got '{value}'"
         ]
 
     def test_dead_pool_worker_is_named(self, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.generator import ServerWorkloadGenerator
+from repro.workloads.generator import MAX_DURATION_S, ServerWorkloadGenerator
 from repro.workloads.suites import evaluation_pool, get_benchmark
 
 
@@ -114,13 +114,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServerWorkloadGenerator(max_cores=8).generate(0)
 
-    # nan slipped past ``<= 0`` into the occupancy array's size, and
-    # inf kept the phase loop appending forever.
+    # nan slipped past ``<= 0`` into the occupancy array's size, inf
+    # kept the phase loop appending forever, and 1e12 would size the
+    # occupancy array at about 8 TB.
     @pytest.mark.parametrize(
-        "duration", [math.nan, math.inf, -math.inf, 0.0, -5.0]
+        "duration, reason",
+        [
+            pytest.param(value, "finite and positive", id=str(value))
+            for value in (math.nan, math.inf, -math.inf, 0.0, -5.0)
+        ]
+        + [
+            pytest.param(value, "at most 86400 s", id=str(value))
+            for value in (MAX_DURATION_S + 1.0, 1e12, 1e308)
+        ],
     )
-    def test_duration_must_be_finite_and_positive(self, duration):
-        with pytest.raises(ConfigurationError, match="finite and positive"):
+    def test_duration_must_be_finite_and_positive(self, duration, reason):
+        with pytest.raises(ConfigurationError, match=reason):
             ServerWorkloadGenerator(max_cores=8).generate(duration)
 
     def test_empty_draw_rejected(self):
