@@ -130,7 +130,11 @@ def _direct_call_harness(system):
         obs.event = event
         obs.process = process
         action = system.policy.decide(obs)
-        if action is not None:
+        if event is PolicyEvent.ADMIT:
+            action = system._admission(process, action)
+            if action is not None:
+                apply_action(system, action, process)
+        elif action is not None:
             apply_action(system, action)
         return action
 

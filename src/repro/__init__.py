@@ -35,7 +35,6 @@ from .policies import (
     Observation,
     OnlineMonitoringDaemon,
     Policy,
-    PolicyStack,
     SafeVminPolicy,
     resolve_policy,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "PlacementEngine",
     "PlacementError",
     "Policy",
-    "PolicyStack",
     "PowerModel",
     "ReproError",
     "SafeVminPolicy",

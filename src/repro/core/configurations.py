@@ -41,7 +41,6 @@ def run_configuration(
     config: str,
     silicon_seed: int = 0,
     policy: Optional[VminPolicyTable] = None,
-    trace_period_s: Optional[float] = 1.0,
 ) -> SystemResult:
     """Replay one workload under one configuration on a fresh chip.
 
@@ -54,7 +53,6 @@ def run_configuration(
         chip,
         workload,
         policy=resolve_policy(config, spec, table=policy),
-        trace_period_s=trace_period_s,
     )
     return system.run()
 
@@ -113,10 +111,7 @@ def run_evaluation(
     platform: str,
     duration_s: float = 3600.0,
     seed: int = 0,
-    silicon_seed: int = 0,
     configs: Sequence[str] = CONFIG_NAMES,
-    trace_period_s: Optional[float] = 1.0,
-    workload: Optional[Workload] = None,
     replayed: Optional[EvaluationResult] = None,
 ) -> EvaluationResult:
     """Generate one workload and replay it under several configurations.
@@ -124,10 +119,9 @@ def run_evaluation(
     This regenerates the paper's Tables III (X-Gene 2) and IV (X-Gene 3):
     one random server workload per machine, executed under every
     configuration with identical job arrivals. ``replayed`` hands over
-    an evaluation made on the same chip with the same silicon seed and
-    trace period (Fig. 14's runs, for the tables): its workload and
-    replays are taken as they are, and only the configurations it
-    lacks are replayed.
+    an evaluation made on the same chip (Fig. 14's runs, for the
+    tables): its workload and replays are taken as they are, and only
+    the configurations it lacks are replayed.
     """
     spec = get_spec(platform)
     done: Dict[str, SystemResult] = {}
@@ -139,7 +133,7 @@ def run_evaluation(
             )
         workload = replayed.workload
         done = replayed.results
-    if workload is None:
+    else:
         generator = ServerWorkloadGenerator(max_cores=spec.n_cores, seed=seed)
         workload = generator.generate(duration_s)
     if "baseline" not in configs:
@@ -150,14 +144,7 @@ def run_evaluation(
     results = {
         config: done[config]
         if config in done
-        else run_configuration(
-            platform,
-            workload,
-            config,
-            silicon_seed=silicon_seed,
-            policy=policy,
-            trace_period_s=trace_period_s,
-        )
+        else run_configuration(platform, workload, config, policy=policy)
         for config in configs
     }
     return EvaluationResult(

@@ -9,12 +9,11 @@ below the Baseline trace through the busy phases, with the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.tables import format_table
 from ..core.configurations import EvaluationResult, run_evaluation
 from ..sim.tracing import TimelineTrace
-from ..workloads.generator import Workload
 
 
 @dataclass
@@ -95,7 +94,6 @@ def run(
     platform: str = "xgene3",
     duration_s: float = 3600.0,
     seed: int = 0,
-    workload: Optional[Workload] = None,
     config: str = "optimal",
 ) -> Fig14Result:
     """Replay one workload under Baseline and ``config``, keeping traces.
@@ -108,7 +106,6 @@ def run(
         duration_s=duration_s,
         seed=seed,
         configs=("baseline", config),
-        workload=workload,
     )
     return Fig14Result(evaluation=evaluation, config=config)
 

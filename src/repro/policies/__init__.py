@@ -3,19 +3,18 @@
 | Module | Contents |
 |---|---|
 | ``surfaces`` | :class:`Observation`, :class:`Action`, :class:`Policy`, :class:`PolicyEvent` |
-| ``actuation`` | :func:`apply_action` — the single SLIMpro/CPPC funnel |
+| ``actuation`` | :func:`apply_action` — the one funnel, with the safe-Vmin clamp |
 | ``governors`` | Baseline/ondemand/performance/powersave policies |
 | ``safevmin`` | the paper's Safe-Vmin configuration |
 | ``daemon`` | the online monitoring daemon (Placement/Optimal) |
-| ``powercap`` | RAPL-style DVFS capping, standalone and daemon-stacked |
+| ``powercap`` | RAPL-style DVFS capping, standalone and on the daemon |
 | ``ed2p`` | ED²P-argmin governor derived from the Fig. 12 sweep |
-| ``arbitration`` | :class:`PolicyStack` — priority merge + safe-Vmin clamp |
 | ``registry`` | stable keys -> policy bundles (``repro policy list``) |
 | ``cli`` | the ``repro policy`` subcommand family |
 
 A policy observes the simulated server (PMU/L3C snapshot, droop
 counters, occupancy, power, wall-clock tick) and requests an action
-(voltage set-point, per-PMD frequency, placement, power cap); the
+(voltage set-point, per-PMD frequency, placement); the
 simulator dispatches ``Observation -> Action`` with no policy-specific
 branches. See ``docs/POLICIES.md`` for the contracts and a
 walkthrough. Submodules are imported **lazily** (PEP 562), which both
@@ -29,7 +28,6 @@ from typing import Dict, Tuple
 
 _SUBMODULES: Tuple[str, ...] = (
     "actuation",
-    "arbitration",
     "cli",
     "daemon",
     "ed2p",
@@ -59,7 +57,6 @@ _EXPORTS: Dict[str, str] = {
     "Ed2pPolicy": "ed2p",
     "Ed2pClockPlan": "ed2p",
     "ed2p_clock_plan": "ed2p",
-    "PolicyStack": "arbitration",
     "CONFIG_POLICY_KEYS": "registry",
     "PolicyDescriptor": "registry",
     "policy_keys": "registry",

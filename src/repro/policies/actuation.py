@@ -1,7 +1,9 @@
 """The actuation layer: the one place an :class:`Action` touches silicon.
 
-Every voltage, frequency and placement request of every policy funnels
-through :func:`apply_action`, which actuates the fields of an
+Every voltage, frequency and placement request of every policy, and
+every admission of an arriving process, funnels through
+:func:`apply_action`. It first clamps the rail the action leaves behind
+to the measured safe Vmin, then actuates the fields of an
 :class:`~repro.policies.surfaces.Action` in the paper's fail-safe order
 (Fig. 13):
 
@@ -9,44 +11,78 @@ through :func:`apply_action`, which actuates the fields of an
    raise can never lower the voltage; equal or lower requests no-op);
 2. **migrations** — move threads, as one atomic multi-process migration
    (all old cores released before any new core is occupied);
-3. **frequencies** — per-PMD CPPC requests in the action's insertion
+3. **admission** — place the arriving process of an ``ADMIT`` event on
+   ``admit_cores``;
+4. **frequencies** — per-PMD CPPC requests in the action's insertion
    order (the CPPC model no-ops requests equal to the current clock, so
    a full per-PMD map costs exactly what a changed subset costs);
-4. **settle** — the final rail level, applied unconditionally (this is
+5. **settle** — the final rail level, applied unconditionally (this is
    the only step that may lower the voltage).
 
-This ordering is bit-for-bit the sequence the pre-refactor controllers
-performed, so policies composed from plans produce identical transition
-streams. reprolint rule RL010 bans direct SLIMpro/CPPC actuation and
-thread migration everywhere outside :mod:`repro.platform`; the
+**The clamp.** Before the raise, the funnel works out the state the
+action leaves: the PMDs in use after its migrations and admission, and
+the top clock among them after its set-points, snapped as CPPC snaps
+them. It looks that state up in the table the policy drives the rail
+from (:attr:`~repro.policies.surfaces.Policy.vmin_table`, else the
+chip's registered characterization). When the rail the action leaves —
+the settle level if set, else the higher of the current rail and the
+raise — sits below that level, the raise and any settle are lifted to
+it and the system counts one clamp (``policy.clamps``). A rail at or
+above nominal needs no lookup: table levels never exceed nominal. No
+policy can therefore drive the rail below its table, and no admission
+can add a PMD or a clock class the rail does not already cover.
+
+reprolint rule RL010 bans direct SLIMpro/CPPC actuation, thread
+migration and admission everywhere outside :mod:`repro.platform`; the
 suppressions below are the rule's single sanctioned escape hatch.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 from .surfaces import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.process import SimProcess
     from ..sim.system import ServerSystem
 
 
-def apply_action(system: "ServerSystem", action: Action) -> None:
-    """Actuate one policy action against the live system.
+def apply_action(
+    system: "ServerSystem",
+    action: Action,
+    arriving: Optional["SimProcess"] = None,
+) -> None:
+    """Clamp and actuate one policy action against the live system.
 
-    See the module docstring for the field ordering and semantics.
-    Invalid migrations (a target core held by a process that is not
-    moving, or claimed by two movers) raise
+    ``arriving`` is the process of an ``ADMIT`` event, placed on the
+    action's ``admit_cores``. See the module docstring for the clamp
+    and the field ordering. Invalid migrations (a target core held by a
+    process that is not moving, or claimed by two movers) raise
     :class:`~repro.errors.SimulationError` before any core moves.
     """
     chip = system.chip
     now = system.now
     raise_mv = action.raise_voltage_mv
+    settle_mv = action.voltage_mv
+    admit = action.admit_cores if arriving is not None else None
+    rail = settle_mv
+    if rail is None:
+        rail = chip.voltage_mv
+        if raise_mv is not None and raise_mv > rail:
+            rail = raise_mv
+    if rail < system.spec.nominal_voltage_mv:
+        required = _table_level(system, action, admit)
+        if rail < required:
+            system.clamps += 1
+            if raise_mv is None or raise_mv < required:
+                raise_mv = required
+            if settle_mv is not None:
+                settle_mv = required
     if raise_mv is not None and raise_mv > chip.voltage_mv:
         # Fail-safe protocol: the rail moves up before any
         # reconfiguration the level protects.
-        chip.set_voltage(raise_mv, now)  # reprolint: disable=RL010 -- the arbitration/actuation layer is the sanctioned funnel
+        chip.set_voltage(raise_mv, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     migrations = action.migrations
     if migrations:
         by_pid = {p.pid: p for p in system.running_processes()}
@@ -61,11 +97,42 @@ def apply_action(system: "ServerSystem", action: Action) -> None:
             if tuple(process.cores) != target:
                 moves[process] = target
         if moves:
-            system.migrate_many(moves)  # reprolint: disable=RL010 -- the arbitration/actuation layer is the sanctioned funnel
+            system.migrate_many(moves)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
+    if admit is not None:
+        system.admit(arriving, tuple(admit))  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     freqs = action.pmd_freqs_hz
     if freqs:
         for pmd, freq in freqs.items():
-            chip.set_pmd_frequency(pmd, freq, now)  # reprolint: disable=RL010 -- the arbitration/actuation layer is the sanctioned funnel
-    settle_mv = action.voltage_mv
+            chip.set_pmd_frequency(pmd, freq, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     if settle_mv is not None:
-        chip.set_voltage(settle_mv, now)  # reprolint: disable=RL010 -- the arbitration/actuation layer is the sanctioned funnel
+        chip.set_voltage(settle_mv, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
+
+
+def _table_level(
+    system: "ServerSystem",
+    action: Action,
+    admit: Optional[Tuple[int, ...]],
+) -> int:
+    """The table's safe level for the state ``action`` leaves behind."""
+    spec = system.spec
+    migrations = action.migrations or {}
+    pmds: Set[int] = set()
+    for process in system.running_processes():
+        cores = migrations.get(process.pid)
+        for core in process.cores if cores is None else cores:
+            pmds.add(spec.pmd_of_core(core))
+    if admit:
+        for core in admit:
+            pmds.add(spec.pmd_of_core(core))
+    freqs = action.pmd_freqs_hz or {}
+    cppc = system.chip.cppc
+    top = spec.fmin_hz
+    for pmd in pmds:
+        freq = freqs.get(pmd)
+        if freq is None:
+            freq = cppc.frequency_of(pmd)
+        else:
+            freq = spec.nearest_frequency(freq)
+        if freq > top:
+            top = freq
+    return system.vmin_table().safe_voltage_mv(len(pmds), top)

@@ -50,9 +50,11 @@ class OnlineMonitoringDaemon(Policy):
         self.spec = spec
         self.control_voltage = control_voltage
         #: The measured safe-Vmin table driving the rail.
-        self.policy = policy or VminPolicyTable.from_characterization(spec)
+        self.vmin_table = policy or VminPolicyTable.from_characterization(
+            spec
+        )
         self.engine = engine or PlacementEngine(
-            spec, policy=self.policy, control_voltage=control_voltage
+            spec, policy=self.vmin_table, control_voltage=control_voltage
         )
         self.monitor = monitor or MonitoringDaemon(
             classifier=classifier, reader=reader

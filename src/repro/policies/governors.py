@@ -8,8 +8,8 @@ nominal voltage. These policies reproduce that behaviour on the
 
 * :class:`BaselinePolicy` — ondemand clocks + nominal rail (the paper's
   Baseline row; registry key ``baseline-ondemand``);
-* :class:`OndemandPolicy` — clocks only, rail untouched (building block
-  for stacks that control the voltage separately);
+* :class:`OndemandPolicy` — clocks only, rail untouched (the base
+  behaviour of policies that control the voltage separately);
 * :class:`PerformancePolicy` / :class:`PowersavePolicy` — clocks pinned
   to fmax / fmin.
 

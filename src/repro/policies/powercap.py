@@ -117,10 +117,7 @@ class PowerCapPolicy(Policy):
             pmd: min(freq, ceiling)
             for pmd, freq in ondemand_targets(obs, "chip").items()
         }
-        return Action(
-            pmd_freqs_hz=freqs,
-            power_cap_w=self.cap_w,
-        )
+        return Action(pmd_freqs_hz=freqs)
 
     def _clamp_action(self, obs: Observation) -> Action:
         """Clamp only the PMDs currently clocked above the ceiling."""
@@ -130,7 +127,7 @@ class PowerCapPolicy(Policy):
             for pmd in range(self.spec.n_pmds)
             if obs.pmd_frequency_hz(pmd) > ceiling
         }
-        return Action(pmd_freqs_hz=freqs, power_cap_w=self.cap_w)
+        return Action(pmd_freqs_hz=freqs)
 
 
 class CappedDaemonPolicy(OnlineMonitoringDaemon):
@@ -198,14 +195,12 @@ class CappedDaemonPolicy(OnlineMonitoringDaemon):
         # rebuild the engine around it and retune clocks and rail.
         self._rebuild_engine()
         plan = self.engine.retune(obs.running_processes())
-        capped = self.engine.action_for(plan, obs.chip_state())
-        capped.power_cap_w = self.cap_w
-        return capped
+        return self.engine.action_for(plan, obs.chip_state())
 
     def _rebuild_engine(self) -> None:
         self.engine = PlacementEngine(
             self.spec,
-            policy=self.policy,
+            policy=self.vmin_table,
             control_voltage=self.control_voltage,
             cpu_freq_hz=self.ceiling_hz,
             mem_freq_hz=min(self.engine.mem_freq_hz, self.ceiling_hz),

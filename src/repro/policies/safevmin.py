@@ -30,7 +30,9 @@ class SafeVminPolicy(Policy):
     ):
         self.spec = spec
         #: The measured Table II-style safe-Vmin table.
-        self.policy = policy or VminPolicyTable.from_characterization(spec)
+        self.vmin_table = policy or VminPolicyTable.from_characterization(
+            spec
+        )
         self.scope = _check_scope(scope)
 
     def decide(self, obs: Observation) -> Optional[Action]:
@@ -44,7 +46,7 @@ class SafeVminPolicy(Policy):
                 self.spec.n_pmds,
                 len(state.active_pmds) + obs.process.nthreads,
             )
-            required = self.policy.safe_voltage_mv(
+            required = self.vmin_table.safe_voltage_mv(
                 worst_pmds, self.spec.fmax_hz
             )
             return Action(raise_voltage_mv=required)
@@ -58,5 +60,7 @@ class SafeVminPolicy(Policy):
             max_freq = max(freqs[pmd] for pmd in active)
         else:
             max_freq = self.spec.fmin_hz
-        settle = self.policy.safe_voltage_mv(max(1, len(active)), max_freq)
+        settle = self.vmin_table.safe_voltage_mv(
+            max(1, len(active)), max_freq
+        )
         return Action(pmd_freqs_hz=freqs, voltage_mv=settle)

@@ -14,11 +14,12 @@ typed surfaces:
   incremental engine stays allocation-free for policies that ignore an
   event).
 * :class:`Action` — everything a policy may request back: a fail-safe
-  voltage raise, thread migrations, per-PMD frequency set-points, a
-  settle voltage and (for capping policies) a chip power cap. ``None``
-  fields mean "no request"; the actuation layer
-  (:mod:`repro.policies.actuation`) applies the non-``None`` fields in
-  the paper's fail-safe order (raise -> reconfigure -> settle).
+  voltage raise, thread migrations, the cores of an arriving process,
+  per-PMD frequency set-points and a settle voltage. ``None`` fields
+  mean "no request"; the actuation layer
+  (:mod:`repro.policies.actuation`) clamps the rail to the safe-Vmin
+  table and applies the non-``None`` fields in the paper's fail-safe
+  order (raise -> reconfigure -> settle).
 
 :class:`Policy` replaces the old ``Controller`` ABC. A policy is a
 single function of the observation::
@@ -40,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.policy import VminPolicyTable
     from ..platform.chip import Chip, ChipState
     from ..platform.specs import ChipSpec
     from ..sim.process import SimProcess
@@ -190,10 +192,11 @@ class Action:
 
     The actuation layer applies the fields in the paper's fail-safe
     order (Fig. 13): first the conditional *raise* (the rail only ever
-    moves up before a reconfiguration), then *migrations*, then per-PMD
-    *frequencies*, then the *settle* voltage. See
-    :func:`repro.policies.actuation.apply_action` for the exact
-    semantics of each field.
+    moves up before a reconfiguration), then *migrations*, then the
+    *admission*, then per-PMD *frequencies*, then the *settle* voltage.
+    See :func:`repro.policies.actuation.apply_action` for the exact
+    semantics of each field and for the safe-Vmin clamp it applies
+    first.
     """
 
     #: Fail-safe pre-reconfiguration rail level, mV. Applied only when
@@ -209,22 +212,8 @@ class Action:
     voltage_mv: Optional[int] = None
     #: For ``ADMIT`` events only: the cores to place the arriving
     #: process on; ``None`` means the system's default spread
-    #: placement (:meth:`~repro.sim.system.ServerSystem._try_admit`).
+    #: placement (:meth:`~repro.sim.system.ServerSystem._admission`).
     admit_cores: Optional[Tuple[int, ...]] = None
-    #: Advisory chip power cap, W (consumed by capping policy stacks,
-    #: not actuated directly — the chip has no cap register).
-    power_cap_w: Optional[float] = None
-
-    def is_noop(self) -> bool:
-        """True when no field requests anything."""
-        return (
-            self.raise_voltage_mv is None
-            and not self.migrations
-            and not self.pmd_freqs_hz
-            and self.voltage_mv is None
-            and self.admit_cores is None
-            and self.power_cap_w is None
-        )
 
 
 class Policy:
@@ -242,6 +231,12 @@ class Policy:
 
     #: Monitor period in seconds; ``None`` disables ``TICK`` events.
     monitor_period_s: Optional[float] = None
+
+    #: The safe-Vmin table the policy drives the rail from, or ``None``.
+    #: :func:`~repro.policies.actuation.apply_action` clamps every
+    #: action against it; a policy that holds none is clamped against
+    #: the chip's registered characterization.
+    vmin_table: Optional["VminPolicyTable"] = None
 
     #: Whether :meth:`decide` reads lane state (:attr:`Observation.energy_j`).
     #: Lanes of one system may differ only in what no policy reads, so a
@@ -264,7 +259,7 @@ class Policy:
         """
 
     def decision_counters(self) -> Dict[str, int]:
-        """Decision counters for telemetry (see the arbitration layer)."""
+        """Decision counters for ``repro policy compare`` and tooling."""
         return {}
 
     def describe(self) -> str:

@@ -8,11 +8,12 @@ contains no policy logic: at each control event it builds an
 :class:`~repro.policies.surfaces.Observation`, asks the policy to
 ``decide``, and actuates the returned
 :class:`~repro.policies.surfaces.Action` through the one sanctioned
-funnel (:func:`repro.policies.actuation.apply_action`). The model is
-fluid: between events every running process advances
-at a rate set by its profile, its clock, its PMD sharing and the
-chip-wide memory contention; power is constant on each interval and
-integrates into energy.
+funnel (:func:`repro.policies.actuation.apply_action`), which also
+places every arriving process and clamps the rail to the safe-Vmin
+table. The model is fluid: between events every running process
+advances at a rate set by its profile, its clock, its PMD sharing and
+the chip-wide memory contention; power is constant on each interval
+and integrates into energy.
 
 The simulator also audits electrical safety: after every state change it
 compares the rail voltage against the ground-truth safe Vmin of the new
@@ -50,11 +51,12 @@ returns.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..allocation import Allocation, pick_free_cores
+from ..core.policy import VminPolicyTable
 from ..errors import ConfigurationError, SimulationError
 from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
@@ -224,6 +226,11 @@ class ServerSystem:
         self._policy_hooked = (
             type(self.policy).on_applied is not Policy.on_applied
         )
+        #: The table the actuation funnel clamps the rail against; see
+        #: :meth:`vmin_table`.
+        self._vmin_table: Optional[VminPolicyTable] = self.policy.vmin_table
+        #: Rail lifts the funnel's safe-Vmin clamp made (``policy.clamps``).
+        self.clamps = 0
         self.power_model = power_model or PowerModel(chip.spec)
         self.droop_model = droop_model or DroopModel(chip.spec)
         self.lanes: Tuple[SimLane, ...] = self._check_lanes(
@@ -383,6 +390,25 @@ class ServerSystem:
                 self.chip.occupy(core, process.pid)
             process.migrate(tuple(cores))
 
+    def admit(self, process: SimProcess, cores: Tuple[int, ...]) -> None:
+        """Start an arriving process on ``cores``."""
+        process.start(self.now, cores)
+        for core in cores:
+            self.chip.occupy(core, process.pid)
+        self._running_insert(process)
+
+    def vmin_table(self) -> VminPolicyTable:
+        """The safe-Vmin table the actuation funnel clamps against.
+
+        The policy's own (:attr:`Policy.vmin_table`), else the chip's
+        registered characterization, built on first use.
+        """
+        table = self._vmin_table
+        if table is None:
+            table = VminPolicyTable.from_characterization(self.spec)
+            self._vmin_table = table
+        return table
+
     def process_frequency_hz(self, process: SimProcess) -> int:
         """Slowest clock among the PMDs a running process occupies."""
         if not process.cores:
@@ -447,13 +473,19 @@ class ServerSystem:
         builds the observation, asks ``decide`` and funnels any returned
         action through :func:`~repro.policies.actuation.apply_action` —
         there are no policy-specific branches anywhere in the simulator.
-        One increment of ``_controller_calls`` per dispatch keeps the
-        ``sim.controller.callbacks`` counter's historical meaning.
+        An ``ADMIT`` action also places the arriving process
+        (:meth:`_admission`). One increment of ``_controller_calls`` per
+        dispatch keeps the ``sim.controller.callbacks`` counter's
+        historical meaning.
         """
         self._controller_calls += 1
         obs = Observation(self, event, process)
         action = self.policy.decide(obs)
-        if action is not None:
+        if event is PolicyEvent.ADMIT:
+            action = self._admission(process, action)
+            if action is not None:
+                apply_action(self, action, process)
+        elif action is not None:
             apply_action(self, action)
         if self._policy_hooked:
             # ``obs`` is live, so the hook sees the post-actuation state.
@@ -479,27 +511,34 @@ class ServerSystem:
             self.queue.append(process)
 
     def _try_admit(self, process: SimProcess) -> bool:
-        """Start ``process`` on the policy's cores, else spread it.
+        """Place ``process`` through the ``ADMIT`` dispatch, if it fits."""
+        self._dispatch_policy(PolicyEvent.ADMIT, process)
+        if not process.is_running:
+            return False
+        self._dispatch_policy(PolicyEvent.STARTED, process)
+        return True
+
+    def _admission(
+        self, process: SimProcess, action: Optional[Action]
+    ) -> Optional[Action]:
+        """The ``ADMIT`` action with the cores it places ``process`` on.
 
         With no cores from the policy, the default placement is the
         Linux CFS balancer's: threads spread across PMDs (Fig. 2's
-        *spreaded* allocation), queued while too few cores are idle.
+        *spreaded* allocation). While too few cores are idle the action
+        places nothing and the arrival queues.
         """
-        action = self._dispatch_policy(PolicyEvent.ADMIT, process)
-        cores = action.admit_cores if action is not None else None
-        if cores is None:
-            idle = self.chip.idle_cores
-            if len(idle) < process.nthreads:
-                return False
-            cores = pick_free_cores(
-                self.spec, idle, process.nthreads, Allocation.SPREADED
-            )
-        process.start(self.now, tuple(cores))
-        for core in process.cores:
-            self.chip.occupy(core, process.pid)
-        self._running_insert(process)
-        self._dispatch_policy(PolicyEvent.STARTED, process)
-        return True
+        if action is not None and action.admit_cores is not None:
+            return action
+        idle = self.chip.idle_cores
+        if len(idle) < process.nthreads:
+            return action
+        cores = pick_free_cores(
+            self.spec, idle, process.nthreads, Allocation.SPREADED
+        )
+        if action is None:
+            return Action(admit_cores=cores)
+        return replace(action, admit_cores=cores)
 
     def _running_insert(self, process: SimProcess) -> None:
         """Keep ``_running`` sorted by position in ``self.processes``."""
@@ -970,11 +1009,7 @@ class ServerSystem:
         telemetry.inc(
             metric_names.SIM_CONTROLLER_CALLBACKS, self._controller_calls
         )
-        # Policies with their own counters (the arbitration stack)
-        # publish them here, inside the same once-per-run flush.
-        policy_flush = getattr(self.policy, "flush_telemetry", None)
-        if policy_flush is not None:
-            policy_flush()
+        telemetry.inc(metric_names.POLICY_CLAMPS, self.clamps)
         telemetry.inc(
             metric_names.SIM_VIOLATIONS,
             sum(len(lane.violations) for lane in self.lanes),

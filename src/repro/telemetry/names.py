@@ -47,9 +47,7 @@ DAEMON_PLACEMENTS = "daemon.placement.arrival_raises"
 
 # -- policy control plane (repro.policies) ------------------------------------
 
-POLICY_DECISIONS = "policy.stack.decisions"
-POLICY_CLAMPS = "policy.stack.clamps"
-POLICY_OVERRIDES = "policy.stack.overrides"
+POLICY_CLAMPS = "policy.clamps"
 
 # -- characterization cache (repro.vmin.cache) --------------------------------
 

@@ -21,3 +21,7 @@ def rail_write(slimpro, now):
 
 def move_threads(system, process, cores):
     system.migrate_many({process: cores})
+
+
+def place_arrival(system, process, cores):
+    system.admit(process, cores)

@@ -234,6 +234,7 @@ class TestRL010ActuationFunnel:
             ("RL010", 15, 11),  # chip.cppc.request_all(...)
             ("RL010", 19, 4),   # slimpro.set_voltage_mv(...)
             ("RL010", 23, 4),   # system.migrate_many(...)
+            ("RL010", 27, 4),   # system.admit(...)
         ]
         assert "apply_action" in findings[0].message
         assert "set_voltage" in findings[0].message
@@ -250,7 +251,7 @@ class TestRL010ActuationFunnel:
         marks, _ = lint_fixture(
             "rl010_bad.py", "repro.policies.fixture"
         )
-        assert [m[0] for m in marks] == ["RL010"] * 7
+        assert [m[0] for m in marks] == ["RL010"] * 8
 
     def test_platform_package_exempt(self):
         marks, _ = lint_fixture("rl010_bad.py", "repro.platform.chip")

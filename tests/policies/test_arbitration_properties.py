@@ -1,22 +1,23 @@
-"""Property-based tests of the policy stack's mandatory safe-Vmin clamp.
+"""Property-based tests of the actuation funnel's safe-Vmin clamp.
 
-The structural claim of the arbitration layer: *no composition of
-policies — however adversarial — can drive the rail below the measured
-safe Vmin of the machine's current state*. Random stacks mixing real
-governors with deliberately reckless members are replayed over random
-workloads on both chips; the engine's voltage audit must stay silent
-and the applied rail must end at or above the table level. A second
-property pins determinism: identical stack composition and seed must
-reproduce the run bit-for-bit, decision counters included.
+The structural claim of the funnel: *no policy — however adversarial —
+can drive the rail below the measured safe Vmin of the machine's
+current state*. Single bare policies — the real governors and
+deliberately reckless adversaries — are replayed through
+:class:`~repro.sim.system.ServerSystem` over random workloads on both
+chips; the engine's voltage audit must stay silent and the applied
+rail must end at or above the table level. A second property pins
+determinism: the same policy and seed must reproduce the run
+bit-for-bit, the clamp count included.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import VminPolicyTable
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec, xgene3_spec
-from repro.policies.arbitration import PolicyStack
 from repro.policies.governors import (
     BaselinePolicy,
     OndemandPolicy,
@@ -59,6 +60,26 @@ class _WeakRaiser(Policy):
         return None
 
 
+class _SettleOnce(Policy):
+    """Adversary: settles at the idle chip's table level, then idles.
+
+    At START the rail drops to the level of one PMD at fmin; the policy
+    never acts again, so only the funnel's admission clamp covers the
+    PMDs and clocks its spread arrivals add.
+    """
+
+    def __init__(self, spec, table):
+        self.spec = spec
+        self.vmin_table = table
+
+    def decide(self, obs):
+        if obs.event is not PolicyEvent.START:
+            return None
+        return Action(
+            voltage_mv=self.vmin_table.safe_voltage_mv(1, self.spec.fmin_hz)
+        )
+
+
 class _HotClocker(Policy):
     """Adversary: pins every clock at fmax while undervolting."""
 
@@ -76,9 +97,9 @@ class _HotClocker(Policy):
         )
 
 
-#: Member factories: (label, chip key -> fresh policy). Fresh instances
-#: per run keep stateful members from leaking across replays.
-MEMBER_FACTORIES = (
+#: Policy factories: (label, chip key -> fresh policy). Fresh instances
+#: per run keep stateful policies from leaking across replays.
+POLICY_FACTORIES = (
     ("noop", lambda key: Policy()),
     ("baseline", lambda key: BaselinePolicy()),
     ("ondemand-chip", lambda key: OndemandPolicy(scope="chip")),
@@ -93,21 +114,16 @@ MEMBER_FACTORIES = (
     ("undervolt-720", lambda key: _Undervolter(720)),
     ("weak-raiser", lambda key: _WeakRaiser()),
     ("hot-clocker", lambda key: _HotClocker(SPECS[key])),
+    ("settle-once", lambda key: _SettleOnce(SPECS[key], TABLES[key])),
 )
-_FACTORY_BY_LABEL = dict(MEMBER_FACTORIES)
+_FACTORY_BY_LABEL = dict(POLICY_FACTORIES)
 
 
 @st.composite
-def stack_runs(draw):
-    """(chip key, member labels, workload) for one stacked replay."""
+def policy_runs(draw):
+    """(chip key, policy label, workload) for one replay."""
     chip_key = draw(st.sampled_from(tuple(SPECS)))
-    labels = draw(
-        st.lists(
-            st.sampled_from([label for label, _ in MEMBER_FACTORIES]),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    label = draw(st.sampled_from([label for label, _ in POLICY_FACTORIES]))
     spec = SPECS[chip_key]
     jobs = []
     count = draw(st.integers(1, 4))
@@ -123,32 +139,25 @@ def stack_runs(draw):
         max_cores=spec.n_cores,
         seed=0,
     )
-    return chip_key, labels, workload
+    return chip_key, label, workload
 
 
-def build_stack(chip_key, labels):
-    """A fresh stack of the drawn members over the shared table."""
-    return PolicyStack(
-        SPECS[chip_key],
-        [_FACTORY_BY_LABEL[label](chip_key) for label in labels],
-        table=TABLES[chip_key],
-    )
-
-
-def replay(chip_key, labels, workload):
-    stack = build_stack(chip_key, labels)
+def replay(chip_key, label, workload):
+    """Replay ``workload`` under a fresh bare policy; (result, system)."""
     system = ServerSystem(
-        Chip(SPECS[chip_key]), workload, policy=stack
+        Chip(SPECS[chip_key]),
+        workload,
+        policy=_FACTORY_BY_LABEL[label](chip_key),
     )
-    return system.run(), system, stack
+    return system.run(), system
 
 
 class TestClampSafety:
-    @given(stack_runs())
+    @given(policy_runs())
     @settings(max_examples=30, deadline=None)
     def test_rail_never_below_safe_vmin(self, drawn):
-        chip_key, labels, workload = drawn
-        result, system, stack = replay(chip_key, labels, workload)
+        chip_key, label, workload = drawn
+        result, system = replay(chip_key, label, workload)
         # The engine's own audit: the applied voltage never sat below
         # the machine's safe Vmin while anything was running.
         assert result.violations == []
@@ -159,25 +168,38 @@ class TestClampSafety:
         )
         assert system.chip.voltage_mv >= required
         assert all(p.finish_s is not None for p in result.processes)
-        assert stack.decisions > 0
 
-    @given(stack_runs())
+    @given(policy_runs())
     @settings(max_examples=10, deadline=None)
     def test_undervolter_alone_is_contained(self, drawn):
         chip_key, _, workload = drawn
-        # The worst member on its own: the clamp is the only defence.
-        result, _, stack = replay(chip_key, ["undervolt-650"], workload)
+        # The worst policy: the clamp is the only defence.
+        result, system = replay(chip_key, "undervolt-650", workload)
         assert result.violations == []
-        assert stack.clamps > 0
+        assert system.clamps > 0
+
+    @pytest.mark.parametrize("chip_key", sorted(SPECS))
+    def test_settle_once_arrivals_are_clamped(self, chip_key):
+        # Spread arrivals add PMDs at fmax to an idle-level rail: only
+        # the clamp on the admission itself keeps them safe.
+        workload = Workload(
+            jobs=(JobSpec(0, "namd", 4, 0.0), JobSpec(1, "CG", 2, 5.0)),
+            duration_s=200.0,
+            max_cores=SPECS[chip_key].n_cores,
+            seed=0,
+        )
+        result, system = replay(chip_key, "settle-once", workload)
+        assert result.violations == []
+        assert system.clamps > 0
 
 
 class TestDeterminism:
-    @given(stack_runs())
+    @given(policy_runs())
     @settings(max_examples=15, deadline=None)
     def test_identical_seed_identical_run(self, drawn):
-        chip_key, labels, workload = drawn
-        first, _, stack_a = replay(chip_key, labels, workload)
-        second, _, stack_b = replay(chip_key, labels, workload)
+        chip_key, label, workload = drawn
+        first, system_a = replay(chip_key, label, workload)
+        second, system_b = replay(chip_key, label, workload)
         assert first.makespan_s == second.makespan_s
         assert first.energy_j == second.energy_j
         assert first.voltage_transitions == second.voltage_transitions
@@ -185,4 +207,4 @@ class TestDeterminism:
         assert [p.finish_s for p in first.processes] == [
             p.finish_s for p in second.processes
         ]
-        assert stack_a.decision_counters() == stack_b.decision_counters()
+        assert system_a.clamps == system_b.clamps

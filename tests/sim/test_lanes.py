@@ -23,8 +23,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.platform.chip import Chip
 from repro.platform.specs import get_spec
 from repro.platform.thermal import ThermalModel
-from repro.policies.arbitration import PolicyStack
-from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.governors import BaselinePolicy
 from repro.policies.powercap import CappedDaemonPolicy, PowerCapPolicy
 from repro.policies.surfaces import Policy
@@ -187,12 +185,8 @@ class TestLaneContract:
         [
             lambda spec: PowerCapPolicy(spec, cap_w=20.0),
             lambda spec: CappedDaemonPolicy(spec, cap_w=20.0),
-            lambda spec: PolicyStack(
-                spec,
-                [OnlineMonitoringDaemon(spec), PowerCapPolicy(spec, 20.0)],
-            ),
         ],
-        ids=["power-cap", "capped-daemon", "stack-with-capper"],
+        ids=["power-cap", "capped-daemon"],
     )
     def test_lane_state_readers_refused(self, make):
         spec = get_spec("xgene2")
@@ -206,15 +200,6 @@ class TestLaneContract:
                 trace_period_s=None,
                 lanes=_two_lanes(),
             )
-
-    def test_stack_without_readers_is_served(self):
-        spec = get_spec("xgene2")
-        stack = PolicyStack(spec, [OnlineMonitoringDaemon(spec)])
-        assert not stack.reads_lane_state
-        ServerSystem(
-            Chip(spec), _workload(), stack, trace_period_s=None,
-            lanes=_two_lanes(),
-        ).run()
 
     def test_undeclared_energy_read_raises(self):
         spec = get_spec("xgene2")

@@ -188,8 +188,24 @@ class TestPmuAccounting:
         assert sum(system.chip.pmu.droop_events.values()) > 0
 
 
+class _LyingTable:
+    """A deployed safe-Vmin table that calls 700 mV safe everywhere."""
+
+    def safe_voltage_mv(self, utilized_pmds, freq_hz):
+        return 700
+
+
 class _RecklessPolicy(BaselinePolicy):
-    """Baseline that settles the rail far below any safe Vmin at start."""
+    """Baseline that settles the rail far below any safe Vmin at start.
+
+    The actuation funnel clamps a policy against the table it deploys,
+    so only a table that lies (as the fail-safe ablation's regression
+    predictor does) can still undervolt, and the audit must see it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.vmin_table = _LyingTable()
 
     def decide(self, obs):
         action = super().decide(obs)

@@ -147,6 +147,26 @@ def test_platform_matrix_job_smokes_policy_bundles(workflow):
     assert (Path(__file__).parent / "golden/run_all_xgene3_xl_ed2p.txt").is_file()
 
 
+def test_platform_matrix_job_diffs_policy_compare_goldens(workflow):
+    text = _steps_text(workflow["jobs"]["platform-matrix"])
+    # Every registered policy runs through the clamping funnel, so all
+    # eleven are pinned, on a paper chip and on the spec-file chip.
+    keys = (
+        "none baseline-ondemand ondemand performance powersave safe-vmin "
+        "daemon daemon-placement powercap daemon-powercap ed2p"
+    )
+    for platform, golden in (
+        ("xgene2", "policy_compare_xgene2.txt"),
+        ("xgene3-xl", "policy_compare_xgene3_xl.txt"),
+    ):
+        assert (
+            f"repro policy compare --duration 900 --platform {platform} "
+            f"{keys} > {golden}" in text
+        )
+        assert f"diff tests/golden/{golden} {golden}" in text
+        assert (Path(__file__).parent / "golden" / golden).is_file()
+
+
 def test_bench_smoke_job_is_timeout_guarded(workflow):
     job = workflow["jobs"]["bench-smoke"]
     assert job["timeout-minutes"] <= 30

@@ -217,16 +217,18 @@ PLATFORM_NAME_LITERALS = ("X-Gene 2", "X-Gene 3")
 
 #: The control-plane package and its sanctioned actuation funnel
 #: (RL010). Policies *describe* hardware changes as Action values; the
-#: funnel is the one non-platform module allowed to invoke the
-#: SLIMpro/CPPC mutators, under reasoned suppressions.
+#: funnel clamps the rail to the safe-Vmin table and is the one
+#: non-platform module allowed to invoke the SLIMpro/CPPC mutators and
+#: to move or place threads, under reasoned suppressions.
 POLICIES_PACKAGE = "repro.policies"
 ACTUATION_FUNNEL = "repro.policies.actuation.apply_action"
 
 #: Method names that mutate hardware set-points (SLIMpro rail writes,
 #: CPPC frequency requests) or thread placement (the simulator's
-#: atomic migration). Calling any of these outside ``repro.platform``
-#: or the actuation funnel bypasses arbitration, the fail-safe raise
-#: and the safe-Vmin clamp (RL010).
+#: atomic migration and its admission of an arriving process). Calling
+#: any of these outside ``repro.platform`` or the actuation funnel
+#: bypasses the fail-safe raise and the funnel's safe-Vmin clamp
+#: (RL010).
 ACTUATION_METHODS = frozenset(
     {
         "set_voltage",
@@ -236,6 +238,7 @@ ACTUATION_METHODS = frozenset(
         "request",
         "request_all",
         "migrate_many",
+        "admit",
     }
 )
 

@@ -2,20 +2,20 @@
 
 Hardware set-points and thread placement are owned by the control
 plane: policies *describe* the change they want as an
-:class:`~repro.policies.surfaces.Action`, arbitration merges and clamps
-it, and one funnel (``repro.policies.actuation.apply_action``) performs
-the SLIMpro and CPPC writes and the migrations in fail-safe order. A
-direct mutator call anywhere else — ``chip.set_voltage(...)`` in an
-experiment, ``cppc.request(...)`` in a governor,
-``system.migrate_many(...)`` in a daemon — bypasses both the stack
-arbitration and the mandatory safe-Vmin clamp (a migration that spreads
-threads over more PMDs raises the safe Vmin, so the rail must rise
-first), which is exactly the class of bug the clamp exists to make
-impossible.
+:class:`~repro.policies.surfaces.Action`, and one funnel
+(``repro.policies.actuation.apply_action``) clamps the rail it leaves
+to the safe-Vmin table and performs the SLIMpro and CPPC writes, the
+migrations and the admissions in fail-safe order. A direct mutator
+call anywhere else — ``chip.set_voltage(...)`` in an experiment,
+``cppc.request(...)`` in a governor, ``system.migrate_many(...)`` or
+``system.admit(...)`` in a daemon — bypasses the mandatory safe-Vmin
+clamp (a migration or an arrival that spreads threads over more PMDs
+raises the safe Vmin, so the rail must rise first), which is exactly
+the class of bug the clamp exists to make impossible.
 
 The check flags any call whose attribute name is a known actuation
 mutator (rail writes, per-PMD and chip-wide frequency requests, the
-simulator's atomic migration) in ``repro.*`` modules outside
+simulator's atomic migration and admission) in ``repro.*`` modules outside
 ``repro.platform`` — the device models themselves own their mutators.
 Inside ``repro.policies`` only the actuation funnel is sanctioned, and
 it says so with reasoned suppressions; every other policy module must
