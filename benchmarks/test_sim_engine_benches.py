@@ -26,6 +26,8 @@ pre-refactor median is the ``test_sim_daemon_on_xgene3`` baseline row
 policed by ``compare_benchmarks.py``.
 """
 
+import os
+import statistics
 import time
 
 from repro.core.configurations import run_configuration
@@ -46,8 +48,9 @@ import pytest
 #: harness (1.05 == 5%, the refactor's acceptance bound).
 MAX_DISPATCH_OVERHEAD = 1.05
 
-#: Interleaved timing rounds; the minimum of each side is compared.
-DISPATCH_ROUNDS = 5
+#: Interleaved timing rounds; the median of the per-round ratios is
+#: compared.
+DISPATCH_ROUNDS = 11
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +152,28 @@ def _daemon_replay(spec, workload, table, direct=False):
     return system.run()
 
 
+def _timed_replay(spec, workload, table, direct):
+    started = time.perf_counter()
+    _daemon_replay(spec, workload, table, direct=direct)
+    return time.perf_counter() - started
+
+
 def test_policy_dispatch_overhead(workload3, policy3):
     """Observation/decide/actuate glue costs <5% of the daemon-on replay.
+
+    The dispatches that remain are ``START``, every ``ADMIT``,
+    ``STARTED`` and ``FINISHED``, and the monitor ticks the engine still
+    dispatches one by one: the tick before each quiet-tick horizon and
+    every tick whose monitor pass changes a class or that another event
+    cuts off. The quiet ticks in between fold through
+    :meth:`~repro.policies.surfaces.Policy.quiet_ticks` and never reach
+    ``_dispatch_policy``.
+
+    The two variants run interleaved, alternating which goes first,
+    with this process pinned to one CPU (the affinity is restored
+    afterwards), and the median of the per-round ratios is held to the
+    bound: a shared host slows one CPU at a time, and pinned
+    back-to-back runs see the same slowdown.
 
     Deliberately a plain timing test (no ``benchmark`` fixture) so it
     never contributes rows to ``bench_results.json`` or shifts the
@@ -166,21 +189,25 @@ def test_policy_dispatch_overhead(workload3, policy3):
     assert direct.makespan_s == dispatched.makespan_s
     assert direct.voltage_transitions == dispatched.voltage_transitions
 
-    dispatched_s = float("inf")
-    direct_s = float("inf")
-    # Interleave the two variants so clock drift hits both equally.
-    for _ in range(DISPATCH_ROUNDS):
-        started = time.perf_counter()
-        _daemon_replay(spec, workload3, policy3, direct=True)
-        direct_s = min(direct_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        _daemon_replay(spec, workload3, policy3)
-        dispatched_s = min(dispatched_s, time.perf_counter() - started)
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    ratios = []
+    try:
+        for round_ in range(DISPATCH_ROUNDS):
+            if round_ % 2:
+                dispatched_s = _timed_replay(spec, workload3, policy3, False)
+                direct_s = _timed_replay(spec, workload3, policy3, True)
+            else:
+                direct_s = _timed_replay(spec, workload3, policy3, True)
+                dispatched_s = _timed_replay(spec, workload3, policy3, False)
+            ratios.append(dispatched_s / direct_s)
+    finally:
+        os.sched_setaffinity(0, affinity)
 
-    overhead = dispatched_s / direct_s
+    overhead = statistics.median(ratios)
     print(
-        f"policy dispatch overhead: dispatched {dispatched_s:.4f}s vs "
-        f"direct {direct_s:.4f}s ({(overhead - 1.0) * 100.0:+.2f}%)"
+        f"policy dispatch overhead: median ratio {overhead:.4f} over "
+        f"{DISPATCH_ROUNDS} rounds ({(overhead - 1.0) * 100.0:+.2f}%)"
     )
     assert overhead < MAX_DISPATCH_OVERHEAD, (
         f"policy dispatch costs {(overhead - 1.0) * 100.0:.1f}% on the "

@@ -15,6 +15,10 @@ the paper's 3 K value and is swept by the threshold ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..sim.process import WorkloadClass
 
@@ -81,3 +85,25 @@ class L3RateClassifier:
         if rate_per_mcycles > bound:
             return WorkloadClass.MEMORY_INTENSIVE
         return WorkloadClass.CPU_INTENSIVE
+
+    def keeps(
+        self, rates: np.ndarray, classes: Sequence[WorkloadClass]
+    ) -> np.ndarray:
+        """Where :meth:`decide` would leave each class as it is.
+
+        Row ``i`` of ``rates`` holds rates measured for a process of
+        class ``classes[i]``. The result is ``True`` where deciding that
+        rate returns the same class: above the lower bound for a
+        memory-intensive process, not above the upper bound for a
+        CPU-intensive one, and never for an unclassified one, which any
+        decision classifies.
+        """
+        memory = np.array(
+            [c is WorkloadClass.MEMORY_INTENSIVE for c in classes], dtype=bool
+        )
+        known = memory | np.array(
+            [c is WorkloadClass.CPU_INTENSIVE for c in classes], dtype=bool
+        )
+        bound = np.where(memory, self.lower_bound, self.upper_bound)
+        above = rates > bound[:, None]
+        return (above == memory[:, None]) & known[:, None]

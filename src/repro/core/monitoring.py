@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .. import telemetry
 from ..errors import ConfigurationError
 from ..sim.process import SimProcess, WorkloadClass
@@ -21,7 +23,7 @@ from ..telemetry import names as metric_names
 from .classifier import ClassificationSample, L3RateClassifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle guard)
-    from ..policies.surfaces import Observation
+    from ..policies.surfaces import Observation, TickHorizon
 
 #: Minimum cycle window between two classification reads (Section VI.A:
 #: the daemon counts L3C accesses during one million cycles).
@@ -142,6 +144,62 @@ class MonitoringDaemon:
             self.samples_taken += classified
             telemetry.inc(metric_names.DAEMON_CLASSIFICATIONS, classified)
         return changes
+
+    def quiet_ticks(self, horizon: "TickHorizon") -> int:
+        """How many leading passes of ``horizon`` change nothing, committed.
+
+        A pass is quiet when it classifies every running process (each
+        one's cycle window elapsed) and changes no class, UNKNOWN -> CPU
+        included. Every (process, tick) rate is :meth:`sample`'s own
+        expression over the horizon's counter values, so the decision
+        against the hysteresis bounds is exact and needs no margin. For
+        the quiet passes this commits what :meth:`sample` would: each
+        process's snapshot at the last one and the classification
+        count. Only exact reads fold; a noisy reader draws a random
+        number per read, so its passes are never quiet here.
+        """
+        if self.reader is not kernel_module_reader:
+            return 0
+        processes = horizon.processes
+        if not processes:
+            return len(horizon)
+        snapshots = self._snapshots
+        previous = [snapshots.get(p.pid) for p in processes]
+        classes = [p.observed_class for p in processes]
+        if None in previous or WorkloadClass.UNKNOWN in classes:
+            # A first read or a first classification is never quiet.
+            return 0
+        cycles = horizon.cycles
+        accesses = horizon.l3_accesses
+        # Every quiet pass re-snapshots every process, so each tick's
+        # reads compare against the tick before it.
+        first = np.array(previous)
+        dcycles = cycles - np.concatenate((first[:, :1], cycles[:, :-1]), 1)
+        daccesses = np.maximum(
+            0.0,
+            accesses - np.concatenate((first[:, 1:], accesses[:, :-1]), 1),
+        )
+        window = np.array(
+            [self.min_window_cycles * p.nthreads for p in processes]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = 1e6 * daccesses / dcycles
+        quiet = (dcycles >= window[:, None]) & self.classifier.keeps(
+            rate, classes
+        )
+        passes = quiet.all(axis=0)
+        count = len(horizon) if passes.all() else int(np.argmin(passes))
+        if count:
+            last = count - 1
+            for process, read in zip(
+                processes,
+                zip(cycles[:, last].tolist(), accesses[:, last].tolist()),
+            ):
+                snapshots[process.pid] = read
+            classified = len(processes) * count
+            self.samples_taken += classified
+            telemetry.inc(metric_names.DAEMON_CLASSIFICATIONS, classified)
+        return count
 
     def utilized_pmds(self, system: "Observation") -> int:
         """Number of PMDs with at least one running thread."""

@@ -2,13 +2,13 @@
 
 This package models the two micro-servers of the paper (X-Gene 2 and
 X-Gene 3) at the level of detail the paper's daemon actually touches:
-one shared voltage rail, per-PMD clocks with CPPC semantics, and PMU
-counters for cycles, L3 accesses and voltage-droop events.
+one shared voltage rail, per-PMD clocks with CPPC semantics, and the
+PMU's voltage-droop counters.
 """
 
 from .chip import Chip, ChipState
 from .cppc import CppcController, FrequencyTransition
-from .pmu import DROOP_BINS_MV, CoreCounters, Pmu
+from .pmu import DROOP_BINS_MV, Pmu
 from .registry import (
     CharacterizationGrid,
     DroopParams,
@@ -49,7 +49,6 @@ __all__ = [
     "ChipSpec",
     "ChipState",
     "CacheSpec",
-    "CoreCounters",
     "CppcController",
     "DROOP_BINS_MV",
     "DroopParams",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
 from .cppc import CppcController
@@ -91,6 +91,8 @@ class Chip:
         self.pmu = Pmu(spec)
         #: core_id -> occupant tag (opaque to the chip; usually a pid).
         self._occupants: Dict[int, object] = {}
+        #: Busy cores per PMD, kept with ``_occupants``.
+        self._pmd_busy: List[int] = [0] * spec.n_pmds
         #: Monotonic change counter of the occupancy map. Bumped only
         #: when the core->occupant mapping actually mutates, so callers
         #: (the simulator's incremental refresh) can detect placement
@@ -133,6 +135,7 @@ class Chip:
             )
         if current is None:
             self.occupancy_version += 1
+            self._pmd_busy[self.spec.pmd_of_core(core_id)] += 1
         self._occupants[core_id] = occupant
 
     def release_occupant(self, occupant: object) -> None:
@@ -142,6 +145,7 @@ class Chip:
         ]
         for core_id in released:
             del self._occupants[core_id]
+            self._pmd_busy[self.spec.pmd_of_core(core_id)] -= 1
         if released:
             self.occupancy_version += 1
 
@@ -165,14 +169,21 @@ class Chip:
     def utilized_pmds(self) -> FrozenSet[int]:
         """PMDs with at least one active core."""
         return frozenset(
-            self.spec.pmd_of_core(c) for c in self._occupants
+            pmd for pmd, busy in enumerate(self._pmd_busy) if busy
         )
+
+    @property
+    def pmd_busy_counts(self) -> Tuple[int, ...]:
+        """Busy cores of every PMD, indexed by PMD."""
+        return tuple(self._pmd_busy)
 
     def pmd_is_fully_idle(self, pmd_id: int) -> bool:
         """True when neither core of the PMD runs a thread."""
-        return all(
-            c not in self._occupants for c in self.spec.cores_of_pmd(pmd_id)
-        )
+        if not 0 <= pmd_id < self.spec.n_pmds:
+            raise ConfigurationError(
+                f"{self.spec.name}: PMD {pmd_id} out of range"
+            )
+        return self._pmd_busy[pmd_id] == 0
 
     # -- snapshots -----------------------------------------------------------
 

@@ -3,12 +3,14 @@
 The daemon in the paper observes the chip exclusively through hardware
 counters:
 
-* per-core **cycle** and **L3-cache access** counters (the latter derived
-  from L2-miss events, Section IV.B) used to classify processes;
+* per-process **cycle** and **L3-cache access** counts (the latter
+  derived from L2-miss events, Section IV.B) used to classify processes,
+  which the simulator keeps on each process
+  (:class:`~repro.sim.process.ProcessCounters`);
 * chip-level **voltage-droop detectors** binned by droop magnitude,
   exposed by the embedded oscilloscope of X-Gene 3 (Section IV.A).
 
-The counters here are plain monotonically-increasing registers; the system
+The counters are plain monotonically-increasing registers; the system
 simulator advances them as simulated time passes. The daemon reads its
 classification counters through one path,
 :data:`repro.core.monitoring.CounterReader`: the exact kernel-module read
@@ -18,10 +20,8 @@ the paper wrote instead of using ``perf``/PAPI and their ±3 % noise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..errors import ConfigurationError
 from .specs import ChipSpec
 
 #: Droop magnitude bins used throughout the paper, in mV (Table II, Fig. 6).
@@ -33,32 +33,12 @@ DROOP_BINS_MV: Tuple[Tuple[int, int], ...] = (
 )
 
 
-@dataclass
-class CoreCounters:
-    """Raw per-core PMU registers (monotonically increasing)."""
-
-    cycles: float = 0.0
-    instructions: float = 0.0
-    l3_accesses: float = 0.0
-
-
 class Pmu:
-    """Counter banks for one chip: per-core registers plus droop bins."""
+    """Chip-level counter bank: the droop detectors' magnitude bins."""
 
     def __init__(self, spec: ChipSpec):
         self.spec = spec
-        self.cores: List[CoreCounters] = [
-            CoreCounters() for _ in range(spec.n_cores)
-        ]
         #: Droop event counts per magnitude bin, chip-wide.
         self.droop_events: Dict[Tuple[int, int], float] = {
             bin_: 0.0 for bin_ in DROOP_BINS_MV
         }
-
-    def core(self, core_id: int) -> CoreCounters:
-        """Raw registers of one core."""
-        if not 0 <= core_id < self.spec.n_cores:
-            raise ConfigurationError(
-                f"{self.spec.name}: core {core_id} out of range"
-            )
-        return self.cores[core_id]

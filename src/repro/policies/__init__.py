@@ -2,7 +2,7 @@
 
 | Module | Contents |
 |---|---|
-| ``surfaces`` | :class:`Observation`, :class:`Action`, :class:`Policy`, :class:`PolicyEvent` |
+| ``surfaces`` | :class:`Observation`, :class:`Action`, :class:`Policy`, :class:`PolicyEvent`, :class:`TickHorizon` |
 | ``actuation`` | :func:`apply_action` — the one funnel, with the safe-Vmin clamp |
 | ``governors`` | Baseline/ondemand/performance/powersave policies |
 | ``safevmin`` | the paper's Safe-Vmin configuration |
@@ -44,6 +44,7 @@ _EXPORTS: Dict[str, str] = {
     "Observation": "surfaces",
     "Policy": "surfaces",
     "PolicyEvent": "surfaces",
+    "TickHorizon": "surfaces",
     "apply_action": "actuation",
     "BaselinePolicy": "governors",
     "OndemandPolicy": "governors",

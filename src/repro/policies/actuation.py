@@ -39,7 +39,7 @@ suppressions below are the rule's single sanctioned escape hatch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .surfaces import Action
 
@@ -66,13 +66,14 @@ def apply_action(
     raise_mv = action.raise_voltage_mv
     settle_mv = action.voltage_mv
     admit = action.admit_cores if arriving is not None else None
+    moves = _moves(system, action)
     rail = settle_mv
     if rail is None:
         rail = chip.voltage_mv
         if raise_mv is not None and raise_mv > rail:
             rail = raise_mv
     if rail < system.spec.nominal_voltage_mv:
-        required = _table_level(system, action, admit)
+        required = _table_level(system, action, moves, admit)
         if rail < required:
             system.clamps += 1
             if raise_mv is None or raise_mv < required:
@@ -83,21 +84,8 @@ def apply_action(
         # Fail-safe protocol: the rail moves up before any
         # reconfiguration the level protects.
         chip.set_voltage(raise_mv, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
-    migrations = action.migrations
-    if migrations:
-        by_pid = {p.pid: p for p in system.running_processes()}
-        moves = {}
-        for pid, cores in migrations.items():
-            process = by_pid.get(pid)
-            if process is None:
-                # The plan may reference processes that finished (or
-                # were never admitted) between planning and actuation.
-                continue
-            target = tuple(cores)
-            if tuple(process.cores) != target:
-                moves[process] = target
-        if moves:
-            system.migrate_many(moves)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
+    if moves:
+        system.migrate_many(moves)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     if admit is not None:
         system.admit(arriving, tuple(admit))  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     freqs = action.pmd_freqs_hz
@@ -108,22 +96,48 @@ def apply_action(
         chip.set_voltage(settle_mv, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
 
 
+def _moves(
+    system: "ServerSystem", action: Action
+) -> Dict["SimProcess", Tuple[int, ...]]:
+    """The migrations of ``action`` that move a running process."""
+    moves: Dict["SimProcess", Tuple[int, ...]] = {}
+    migrations = action.migrations
+    if migrations:
+        by_pid = {p.pid: p for p in system.running_processes()}
+        for pid, cores in migrations.items():
+            process = by_pid.get(pid)
+            if process is None:
+                # The plan may reference processes that finished (or
+                # were never admitted) between planning and actuation.
+                continue
+            target = tuple(cores)
+            if tuple(process.cores) != target:
+                moves[process] = target
+    return moves
+
+
 def _table_level(
     system: "ServerSystem",
     action: Action,
+    moves: Dict["SimProcess", Tuple[int, ...]],
     admit: Optional[Tuple[int, ...]],
 ) -> int:
-    """The table's safe level for the state ``action`` leaves behind."""
+    """The table's safe level for the state ``action`` leaves behind.
+
+    The PMDs in use are the chip's busy-core counts with the moved and
+    admitted threads applied; a process that stays put costs nothing.
+    """
     spec = system.spec
-    migrations = action.migrations or {}
-    pmds: Set[int] = set()
-    for process in system.running_processes():
-        cores = migrations.get(process.pid)
-        for core in process.cores if cores is None else cores:
-            pmds.add(spec.pmd_of_core(core))
+    busy = list(system.chip.pmd_busy_counts)
+    for process, target in moves.items():
+        for core in process.cores:
+            busy[spec.pmd_of_core(core)] -= 1
+        for core in target:
+            busy[spec.pmd_of_core(core)] += 1
     if admit:
         for core in admit:
-            pmds.add(spec.pmd_of_core(core))
+            busy[spec.pmd_of_core(core)] += 1
+    pmds = [pmd for pmd, count in enumerate(busy) if count]
     freqs = action.pmd_freqs_hz or {}
     cppc = system.chip.cppc
     top = spec.fmin_hz

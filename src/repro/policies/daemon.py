@@ -14,7 +14,9 @@ On the policy surfaces the loop reads:
 * ``START``/``STARTED``/``FINISHED`` — full replan of placement, clocks
   and rail;
 * ``TICK`` — one monitor pass; a classification change triggers a
-  retune (clocks and rail only; threads stay put).
+  retune (clocks and rail only; threads stay put). The ticks whose pass
+  changes nothing are quiet (:meth:`OnlineMonitoringDaemon.quiet_ticks`),
+  and the simulator advances runs of them without dispatching each.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..core.placement import PlacementEngine
 from ..core.policy import VminPolicyTable
 from ..platform.specs import ChipSpec
 from ..telemetry import names as metric_names
-from .surfaces import Action, Observation, Policy, PolicyEvent
+from .surfaces import Action, Observation, Policy, PolicyEvent, TickHorizon
 
 #: Monitor period of the paper's daemon (Section VI.A: a few hundred ms).
 DEFAULT_MONITOR_PERIOD_S = 0.4
@@ -89,6 +91,14 @@ class OnlineMonitoringDaemon(Policy):
             return self._replan(obs)
         # START / STARTED: (re)place everything that is running.
         return self._replan(obs)
+
+    def quiet_ticks(self, horizon: TickHorizon) -> int:
+        """The ticks whose monitor pass changes no class.
+
+        A ``TICK`` without a class change requests nothing, so the
+        monitor's quiet passes are the policy's quiet ticks.
+        """
+        return self.monitor.quiet_ticks(horizon)
 
     def decision_counters(self) -> Dict[str, int]:
         """Replan/retune counters for manifests and ``policy compare``."""

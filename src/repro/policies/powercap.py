@@ -142,6 +142,9 @@ class CappedDaemonPolicy(OnlineMonitoringDaemon):
     #: The window meter reads :attr:`Observation.energy_j`.
     reads_lane_state = True
 
+    #: Every tick also steps the capper, so no tick is quiet.
+    quiet_ticks = Policy.quiet_ticks
+
     def __init__(
         self,
         spec: ChipSpec,

@@ -30,13 +30,17 @@ dispatched on five event kinds (:class:`PolicyEvent`). Policies that
 need the *post-actuation* machine state (the Fig. 13 flow tracer, or
 audit tooling) additionally override :meth:`Policy.on_applied`; the
 engine detects the override once per run and skips the hook entirely
-otherwise.
+otherwise. A ticking policy may answer :meth:`Policy.quiet_ticks` for a
+:class:`TickHorizon`, the next monitor ticks, so the engine can advance
+the ones it would leave alone without dispatching each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -216,6 +220,30 @@ class Action:
     admit_cores: Optional[Tuple[int, ...]] = None
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class TickHorizon:
+    """The next monitor ticks, offered to :meth:`Policy.quiet_ticks`.
+
+    The ticks run up to the next arrival, finish or phase event. Column
+    ``k`` of :attr:`cycles` and :attr:`l3_accesses` holds each running
+    process's counters as tick ``k`` reads them, the values an exact
+    counter read (:func:`~repro.core.monitoring.kernel_module_reader`)
+    returns there.
+    """
+
+    #: Each tick's instant, seconds, ascending.
+    times: np.ndarray
+    #: The running processes, in the order a monitor pass visits them.
+    processes: Tuple["SimProcess", ...]
+    #: Cycle counter of each process (row) after each tick (column).
+    cycles: np.ndarray
+    #: L3C access counter of each process after each tick.
+    l3_accesses: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 class Policy:
     """Base control policy: observe the machine, request an action.
 
@@ -247,6 +275,19 @@ class Policy:
     def decide(self, obs: Observation) -> Optional[Action]:
         """Decide on one control event; ``None`` means no action."""
         return None
+
+    def quiet_ticks(self, horizon: TickHorizon) -> int:
+        """How many leading ticks of ``horizon`` are quiet, committed.
+
+        A quiet tick is one whose ``TICK`` decision would request
+        nothing and change no state the engine does not advance itself.
+        A policy that answers commits its own state for those ticks, as
+        deciding each would have, and the engine then advances them
+        without dispatching them. The default folds nothing, so every
+        tick is dispatched; a policy with an :meth:`on_applied` hook is
+        never asked.
+        """
+        return 0
 
     def on_applied(
         self, obs: Observation, action: Optional[Action]

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..units import Joules, Seconds, Watts
 
@@ -18,6 +20,17 @@ from ..units import Joules, Seconds, Watts
 def ed2p(energy_j: Joules, delay_s: Seconds) -> float:
     """Energy-delay-squared product, J*s^2 (the paper's metric)."""
     return energy_j * delay_s * delay_s
+
+
+def running_total(start: float, values: np.ndarray) -> float:
+    """``start`` plus each of ``values`` in turn, as repeated ``+=``.
+
+    The additions run left to right (``numpy.add.accumulate``), never
+    pairwise, so the result equals the per-value loop bit for bit.
+    """
+    if len(values) == 0:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 def savings_percent(baseline: float, improved: float) -> float:
@@ -68,3 +81,22 @@ class EnergyMeter:
         self.energy_j += power_w * dt_s
         self.elapsed_s += dt_s
         self._time_s += dt_s
+
+    def accumulate_intervals(self, power_w: Watts, dts_s: np.ndarray) -> None:
+        """Add consecutive intervals at one constant power.
+
+        Leaves what :meth:`accumulate` on each interval in turn leaves,
+        float for float.
+        """
+        if self.keep_samples:
+            for dt_s in dts_s.tolist():
+                self.accumulate(power_w, dt_s)
+            return
+        if len(dts_s) and dts_s.min() < 0:
+            raise ConfigurationError("interval must be non-negative")
+        if power_w < 0:
+            raise ConfigurationError("power must be non-negative")
+        dts_s = dts_s[dts_s != 0]
+        self.energy_j = running_total(self.energy_j, power_w * dts_s)
+        self.elapsed_s = running_total(self.elapsed_s, dts_s)
+        self._time_s = running_total(self._time_s, dts_s)

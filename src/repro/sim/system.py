@@ -37,7 +37,18 @@ Every full recompute also builds one :class:`ReplayPlan` per running
 process: the constants the per-event loops (fluid integration,
 completion rescheduling, the behaviour-change scan) need until the next
 full recompute, so those loops do flat float arithmetic instead of
-per-core method calls.
+per-process method calls.
+
+Most events are monitor ticks, and most ticks change nothing. After
+each dispatched tick the policy is offered the next ticks as one
+:class:`~repro.policies.surfaces.TickHorizon`, cut before any arrival,
+finish or phase event (:meth:`ServerSystem._tick_horizon`); the ones
+:meth:`~repro.policies.surfaces.Policy.quiet_ticks` calls quiet are
+advanced together (:meth:`ServerSystem._commit_ticks`). Their running
+sums add along the tick axis left to right, as ``+=`` does, so every
+value equals what dispatching each tick leaves; the loop oracle
+``tests/replay_oracle.py::LoopOracleSystem`` dispatches every tick and
+the property suites assert the two agree.
 
 A system replays one decision stream for one or more lanes
 (:class:`SimLane`). A lane holds the state no policy reads — the
@@ -50,9 +61,12 @@ returns.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import telemetry
 from ..allocation import Allocation, pick_free_cores
@@ -62,11 +76,16 @@ from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
 from ..perf.model import ExecutionState, bandwidth_demand_gbs, execution_state
 from ..platform.chip import Chip, ChipState
-from ..platform.pmu import CoreCounters
 from ..platform.thermal import ThermalModel
 from ..policies.actuation import apply_action
-from ..policies.surfaces import Action, Observation, Policy, PolicyEvent
-from ..power.energy import EnergyMeter, ed2p
+from ..policies.surfaces import (
+    Action,
+    Observation,
+    Policy,
+    PolicyEvent,
+    TickHorizon,
+)
+from ..power.energy import EnergyMeter, ed2p, running_total
 from ..power.model import PowerBreakdown, PowerModel
 from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
@@ -84,6 +103,10 @@ REMAINING_EPS = 1e-9
 #: exceeded (distinct (behaviour, freq, nthreads, sharing, contention)
 #: operating points seen over one run).
 EXEC_STATE_CACHE_MAX = 4096
+
+#: Most monitor ticks one :class:`TickHorizon` offers. A longer quiet
+#: stretch takes several horizons, so the arrays stay small.
+HORIZON_MAX_TICKS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +146,6 @@ class ReplayPlan:
     duration_s: float
     #: Effective switching activity of every thread.
     activity: float
-    #: One (PMU registers, core clock in Hz) pair per held core.
-    cores: Tuple[Tuple[CoreCounters, int], ...]
     #: Done-fraction phase boundaries; empty for static programs.
     boundaries: Tuple[float, ...]
     #: The behaviour profile active when the plan was built.
@@ -226,6 +247,13 @@ class ServerSystem:
         self._policy_hooked = (
             type(self.policy).on_applied is not Policy.on_applied
         )
+        #: Whether quiet monitor ticks are offered to the policy as
+        #: horizons (:meth:`_fold_quiet_ticks`): it must answer
+        #: :meth:`Policy.quiet_ticks` and want no post-actuation hook.
+        self._folds_ticks = bool(self.policy.monitor_period_s) and (
+            type(self.policy).quiet_ticks is not Policy.quiet_ticks
+            and not self._policy_hooked
+        )
         #: The table the actuation funnel clamps the rail against; see
         #: :meth:`vmin_table`.
         self._vmin_table: Optional[VminPolicyTable] = self.policy.vmin_table
@@ -267,6 +295,8 @@ class ServerSystem:
         self.queue: Deque[SimProcess] = deque()
         self._finish_events: Dict[int, Event] = {}
         self._phase_events: Dict[int, Event] = {}
+        #: The pending monitor tick, if any.
+        self._tick: Optional[Event] = None
         #: pid -> execution state at the last full recompute: what the
         #: replay plans are built from, kept for the per-process loop
         #: oracle the tests replay against them.
@@ -310,6 +340,8 @@ class ServerSystem:
         self._refreshes_full = 0
         self._refreshes_incremental = 0
         self._reschedules_elided = 0
+        #: Monitor ticks advanced inside horizons (``sim.events.folded``).
+        self._ticks_folded = 0
 
     def _check_lanes(
         self, lanes: Sequence[SimLane], trace_period_s: Optional[float]
@@ -428,17 +460,20 @@ class ServerSystem:
         self._pending_arrivals = len(self.processes)
         self._dispatch_policy(PolicyEvent.START)
         if self.policy.monitor_period_s:
-            self.events.schedule(
+            self._tick = self.events.schedule(
                 self.policy.monitor_period_s, "tick"
             )
         self._refresh()
         events = self.events
+        folds = self._folds_ticks
         while events:
             event = events.pop()
             self._integrate_to(event.time_s)
             self.clock.advance_to(event.time_s)
             self._dispatch(event)
             self._refresh()
+            if folds and event.kind == "tick":
+                self._fold_quiet_ticks()
         makespan = self._makespan()
         # Energy integrates exactly to the last dispatched event — which
         # may trail the last finish by up to one monitor period (idle
@@ -585,10 +620,247 @@ class ServerSystem:
             or bool(self.queue)
             or bool(self._running)
         )
+        self._tick = None
         if work_left and self.policy.monitor_period_s:
-            self.events.schedule(
+            self._tick = self.events.schedule(
                 self.now + self.policy.monitor_period_s, "tick"
             )
+
+    # -- quiet-tick horizons -------------------------------------------------------
+
+    def _fold_quiet_ticks(self) -> None:
+        """Advance the quiet monitor ticks that follow a dispatched one.
+
+        Offers the policy the next ticks as a :class:`TickHorizon` and
+        advances the ones it calls quiet in one step, with the values
+        dispatching each would leave (:meth:`_commit_ticks`); repeats
+        while it takes a whole chunk.
+        """
+        while True:
+            built = self._tick_horizon()
+            if built is None:
+                return
+            horizon = built[0]
+            quiet = self.policy.quiet_ticks(horizon)
+            if not 0 <= quiet <= len(horizon):
+                raise SimulationError(
+                    f"policy called {quiet} of {len(horizon)} ticks quiet"
+                )
+            if quiet == 0:
+                return
+            self._commit_ticks(quiet, *built)
+            if quiet < len(horizon):
+                return
+
+    def _tick_horizon(
+        self,
+    ) -> Optional[Tuple[TickHorizon, np.ndarray, np.ndarray, np.ndarray]]:
+        """The ticks before the next arrival, finish or phase event.
+
+        Returns the horizon and, per running process and tick, the
+        intervals, the remaining work and the recomputed finish time;
+        ``None`` when no tick can be advanced. A horizon ends before any
+        tick that another event would precede (ties included) or at
+        which a process's remaining work reaches :data:`REMAINING_EPS`,
+        and none is offered while a phased plan runs.
+        """
+        tick = self._tick
+        if tick is None or self._phased_plans:
+            return None
+        plans = self._plans
+        stop = math.inf
+        if self._pending_arrivals:
+            # Arrivals pop in workload order.
+            index = len(self.processes) - self._pending_arrivals
+            stop = self.processes[index].arrival_s
+        for event in self._phase_events.values():
+            stop = min(stop, event.time_s)
+        first_stop = min(
+            [stop, *(self._finish_events[p.process.pid].time_s for p in plans)]
+        )
+        start = tick.time_s
+        period = self.policy.monitor_period_s
+        span = (first_stop - start) / period
+        if not span > 0:
+            return None
+        # About ceil(span) ticks precede first_stop; one more covers
+        # rounding, and the exact cut below trims the rest.
+        count = min(HORIZON_MAX_TICKS, int(min(span, HORIZON_MAX_TICKS)) + 2)
+        # Each tick is the previous one plus the period, as dispatching
+        # schedules it.
+        steps = np.full(count, period)
+        steps[0] = start
+        times = np.add.accumulate(steps)
+        dts = np.diff(times, prepend=self.now)
+        freq = np.array([p.freq for p in plans], dtype=float)
+        threads = np.array([p.nthreads for p in plans], dtype=float)[:, None]
+        l3_rate_freq = np.array([p.l3_rate_freq for p in plans])
+        duration = np.array([p.duration_s for p in plans])[:, None]
+        # The expressions of _integrate_to and _reschedule_completions,
+        # summed left to right along the tick axis.
+        cycles = _accumulate(
+            [p.counters.cycles for p in plans],
+            np.multiply.outer(freq, dts) * threads,
+        )
+        accesses = _accumulate(
+            [p.counters.l3_accesses for p in plans],
+            (np.multiply.outer(l3_rate_freq, dts) / 1e6) * threads,
+        )
+        remaining = _accumulate(
+            [p.process.remaining_fraction for p in plans],
+            dts / duration,
+            np.subtract,
+        )
+        finish = times + remaining * duration
+        # Tick k is the next event while it precedes the finishes the
+        # tick before it scheduled, and leaves work to do.
+        before = np.full(count, stop)
+        before[0] = first_stop
+        if plans:
+            np.minimum(before[1:], finish[:, :-1].min(axis=0), out=before[1:])
+        quiet = (times < before) & (dts > 0)
+        if plans:
+            quiet &= (remaining > REMAINING_EPS).all(axis=0)
+        if not quiet.all():
+            count = int(np.argmin(quiet))
+        if count == 0:
+            return None
+        horizon = TickHorizon(
+            times=times[:count],
+            processes=tuple(p.process for p in plans),
+            cycles=cycles[:, :count],
+            l3_accesses=accesses[:, :count],
+        )
+        return horizon, dts[:count], remaining[:, :count], finish[:, :count]
+
+    def _commit_ticks(
+        self,
+        quiet: int,
+        horizon: TickHorizon,
+        dts: np.ndarray,
+        remaining: np.ndarray,
+        finish: np.ndarray,
+    ) -> None:
+        """Leave what dispatching the first ``quiet`` ticks would leave.
+
+        Every value is the one the per-tick path computes: running sums
+        add left to right along the tick axis, as ``+=`` does, and the
+        thermal lanes step tick by tick because leakage feeds back into
+        their power. The next tick and each rescheduled finish enter the
+        queue in the order the per-tick path schedules them, so
+        equal-time ties break the same way.
+        """
+        last = quiet - 1
+        times = horizon.times[:quiet]
+        dts = dts[:quiet]
+        for plan, cycles, accesses, left in zip(
+            self._plans,
+            horizon.cycles[:, last].tolist(),
+            horizon.l3_accesses[:, last].tolist(),
+            remaining[:, last].tolist(),
+        ):
+            plan.counters.cycles = cycles
+            plan.counters.l3_accesses = accesses
+            plan.process.remaining_fraction = left
+        if self._droop_rates:
+            droop_cycles = self._droop_freq * dts
+            droops = self.chip.pmu.droop_events
+            for bin_mv, rate in self._droop_rates:
+                droops[bin_mv] = running_total(
+                    droops[bin_mv], rate * droop_cycles / 1e6
+                )
+        state = self._state
+        running = bool(self._running)
+        for lane in self.lanes:
+            if lane.thermal is not None:
+                continue
+            lane.meter.accumulate_intervals(lane.power_w, dts)
+            if running and state.voltage_mv < lane.required_base - 1e-9:
+                lane.violations.extend(
+                    ViolationRecord(
+                        time_s=time_s,
+                        voltage_mv=state.voltage_mv,
+                        required_mv=lane.required_base,
+                    )
+                    for time_s in times.tolist()
+                )
+        thermal_lanes = self._thermal_lanes
+        if thermal_lanes:
+            for time_s, dt in zip(times.tolist(), dts.tolist()):
+                self.clock.advance_to(time_s)
+                for lane in thermal_lanes:
+                    lane.meter.accumulate(lane.power_w, dt)
+                    thermal = lane.thermal
+                    thermal.step(lane.power_w, dt)
+                    lane.temperature_series.append(
+                        (time_s, thermal.temperature_c)
+                    )
+                self._sample_trace_until(time_s)
+                for lane in thermal_lanes:
+                    self._lane_power(lane)
+                    if running:
+                        self._check_rail(lane, state, lane.required_base)
+        else:
+            end_s = float(times[last])
+            self._sample_trace_until(end_s)
+            self.clock.advance_to(end_s)
+        self._reschedule_folded(quiet, horizon, finish)
+        self._event_counts["tick"] += quiet
+        self._controller_calls += quiet
+        self._refreshes_incremental += quiet
+        self._ticks_folded += quiet
+
+    def _reschedule_folded(
+        self, quiet: int, horizon: TickHorizon, finish: np.ndarray
+    ) -> None:
+        """Queue the next tick and the finishes the folded ticks moved.
+
+        A finish is kept where the per-tick path elides its reschedule
+        (same time, still in the future) and otherwise rescheduled at
+        the time of the last tick that moved it. Each tick schedules
+        its successor before its refresh reschedules finishes in plan
+        order, and the events go in in that order.
+        """
+        last = quiet - 1
+        times = horizon.times[:quiet]
+        finish = finish[:, :quiet]
+        events = self.events
+        finish_events = self._finish_events
+        plans = self._plans
+        # (tick that last moved it, plan index) per moved finish.
+        moved_at: List[Tuple[int, int]] = []
+        if plans:
+            before = np.array(
+                [finish_events[p.process.pid].time_s for p in plans]
+            )
+            previous = np.concatenate(
+                (before[:, None], finish[:, :-1]), axis=1
+            )
+            elided = (finish == previous) & (finish > times)
+            self._reschedules_elided += int(elided.sum())
+            moved = ~elided
+            last_moved = last - np.argmax(moved[:, ::-1], axis=1)
+            moved_at = sorted(
+                (k, i)
+                for i, (k, any_moved) in enumerate(
+                    zip(last_moved.tolist(), moved.any(axis=1).tolist())
+                )
+                if any_moved
+            )
+        events.cancel(self._tick)
+        next_tick_s = float(times[last]) + self.policy.monitor_period_s
+        self._tick = None
+        for k, i in moved_at:
+            if k == last and self._tick is None:
+                self._tick = events.schedule(next_tick_s, "tick")
+            pid = plans[i].process.pid
+            old = finish_events[pid]
+            events.cancel(old)  # reprolint: disable=RL005 -- time changed
+            finish_events[pid] = events.schedule(
+                float(finish[i, k]), "finish", pid
+            )
+        if self._tick is None:
+            self._tick = events.schedule(next_tick_s, "tick")
 
     # -- fluid integration ---------------------------------------------------------
 
@@ -599,18 +871,9 @@ class ServerSystem:
             return
         for plan in self._plans:
             nthreads = plan.nthreads
-            cycles = plan.freq * dt * nthreads
-            accesses = (plan.l3_rate_freq * dt / 1e6) * nthreads
             counters = plan.counters
-            counters.cycles += cycles
-            counters.l3_accesses += accesses
-            per_thread = accesses / nthreads
-            activity = plan.activity
-            for regs, core_freq in plan.cores:
-                core_cycles = core_freq * dt
-                regs.cycles += core_cycles
-                regs.instructions += core_cycles * activity
-                regs.l3_accesses += per_thread
+            counters.cycles += plan.freq * dt * nthreads
+            counters.l3_accesses += (plan.l3_rate_freq * dt / 1e6) * nthreads
             process = plan.process
             process.remaining_fraction = max(
                 0.0, process.remaining_fraction - dt / plan.duration_s
@@ -631,20 +894,24 @@ class ServerSystem:
         self._sample_trace_until(time_s)
 
     def _sample_trace_until(self, time_s: float) -> None:
-        if self.trace is None:
+        """Sample every trace instant up to ``time_s``.
+
+        Nothing a sample reads changes within one call, so every sample
+        of the call shows the same machine.
+        """
+        trace = self.trace
+        if trace is None or self._next_sample_s > time_s + 1e-12:
             return
+        counts = self._class_counts()
+        state = self._state if self._state is not None else self.chip.state()
+        active = state.active_pmds
+        mean_freq = (
+            sum(state.pmd_frequencies_hz[p] for p in active) / len(active)
+            if active
+            else self.spec.fmin_hz
+        )
         while self._next_sample_s <= time_s + 1e-12:
-            counts = self._class_counts()
-            state = (
-                self._state if self._state is not None else self.chip.state()
-            )
-            active = state.active_pmds
-            mean_freq = (
-                sum(state.pmd_frequencies_hz[p] for p in active) / len(active)
-                if active
-                else self.spec.fmin_hz
-            )
-            self.trace.append(
+            trace.append(
                 TraceSample(
                     time_s=self._next_sample_s,
                     # One lane: a multi-lane system does not trace.
@@ -657,7 +924,7 @@ class ServerSystem:
                     mean_active_freq_hz=mean_freq,
                 )
             )
-            self._next_sample_s += self.trace.period_s
+            self._next_sample_s += trace.period_s
 
     def _class_counts(self) -> Tuple[int, int]:
         cpu = mem = 0
@@ -717,24 +984,23 @@ class ServerSystem:
         running = self._running
         spec = self.spec
         demands: List[float] = []
-        # Per process: its core clocks, the slowest one, its behaviour.
-        inputs: List[Tuple[Tuple[int, ...], int, BenchmarkProfile]] = []
+        # Per process: the slowest of its core clocks, its behaviour.
+        inputs: List[Tuple[int, BenchmarkProfile]] = []
         for process in running:
-            core_freqs = tuple(map(state.frequency_of_core, process.cores))
-            freq = min(core_freqs)
+            freq = min(map(state.frequency_of_core, process.cores))
             behaviour = process.current_profile()
-            inputs.append((core_freqs, freq, behaviour))
+            inputs.append((freq, behaviour))
             demand = bandwidth_demand_gbs(behaviour, spec, freq)
             demands.extend([demand] * process.nthreads)
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
         activity_map: Dict[int, float] = {}
         cache = self._exec_cache
-        pmu = self.chip.pmu
+        busy = self.chip.pmd_busy_counts
         self._proc_states = {}
         plans: List[ReplayPlan] = []
-        for process, (core_freqs, freq, behaviour) in zip(running, inputs):
-            shares = self._shares_pmd(process)
+        for process, (freq, behaviour) in zip(running, inputs):
+            shares = self._shares_pmd(process, busy)
             key = (behaviour, freq, process.nthreads, shares, crowd)
             exec_state = cache.get(key)
             if exec_state is None:
@@ -761,7 +1027,6 @@ class ServerSystem:
                 nthreads=process.nthreads,
                 duration_s=exec_state.duration_s,
                 activity=activity,
-                cores=tuple(zip(map(pmu.core, process.cores), core_freqs)),
                 boundaries=tuple(phase_boundaries(process.profile)),
                 behaviour=behaviour,
             )
@@ -846,12 +1111,16 @@ class ServerSystem:
             + power.external_w
         )
 
-    def _shares_pmd(self, process: SimProcess) -> bool:
-        for core in process.cores:
-            for sibling in self.spec.cores_of_pmd(self.spec.pmd_of_core(core)):
-                if sibling != core and self.chip.occupant_of(sibling) is not None:
-                    return True
-        return False
+    def _shares_pmd(
+        self, process: SimProcess, busy: Tuple[int, ...]
+    ) -> bool:
+        """Whether another thread runs on a PMD of ``process``.
+
+        ``busy`` is the chip's busy-core count per PMD; the process's
+        own core is one of them.
+        """
+        pmd_of_core = self.spec.pmd_of_core
+        return any(busy[pmd_of_core(core)] > 1 for core in process.cores)
 
     def _reschedule_completions(self) -> None:
         now = self.now
@@ -1000,6 +1269,7 @@ class ServerSystem:
         )
         telemetry.inc(metric_names.SIM_EVENT_PHASES, counts.get("phase", 0))
         telemetry.inc(metric_names.SIM_EVENT_TICKS, counts.get("tick", 0))
+        telemetry.inc(metric_names.SIM_EVENTS_FOLDED, self._ticks_folded)
         telemetry.inc(
             metric_names.SIM_EVENTS_SCHEDULED, self.events.scheduled_total
         )
@@ -1040,3 +1310,18 @@ class ServerSystem:
         # suffixes: they are model outputs, not wall-clock measurements.
         telemetry.set_gauge(metric_names.SIM_MAKESPAN_S, result.makespan_s)
         telemetry.set_gauge(metric_names.SIM_ENERGY_J, result.energy_j)
+
+
+def _accumulate(
+    start: Sequence[float], deltas: np.ndarray, ufunc=np.add
+) -> np.ndarray:
+    """Each row's running ``ufunc`` of ``deltas`` from its start value.
+
+    ``_accumulate(s, d)[i, k]`` is ``s[i]`` combined with ``d[i, 0]``
+    through ``d[i, k]`` one at a time, left to right, as repeated ``+=``
+    (or ``-=``) would leave it.
+    """
+    rows = np.concatenate(
+        (np.array(start, dtype=float)[:, None], deltas), axis=1
+    )
+    return ufunc.accumulate(rows, axis=1)[:, 1:]

@@ -25,6 +25,7 @@ SIM_EVENT_ARRIVALS = "sim.events.arrivals"
 SIM_EVENT_FINISHES = "sim.events.finishes"
 SIM_EVENT_PHASES = "sim.events.phases"
 SIM_EVENT_TICKS = "sim.events.ticks"
+SIM_EVENTS_FOLDED = "sim.events.folded"
 SIM_CONTROLLER_CALLBACKS = "sim.controller.callbacks"
 SIM_TRACE_SAMPLES = "sim.trace.samples"
 SIM_VOLTAGE_TRANSITIONS = "sim.rail.voltage_transitions"

@@ -1,6 +1,9 @@
 """Tests for the L3C-rate workload classifier (paper Section IV.B)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classifier import (
     DEFAULT_THRESHOLD,
@@ -81,3 +84,41 @@ class TestValidation:
     def test_bad_hysteresis(self):
         with pytest.raises(ConfigurationError):
             L3RateClassifier(hysteresis=1.0)
+
+
+class TestKeeps:
+    @given(
+        st.floats(0.0, 0.5),
+        st.lists(
+            st.sampled_from(list(WorkloadClass)), min_size=1, max_size=4
+        ),
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e5),
+                # Rates on and next to the bounds and the threshold.
+                st.sampled_from(
+                    [2850.0, 3000.0, 3150.0]
+                ).flatmap(
+                    lambda v: st.sampled_from(
+                        [np.nextafter(v, 0.0), v, np.nextafter(v, 1e9)]
+                    )
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_keeps_is_decide_returning_the_class(
+        self, hysteresis, classes, rates
+    ):
+        classifier = L3RateClassifier(hysteresis=hysteresis)
+        grid = np.array([rates] * len(classes), dtype=float)
+        kept = classifier.keeps(grid, classes)
+        for row, previous in zip(kept.tolist(), classes):
+            expected = [
+                previous is not WorkloadClass.UNKNOWN
+                and classifier.decide(rate, previous) is previous
+                for rate in rates
+            ]
+            assert row == expected

@@ -1,6 +1,8 @@
 """Tests for the runtime chip model and its snapshots."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.platform.chip import Chip
@@ -50,6 +52,60 @@ class TestOccupancy:
         chip2.occupy(0, "p1")
         assert not chip2.pmd_is_fully_idle(0)
         assert chip2.pmd_is_fully_idle(1)
+
+    def test_pmd_out_of_range(self, chip2):
+        with pytest.raises(ConfigurationError):
+            chip2.pmd_is_fully_idle(4)
+
+
+#: One occupancy operation: occupy a core, release an owner, or move an
+#: owner to new cores (release, then occupy, as a migration does).
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("occupy"), st.integers(0, 3), st.integers(0, 63)),
+    st.tuples(st.just("release"), st.integers(0, 3)),
+    st.tuples(
+        st.just("migrate"),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 63), max_size=4, unique=True),
+    ),
+)
+
+
+class TestPmdBusyCounts:
+    @given(
+        st.sampled_from(("xgene2", "xgene3", "xgene3-xl")),
+        st.lists(_OPERATIONS, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_a_recount(self, platform, operations):
+        spec = get_spec(platform)
+        chip = Chip(spec)
+        for op, owner, *rest in operations:
+            try:
+                if op == "occupy":
+                    chip.occupy(rest[0] % spec.n_cores, owner)
+                elif op == "release":
+                    chip.release_occupant(owner)
+                else:
+                    chip.release_occupant(owner)
+                    for core in rest[0]:
+                        chip.occupy(core % spec.n_cores, owner)
+            except SchedulingError:
+                pass  # the core is taken: nothing changed
+            recount = [
+                sum(
+                    chip.occupant_of(core) is not None
+                    for core in spec.cores_of_pmd(pmd)
+                )
+                for pmd in range(spec.n_pmds)
+            ]
+            assert list(chip.pmd_busy_counts) == recount
+            assert chip.utilized_pmds == frozenset(
+                pmd for pmd, busy in enumerate(recount) if busy
+            )
+            assert [
+                chip.pmd_is_fully_idle(pmd) for pmd in range(spec.n_pmds)
+            ] == [busy == 0 for busy in recount]
 
 
 class TestKnobs:

@@ -1,44 +1,20 @@
 """Tests for the PMU counter model.
 
-The simulator advances the registers through replay plans; the
-per-interval steps they replace are the loop oracle's helpers, whose
-checks are pinned here.
+The simulator advances the droop bins through its droop plan; the
+per-interval step it replaces is the loop oracle's helper, whose checks
+are pinned here.
 """
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.platform.pmu import DROOP_BINS_MV, Pmu
-from tests.replay_oracle import advance_core_counters, record_droops
+from tests.replay_oracle import record_droops
 
 
 @pytest.fixture
 def pmu(spec2):
     return Pmu(spec2)
-
-
-class TestCounters:
-    def test_counters_start_at_zero(self, pmu):
-        regs = pmu.core(0)
-        assert (regs.cycles, regs.instructions, regs.l3_accesses) == (
-            0.0,
-            0.0,
-            0.0,
-        )
-
-    def test_advance_accumulates(self, pmu):
-        advance_core_counters(pmu.core(0), 1e6, 5e5, 3000)
-        advance_core_counters(pmu.core(0), 1e6, 5e5, 1000)
-        assert pmu.core(0).cycles == 2e6
-        assert pmu.core(0).l3_accesses == 4000
-
-    def test_negative_delta_rejected(self, pmu):
-        with pytest.raises(ConfigurationError):
-            advance_core_counters(pmu.core(0), -1, 0, 0)
-
-    def test_core_out_of_range(self, pmu):
-        with pytest.raises(ConfigurationError):
-            pmu.core(8)
 
 
 class TestDroopBins:

@@ -1,12 +1,16 @@
 """Tests for energy accounting and E/D metrics (paper Section V)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.power.energy import (
     EnergyMeter,
     ed2p,
     penalty_percent,
+    running_total,
     savings_percent,
 )
 
@@ -68,3 +72,50 @@ class TestEnergyMeter:
         meter = EnergyMeter()
         meter.accumulate(10.0, 1.0)
         assert meter.samples == []
+
+
+#: Intervals the simulator meters: monitor periods and odd remainders.
+_INTERVALS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=30,
+)
+
+
+class TestIntervals:
+    @given(
+        st.floats(0.0, 500.0, allow_nan=False),
+        _INTERVALS,
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_accumulate_per_interval(self, power, dts, samples):
+        one_by_one = EnergyMeter(keep_samples=samples)
+        batched = EnergyMeter(keep_samples=samples)
+        for meter in (one_by_one, batched):
+            meter.accumulate(power, 0.3)
+        for dt in dts:
+            one_by_one.accumulate(power, dt)
+        batched.accumulate_intervals(power, np.array(dts, dtype=float))
+        assert batched == one_by_one
+
+    def test_negative_interval_rejected(self):
+        with pytest.raises(ConfigurationError):
+            EnergyMeter().accumulate_intervals(1.0, np.array([1.0, -1.0]))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ConfigurationError):
+            EnergyMeter().accumulate_intervals(-1.0, np.array([1.0]))
+
+    @given(
+        st.floats(-1e12, 1e12, allow_nan=False),
+        st.lists(st.floats(-1e9, 1e9, allow_nan=False), max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_running_total_adds_left_to_right(self, start, values):
+        expected = start
+        for value in values:
+            expected += value
+        assert running_total(start, np.array(values, dtype=float)) == expected

@@ -8,12 +8,13 @@ advance every running process one call at a time on every event. The
 per-process steps are the helpers of this module, and nothing in
 ``src/`` calls them:
 
-* fluid integration through :func:`advance_process_counters`,
-  :func:`advance_core_counters` and :func:`progress`, reading the clocks
-  from a fresh chip snapshot, and droops through
-  :func:`events_for_interval` and :func:`record_droops`;
+* fluid integration through :func:`advance_process_counters` and
+  :func:`progress`, reading the clocks from a fresh chip snapshot, and
+  droops through :func:`events_for_interval` and :func:`record_droops`;
 * completion and phase rescheduling through :func:`next_phase_boundary`;
-* the behaviour-change scan over every running process.
+* the behaviour-change scan over every running process;
+* every monitor tick dispatched on its own: it never folds quiet ticks
+  into a horizon.
 
 It also checks, at every refresh, the invariant the simulator's running
 list keeps without rebuilding it: ``_running`` is exactly the running
@@ -21,7 +22,7 @@ processes, in workload order.
 
 :class:`FullRefreshSystem` is the reference for the incremental
 refresh: the original flow, which recomputes the entire system state
-after every event.
+after every event and dispatches every tick.
 
 The tests replay one workload through both and compare every register;
 :func:`mixed_workloads`, :func:`replay`, :func:`observables` and
@@ -38,13 +39,11 @@ from hypothesis import strategies as st
 from repro.core.policy import VminPolicyTable
 from repro.errors import ConfigurationError, SimulationError
 from repro.platform.chip import Chip
-from repro.platform.pmu import CoreCounters, Pmu
+from repro.platform.pmu import Pmu
 from repro.platform.specs import FrequencyClass, get_spec
 from repro.platform.thermal import ThermalModel
-from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.ed2p import Ed2pClockPlan, Ed2pPolicy, ed2p_clock_plan
-from repro.policies.governors import BaselinePolicy
-from repro.policies.safevmin import SafeVminPolicy
+from repro.policies.registry import resolve_policy
 from repro.policies.surfaces import Policy
 from repro.sim.process import ProcessCounters, SimProcess
 from repro.sim.system import REMAINING_EPS, ServerSystem, SimLane
@@ -69,20 +68,6 @@ def advance_process_counters(
         raise SimulationError("counter deltas must be non-negative")
     counters.cycles += cycles
     counters.l3_accesses += l3_accesses
-
-
-def advance_core_counters(
-    regs: CoreCounters,
-    cycles: float,
-    instructions: float,
-    l3_accesses: float,
-) -> None:
-    """Accumulate one interval of a core's registers."""
-    if min(cycles, instructions, l3_accesses) < 0:
-        raise ConfigurationError("PMU deltas must be non-negative")
-    regs.cycles += cycles
-    regs.instructions += instructions
-    regs.l3_accesses += l3_accesses
 
 
 def progress(process: SimProcess, fraction: float) -> None:
@@ -137,18 +122,21 @@ class _NoExecCache(dict):
 class FullRefreshSystem(ServerSystem):
     """A :class:`ServerSystem` that recomputes everything after every event.
 
-    No incremental refresh, execution-state cache or reschedule
-    elision, and each lane's power is one whole ``chip_power``
-    evaluation at its leakage multiplier: the original hot path, the
-    ground truth the incremental one must equal bit for bit. Both
-    dispatch and audit every event on its own, same-instant events
-    included.
+    No incremental refresh, execution-state cache, reschedule elision
+    or quiet-tick horizon, and each lane's power is one whole
+    ``chip_power`` evaluation at its leakage multiplier: the original
+    hot path, the ground truth the incremental one must equal bit for
+    bit. Both dispatch and audit every event on its own, same-instant
+    events included.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._elide = False
         self._exec_cache = _NoExecCache()
+
+    def _fold_quiet_ticks(self) -> None:
+        pass
 
     def _refresh(self) -> None:
         self._refreshes_full += 1
@@ -169,6 +157,9 @@ class FullRefreshSystem(ServerSystem):
 
 class LoopOracleSystem(ServerSystem):
     """A :class:`ServerSystem` whose per-event loops skip the plans."""
+
+    def _fold_quiet_ticks(self) -> None:
+        pass
 
     def _refresh(self) -> None:
         # Admission inserts and completion removes; nothing else
@@ -208,14 +199,6 @@ class LoopOracleSystem(ServerSystem):
                 exec_state.l3_rate_per_mcycles * freq * dt / 1e6
             ) * process.nthreads
             advance_process_counters(process.counters, cycles, accesses)
-            for core in process.cores:
-                core_freq = state.frequency_of_core(core)
-                advance_core_counters(
-                    pmu.core(core),
-                    cycles=core_freq * dt,
-                    instructions=core_freq * dt * exec_state.effective_activity,
-                    l3_accesses=accesses / process.nthreads,
-                )
             progress(process, dt / exec_state.duration_s)
         pmds = state.active_pmds
         if pmds:
@@ -331,8 +314,7 @@ def replay_observables(system: ServerSystem, lane: SimLane) -> dict:
 
     The result fields and trace the incremental-refresh suite compares,
     plus each process's PMU counters, class and remaining work, every
-    per-core PMU register and droop bin, and the lane's temperature
-    series.
+    droop bin, the lane's temperature series and its energy meter.
     """
     pmu = system.chip.pmu
     result = lane.result
@@ -347,11 +329,9 @@ def replay_observables(system: ServerSystem, lane: SimLane) -> dict:
             )
             for p in result.processes
         ],
-        "core_registers": [
-            (c.cycles, c.instructions, c.l3_accesses) for c in pmu.cores
-        ],
         "droop_bins": sorted(pmu.droop_events.items()),
         "temperature_series": list(lane.temperature_series),
+        "meter": (lane.meter.energy_j, lane.meter.elapsed_s),
     }
 
 
@@ -366,17 +346,17 @@ def _clock_plan(platform: str) -> Ed2pClockPlan:
 
 
 def make_policy(key: str, platform: str) -> Policy:
-    """A fresh policy of one of :data:`POLICY_KEYS`, or ``ed2p``."""
+    """A fresh policy of any registered key or paper alias.
+
+    Every policy of one platform shares one safe-Vmin table, and
+    ``ed2p`` one clock plan.
+    """
     spec = get_spec(platform)
-    if key == "baseline":
-        return BaselinePolicy()
-    if key == "safe-vmin":
-        return SafeVminPolicy(spec, policy=_table(platform))
     if key == "ed2p":
         return Ed2pPolicy(
             spec, policy=_table(platform), clock_plan=_clock_plan(platform)
         )
-    return OnlineMonitoringDaemon(spec, policy=_table(platform))
+    return resolve_policy(key, spec, table=_table(platform))
 
 
 @st.composite

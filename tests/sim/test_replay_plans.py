@@ -3,15 +3,14 @@
 :class:`~repro.sim.system.ServerSystem` integrates, reschedules and
 scans for behaviour changes by walking the replay plans it builds at
 each full recompute. :class:`tests.replay_oracle.LoopOracleSystem` runs
-the same simulator with the per-process method loops instead. These
-properties replay random workloads — static and phased programs,
-thermal tracking on and off, three policies, the 8-core and the 64-core
-chip — through both and compare, with ``==`` on the raw floats, every
-result field, every process's counters, class and remaining work,
-every per-core PMU register and droop bin, and the temperature series.
-
-Nothing in ``src/`` reads the per-core registers back, so these
-properties are the only check on them.
+the same simulator with the per-process method loops instead, and
+dispatches every monitor tick where production folds quiet ones into
+horizons. These properties replay random workloads — static and phased
+programs, thermal tracking on and off, three policies, the 8-core and
+the 64-core chip — through both and compare, with ``==`` on the raw
+floats, every result field, every process's counters, class and
+remaining work, every droop bin, the temperature series and the energy
+meter.
 """
 
 import dataclasses
