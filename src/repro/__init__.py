@@ -21,6 +21,11 @@ See :mod:`repro.experiments` for one regenerator per paper table/figure.
 """
 
 from .allocation import Allocation, cores_for, utilized_pmd_count
+
+# repro.vmin before everything that reaches repro.kernels: the Vmin
+# campaign and the batched kernels import each other's modules, and only
+# initializing repro.vmin first resolves them.
+from .vmin import FaultModel, VminCampaign, VminModel
 from .core import (
     L3RateClassifier,
     MonitoringDaemon,
@@ -43,16 +48,14 @@ from .errors import (
     PlacementError,
     ReproError,
 )
-from .perf import execution_state, job_duration_s
+from .perf import execution_state
 from .platform import Chip, ChipSpec, get_spec, xgene2_spec, xgene3_spec
 from .power import EnergyMeter, PowerModel, ed2p
 from .sim import ServerSystem, SystemResult
-from .vmin import FaultModel, VminCampaign, VminModel
 from .workloads import (
     BenchmarkProfile,
     ServerWorkloadGenerator,
     Workload,
-    all_benchmarks,
     characterization_set,
     get_benchmark,
 )
@@ -86,14 +89,12 @@ __all__ = [
     "VminModel",
     "VminPolicyTable",
     "Workload",
-    "all_benchmarks",
     "characterization_set",
     "cores_for",
     "ed2p",
     "execution_state",
     "get_benchmark",
     "get_spec",
-    "job_duration_s",
     "resolve_policy",
     "run_configuration",
     "run_evaluation",

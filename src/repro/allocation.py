@@ -70,11 +70,6 @@ def cores_for(
     raise ConfigurationError(f"unknown allocation {allocation!r}")
 
 
-def utilized_pmds(spec: ChipSpec, cores: Iterable[int]) -> Tuple[int, ...]:
-    """Sorted PMD ids touched by the given cores."""
-    return tuple(sorted({spec.pmd_of_core(c) for c in cores}))
-
-
 def utilized_pmd_count(
     spec: ChipSpec, nthreads: int, allocation: Allocation
 ) -> int:

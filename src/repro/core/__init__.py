@@ -23,7 +23,6 @@ from .monitoring import (
     MIN_WINDOW_CYCLES,
     ClassChange,
     MonitoringDaemon,
-    PerfLikeReader,
     kernel_module_reader,
 )
 from .placement import (
@@ -44,7 +43,6 @@ __all__ = [
     "L3RateClassifier",
     "MIN_WINDOW_CYCLES",
     "MonitoringDaemon",
-    "PerfLikeReader",
     "PlacementEngine",
     "PlacementPlan",
     "PolicyEntry",

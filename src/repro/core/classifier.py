@@ -34,14 +34,6 @@ class ClassificationSample:
     previous: WorkloadClass
     decided: WorkloadClass
 
-    @property
-    def changed(self) -> bool:
-        """True when the class flipped."""
-        return (
-            self.previous is not WorkloadClass.UNKNOWN
-            and self.decided is not self.previous
-        )
-
 
 class L3RateClassifier:
     """Threshold classifier with hysteresis over the L3C rate."""

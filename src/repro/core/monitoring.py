@@ -1,16 +1,15 @@
 """The monitoring half of the online daemon (Section VI.A).
 
 The monitor is a watchdog that periodically reads per-process performance
-counters (through the paper's zero-overhead kernel-module path, or a
-noisy perf-like path for the measurement ablation), computes each
+counters (through the paper's zero-overhead kernel-module path by
+default; any :data:`CounterReader` can stand in, such as the noisy
+perf-like reader of the measurement-noise tests), computes each
 process's L3C access rate over a window of at least one million cycles,
-and (re)classifies the process. It also reports the currently utilized
-PMDs, which determine the droop class the placement half must respect.
+and (re)classifies the process.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -38,33 +37,6 @@ def kernel_module_reader(process: SimProcess) -> Tuple[float, float]:
     return process.counters.cycles, process.counters.l3_accesses
 
 
-class PerfLikeReader:
-    """Counter reads with ±``noise`` relative error (perf/PAPI path).
-
-    Section VI.A motivates the kernel module with the ±3 % overhead of
-    perf-style tooling; this reader exists so the measurement-noise
-    ablation can quantify the misclassifications that noise causes near
-    the 3 K threshold.
-    """
-
-    def __init__(self, noise: float = 0.03, seed: int = 0):
-        if not 0.0 <= noise < 1.0:
-            raise ConfigurationError("noise must be in [0, 1)")
-        self._noise = noise
-        self._rng = random.Random(seed)
-
-    def __call__(self, process: SimProcess) -> Tuple[float, float]:
-        def jitter(value: float) -> float:
-            return value * (
-                1.0 + self._rng.uniform(-self._noise, self._noise)
-            )
-
-        return (
-            jitter(process.counters.cycles),
-            jitter(process.counters.l3_accesses),
-        )
-
-
 @dataclass(frozen=True)
 class ClassChange:
     """One process whose class flipped during a monitor pass."""
@@ -74,7 +46,7 @@ class ClassChange:
 
 
 class MonitoringDaemon:
-    """Watchdog half of the daemon: classify processes, track PMDs."""
+    """Watchdog half of the daemon: classify running processes."""
 
     def __init__(
         self,
@@ -200,7 +172,3 @@ class MonitoringDaemon:
             self.samples_taken += classified
             telemetry.inc(metric_names.DAEMON_CLASSIFICATIONS, classified)
         return count
-
-    def utilized_pmds(self, system: "Observation") -> int:
-        """Number of PMDs with at least one running thread."""
-        return len(system.chip.utilized_pmds)

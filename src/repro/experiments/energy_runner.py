@@ -66,11 +66,6 @@ class RunMeasurement:
     normalized_energy_j: float
 
     @property
-    def average_power_w(self) -> float:
-        """Mean power over the run."""
-        return self.energy_j / self.duration_s
-
-    @property
     def ed2p(self) -> float:
         """ED2P on the normalized energy (the paper's Fig. 12 metric)."""
         return ed2p(self.normalized_energy_j, self.duration_s)

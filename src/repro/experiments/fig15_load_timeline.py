@@ -26,10 +26,10 @@ class Fig15Result:
     max_cores: int
     trace: TimelineTrace
 
-    def load_moving_average(self, window_s: int = 60) -> List[float]:
+    def load_moving_average(self) -> List[float]:
         """1-minute moving average of busy cores (the paper's curve)."""
         return moving_average(
-            [float(v) for v in self.trace.load_series()], window_s
+            [float(v) for v in self.trace.load_series()], 60
         )
 
     def peak_load(self) -> int:

@@ -14,10 +14,9 @@ from typing import List, Optional, Tuple
 
 from ..analysis.tables import format_table
 from ..core.policy import VminPolicyTable
-from ..platform.pmu import DROOP_BINS_MV
 from ..platform.registry import platform_key_for_spec
 from ..platform.specs import FrequencyClass, get_spec
-from ..vmin.droop import droop_ladder
+from ..vmin.droop import DROOP_BINS_MV, droop_ladder
 
 #: Paper Table II Vmin values for X-Gene 3, by droop class:
 #: (Vmin @ 3GHz, Vmin @ 1.5GHz), in mV.

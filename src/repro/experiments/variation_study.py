@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..allocation import Allocation, cores_for
 from ..analysis.tables import format_table
 from ..core.policy import PolicyEntry, VminPolicyTable
+from ..kernels.vmin import safe_vmin_matrix
 from ..platform.chip import Chip
 from ..platform.specs import ChipSpec, get_spec
 from ..sim.system import ServerSystem, SimLane
@@ -113,16 +114,15 @@ class VariationStudyResult:
 
 
 def _worst_single_core_vmin(spec: ChipSpec, model: VminModel) -> float:
-    worst = 0.0
-    for core in range(spec.n_cores):
-        for profile in characterization_set():
-            worst = max(
-                worst,
-                model.safe_vmin_mv(
-                    spec.fmax_hz, (core,), profile.vmin_delta_mv
-                ),
-            )
-    return worst
+    """Highest safe Vmin at fmax of any one core running any
+    characterization benchmark, mV."""
+    matrix = safe_vmin_matrix(
+        model,
+        spec.fmax_hz,
+        [(core,) for core in range(spec.n_cores)],
+        [profile.vmin_delta_mv for profile in characterization_set()],
+    )
+    return float(matrix.max())
 
 
 def _daemon_violations(

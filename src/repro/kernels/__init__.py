@@ -33,7 +33,7 @@ mapping itself is recorded in :mod:`repro.kernels.parity`
 (:data:`~repro.kernels.parity.PARITY` /
 :data:`~repro.kernels.parity.SCALAR_ONLY`) and enforced statically by
 ``reprolint`` rule RL003 and at runtime by
-:func:`~repro.kernels.parity.verify_parity`.
+``tests/lint/test_parity_registry.py``.
 """
 
 from .faults import (
@@ -44,7 +44,7 @@ from .faults import (
     pfail_grid,
     width_mv_grid,
 )
-from .parity import PARITY, SCALAR_ONLY, verify_parity
+from .parity import PARITY, SCALAR_ONLY
 from .power import PowerGrid, chip_power_grid
 from .vmin import VminGrid, evaluate_grid, safe_vmin_grid, safe_vmin_matrix
 
@@ -62,6 +62,5 @@ __all__ = [
     "pfail_grid",
     "safe_vmin_grid",
     "safe_vmin_matrix",
-    "verify_parity",
     "width_mv_grid",
 ]

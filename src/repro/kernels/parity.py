@@ -13,15 +13,14 @@ This registry makes the mirroring an explicit, checkable contract:
 ``reprolint`` rule RL003 statically cross-checks both tables against
 the source: a new public scalar callable must land in one of them, a
 renamed kernel invalidates its ``PARITY`` entry, and a stale key is
-flagged at its line here. :func:`verify_parity` re-validates the same
-contract at runtime (the unit tests call it), so a registry that
-drifts from the importable truth fails fast in both worlds.
+flagged at its line here, and ``tests/lint/test_parity_registry.py``
+resolves every name at runtime, so a registry that drifts from the
+importable truth fails in both worlds.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import Dict, List, Tuple
+from typing import Dict
 
 #: scalar callable -> the batched kernel mirroring it.
 PARITY: Dict[str, str] = {
@@ -57,9 +56,6 @@ SCALAR_ONLY: Dict[str, str] = {
         "closed-form scalar already inlined by evaluate_grid's"
         " per-point compiler"
     ),
-    "repro.vmin.model.workload_delta_limit_mv": (
-        "constant accessor; kernels take the delta as an input axis"
-    ),
     "repro.vmin.model.VminModel.content_key": (
         "cache fingerprint payload consumed by repro.vmin.cache;"
         " not per-point math"
@@ -69,9 +65,6 @@ SCALAR_ONLY: Dict[str, str] = {
     ),
     "repro.vmin.model.VminModel.factor_decomposition": (
         "report-time diagnostic dict; never evaluated over grids"
-    ),
-    "repro.power.model.PowerModel.core_dynamic_w": (
-        "component term folded into chip_power_grid"
     ),
     "repro.power.model.PowerModel.core_leakage_w": (
         "component term folded into chip_power_grid"
@@ -89,51 +82,3 @@ SCALAR_ONLY: Dict[str, str] = {
         "scalar envelope bound used for validation, not swept"
     ),
 }
-
-
-def _resolve(dotted: str) -> object:
-    """Import the object named by ``dotted`` (module.attr[.attr])."""
-    parts = dotted.split(".")
-    for split in range(len(parts) - 1, 0, -1):
-        module_name = ".".join(parts[:split])
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError:
-            continue
-        obj: object = module
-        try:
-            for attr in parts[split:]:
-                obj = getattr(obj, attr)
-        except AttributeError:
-            break
-        return obj
-    raise LookupError(f"cannot resolve {dotted!r}")
-
-
-def verify_parity() -> List[Tuple[str, str]]:
-    """Runtime check of the registry against importable reality.
-
-    Returns the ``(scalar, kernel)`` pairs of :data:`PARITY` after
-    asserting every name on either side of the registry resolves to a
-    callable and that no name sits in both tables. Raises
-    :class:`LookupError` on a dangling name, :class:`ValueError` on a
-    structural violation.
-    """
-    overlap = sorted(set(PARITY) & set(SCALAR_ONLY))
-    if overlap:
-        raise ValueError(
-            f"names in both PARITY and SCALAR_ONLY: {overlap}"
-        )
-    for name, reason in SCALAR_ONLY.items():
-        if not reason.strip():
-            raise ValueError(f"SCALAR_ONLY[{name!r}] has no reason")
-        if not callable(_resolve(name)):
-            raise ValueError(f"SCALAR_ONLY key {name!r} not callable")
-    pairs: List[Tuple[str, str]] = []
-    for scalar, kernel in PARITY.items():
-        if not callable(_resolve(scalar)):
-            raise ValueError(f"PARITY key {scalar!r} not callable")
-        if not callable(_resolve(kernel)):
-            raise ValueError(f"PARITY value {kernel!r} not callable")
-        pairs.append((scalar, kernel))
-    return pairs

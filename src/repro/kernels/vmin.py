@@ -18,7 +18,7 @@ order, so totals are bit-for-bit identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,7 +110,6 @@ def evaluate_grid(
     freq_hz: Union[int, Sequence[int]],
     cores: Union[CoreSet, Sequence[CoreSet]],
     workload_delta_mv: Union[float, Sequence[float]] = 0.0,
-    compiler: Optional[_PointCompiler] = None,
 ) -> VminGrid:
     """Batched :meth:`VminModel.evaluate` over N configurations.
 
@@ -137,7 +136,7 @@ def evaluate_grid(
     deltas = _as_list(workload_delta_mv, n, "workload_delta_mv")
     telemetry.observe(metric_names.KERNELS_VMIN_BATCH, n)
 
-    compile_ = compiler or _PointCompiler(model)
+    compile_ = _PointCompiler(model)
     base = np.empty(n, dtype=np.float64)
     atten = np.empty(n, dtype=np.float64)
     offset = np.empty(n, dtype=np.float64)

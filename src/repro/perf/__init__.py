@@ -13,7 +13,6 @@ from .model import (
     ThreadWork,
     bandwidth_demand_gbs,
     execution_state,
-    job_duration_s,
     mem_time_scale,
     multi_instance_performance_ratio,
     solo_slowdown,
@@ -30,7 +29,6 @@ __all__ = [
     "bandwidth_utilization",
     "contention_factor",
     "execution_state",
-    "job_duration_s",
     "l2_sharing_factor",
     "mem_time_scale",
     "multi_instance_performance_ratio",

@@ -116,11 +116,6 @@ class ExecutionState:
     #: Effective switching activity (drives dynamic power and droops).
     effective_activity: float
 
-    @property
-    def mem_share(self) -> float:
-        """Fraction of wall time stalled on the lower memory hierarchy."""
-        return 1.0 - self.cpu_share
-
 
 def execution_state(
     profile: BenchmarkProfile,
@@ -161,24 +156,6 @@ def execution_state(
         l3_rate_per_mcycles=l3_rate,
         effective_activity=effective_activity,
     )
-
-
-def job_duration_s(
-    profile: BenchmarkProfile,
-    spec: ChipSpec,
-    freq_hz: float,
-    nthreads: int = 1,
-    shares_pmd: bool = False,
-    contention: float = 1.0,
-) -> float:
-    """Wall-clock duration of a whole job at a fixed operating point.
-
-    All threads of a homogeneous job finish together (same per-thread
-    work, same state), so the job duration equals the thread duration.
-    """
-    return execution_state(
-        profile, spec, freq_hz, nthreads, shares_pmd, contention
-    ).duration_s
 
 
 def multi_instance_performance_ratio(

@@ -1,14 +1,13 @@
-"""Platform substrate: chip, specs, SLIMpro, CPPC and PMU models.
+"""Platform substrate: chip, specs, SLIMpro and CPPC models.
 
 This package models the two micro-servers of the paper (X-Gene 2 and
 X-Gene 3) at the level of detail the paper's daemon actually touches:
-one shared voltage rail, per-PMD clocks with CPPC semantics, and the
-PMU's voltage-droop counters.
+one shared voltage rail, per-PMD clocks with CPPC semantics, and core
+occupancy by utilized PMD.
 """
 
 from .chip import Chip, ChipState
 from .cppc import CppcController, FrequencyTransition
-from .pmu import DROOP_BINS_MV, Pmu
 from .registry import (
     CharacterizationGrid,
     DroopParams,
@@ -50,7 +49,6 @@ __all__ = [
     "ChipState",
     "CacheSpec",
     "CppcController",
-    "DROOP_BINS_MV",
     "DroopParams",
     "FaultParams",
     "FrequencyClass",
@@ -58,7 +56,6 @@ __all__ = [
     "LEAKAGE_TEMP_COEFF_PER_C",
     "PerfCalibration",
     "PlatformModel",
-    "Pmu",
     "SlimPro",
     "ThermalModel",
     "ThermalParams",

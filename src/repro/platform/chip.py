@@ -3,8 +3,8 @@
 A :class:`Chip` instance is a *specific piece of silicon*: it combines the
 immutable :class:`~repro.platform.specs.ChipSpec` with mutable runtime
 state (rail voltage via :class:`~repro.platform.slimpro.SlimPro`, per-PMD
-frequencies via :class:`~repro.platform.cppc.CppcController`, PMU counters)
-and a ``silicon_seed`` identifying the manufacturing-variation instance
+frequencies via :class:`~repro.platform.cppc.CppcController`, core
+occupancy) and a ``silicon_seed`` identifying the manufacturing-variation instance
 (different seeds model chip-to-chip variation; the default seed reproduces
 the specific chips characterized in the paper, e.g. the robust PMD2 of
 Figure 4).
@@ -18,16 +18,15 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
 from .cppc import CppcController
-from .pmu import Pmu
 from .slimpro import SlimPro
-from .specs import ChipSpec, FrequencyClass
+from .specs import ChipSpec
 
 
 @dataclass(frozen=True)
 class ChipState:
     """Immutable snapshot of a chip's operating point.
 
-    Passed to the power, performance, Vmin and droop models so they can
+    Passed to the power, performance and Vmin models so they can
     evaluate a configuration without holding a reference to the live chip.
     """
 
@@ -57,28 +56,9 @@ class ChipState:
             return self.spec.fmin_hz
         return max(self.pmd_frequencies_hz[p] for p in pmds)
 
-    def worst_active_frequency_class(self) -> FrequencyClass:
-        """Most Vmin-demanding class among utilized PMDs.
-
-        When the chip is fully idle this returns the class of the highest
-        *configured* frequency, since the rail must still be safe for
-        whatever the clocks are doing.
-        """
-        pmds = self.active_pmds or frozenset(range(self.spec.n_pmds))
-        order = {
-            FrequencyClass.DIVIDE: 0,
-            FrequencyClass.SKIP: 1,
-            FrequencyClass.HIGH: 2,
-        }
-        classes = [
-            self.spec.frequency_class(self.pmd_frequencies_hz[p])
-            for p in pmds
-        ]
-        return max(classes, key=order.__getitem__)
-
 
 class Chip:
-    """A live chip: spec + regulator + clocks + PMU + core occupancy."""
+    """A live chip: spec + regulator + clocks + core occupancy."""
 
     def __init__(self, spec: ChipSpec, silicon_seed: int = 0):
         self.spec = spec
@@ -88,7 +68,6 @@ class Chip:
             min_mv=spec.min_voltage_mv,
         )
         self.cppc = CppcController(spec)
-        self.pmu = Pmu(spec)
         #: core_id -> occupant tag (opaque to the chip; usually a pid).
         self._occupants: Dict[int, object] = {}
         #: Busy cores per PMD, kept with ``_occupants``.
@@ -115,10 +94,6 @@ class Chip:
     ) -> int:
         """Set one PMD's clock; returns the snapped setting."""
         return self.cppc.request(pmd_id, freq_hz, time_s)
-
-    def set_all_frequencies(self, freq_hz: float, time_s: float = 0.0) -> int:
-        """Set every PMD to the same clock; returns the snapped setting."""
-        return self.cppc.request_all(freq_hz, time_s)
 
     # -- occupancy ----------------------------------------------------------
 

@@ -20,8 +20,8 @@ was never observed below 1.5 GHz, so every setting at or below fmax/2
 shares the half-clock Vmin.
 
 This module translates frequency requests into per-PMD effective settings;
-:class:`~repro.platform.chip.ChipState` reports the frequency class the
-Vmin model uses.
+:meth:`~repro.platform.specs.ChipSpec.frequency_class` names the class
+of a setting, which the Vmin model looks up.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ class CppcController:
                 FrequencyTransition(time_s, pmd_id, previous, target)
             )
         return target
-
-    def request_all(self, freq_hz: float, time_s: float = 0.0) -> int:
-        """Request the same frequency for every PMD."""
-        applied = self.spec.nearest_frequency(freq_hz)
-        for pmd_id in range(self.spec.n_pmds):
-            self.request(pmd_id, applied, time_s)
-        return applied
 
     def transition_count(self) -> int:
         """Number of frequency changes applied so far."""

@@ -34,7 +34,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Tuple
 
-from ..errors import ConfigurationError, FrequencyRangeError
+from ..errors import ConfigurationError
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -122,15 +122,6 @@ class ChipSpec:
     def frequency_steps(self) -> Tuple[int, ...]:
         """All supported frequency settings, ascending (1/8 steps of fmax)."""
         return _frequency_grid(self.fmax_hz, self.n_freq_steps, self.fmin_hz)[0]
-
-    def validate_frequency(self, freq_hz: int) -> None:
-        """Raise :class:`FrequencyRangeError` for an unsupported setting."""
-        if freq_hz not in self.frequency_steps():
-            supported = ", ".join(str(f) for f in self.frequency_steps())
-            raise FrequencyRangeError(
-                f"{self.name}: {freq_hz} Hz is not a supported step "
-                f"(supported: {supported})"
-            )
 
     def nearest_frequency(self, freq_hz: float) -> int:
         """Snap an arbitrary request to the nearest supported step."""

@@ -62,7 +62,6 @@ _EXPORTS: Dict[str, str] = {
     "PolicyDescriptor": "registry",
     "policy_keys": "registry",
     "policy_names": "registry",
-    "policy_descriptors": "registry",
     "get_policy_descriptor": "registry",
     "resolve_policy": "registry",
     "rail_mode": "registry",

@@ -29,6 +29,9 @@ from .daemon import OnlineMonitoringDaemon
 from .governors import ondemand_targets
 from .surfaces import Action, Observation, Policy, PolicyEvent
 
+#: Control window of both cappers, seconds: their monitor period.
+CONTROL_WINDOW_S = 0.5
+
 
 class _WindowPowerMeter:
     """Average power over the last control window, read like RAPL."""
@@ -63,11 +66,12 @@ class PowerCapPolicy(Policy):
     #: The window meter reads :attr:`Observation.energy_j`.
     reads_lane_state = True
 
+    monitor_period_s = CONTROL_WINDOW_S
+
     def __init__(
         self,
         spec: ChipSpec,
         cap_w: float,
-        window_s: float = 0.5,
         release_margin: float = 0.9,
     ):
         if cap_w <= 0:
@@ -77,7 +81,6 @@ class PowerCapPolicy(Policy):
         self.spec = spec
         self.cap_w = cap_w
         self.release_margin = release_margin
-        self.monitor_period_s = window_s
         self._meter = _WindowPowerMeter()
         self._steps: List[int] = list(spec.frequency_steps())
         self._ceiling_index = len(self._steps) - 1
@@ -150,11 +153,10 @@ class CappedDaemonPolicy(OnlineMonitoringDaemon):
         spec: ChipSpec,
         cap_w: float,
         policy: Optional[VminPolicyTable] = None,
-        window_s: float = 0.5,
         release_margin: float = 0.9,
     ):
         super().__init__(spec, control_voltage=True, policy=policy,
-                         monitor_period_s=window_s)
+                         monitor_period_s=CONTROL_WINDOW_S)
         if cap_w <= 0:
             raise ConfigurationError("power cap must be positive")
         self.cap_w = cap_w

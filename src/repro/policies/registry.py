@@ -176,11 +176,6 @@ def policy_names() -> Tuple[str, ...]:
     return tuple(_BY_NAME)
 
 
-def policy_descriptors() -> Tuple[PolicyDescriptor, ...]:
-    """All descriptors, in registry order."""
-    return _DESCRIPTORS
-
-
 def get_policy_descriptor(key: str) -> PolicyDescriptor:
     """Descriptor for a registry key or paper alias; raises on unknowns."""
     try:

@@ -80,9 +80,9 @@ class Observation:
     """Read-only live view of the server for one policy decision.
 
     Everything the paper's monitor can read is reachable from here: the
-    wall clock, rail voltage, per-PMD clocks and occupancy, the PMU
-    droop counters, the running processes (whose ``counters`` carry the
-    cycles/L3C snapshot the classifier consumes) and the energy meter.
+    wall clock, rail voltage, per-PMD clocks and occupancy, the running
+    processes (whose ``counters`` carry the cycles/L3C snapshot the
+    classifier consumes) and the energy meter.
     Properties are computed on access against the *current* machine
     state — inside :meth:`Policy.on_applied` the same observation
     object therefore shows the post-actuation state.
@@ -150,12 +150,7 @@ class Observation:
         """Current clock of one PMD, Hz."""
         return self.system.chip.cppc.frequency_of(pmd)
 
-    # -- PMU / power ---------------------------------------------------------
-
-    @property
-    def droop_events(self) -> Dict[Tuple[int, int], float]:
-        """PMU droop-detection counts per ``(lo, hi)`` mV bin (a copy)."""
-        return dict(self.system.chip.pmu.droop_events)
+    # -- power ---------------------------------------------------------------
 
     @property
     def energy_j(self) -> float:
@@ -302,8 +297,3 @@ class Policy:
     def decision_counters(self) -> Dict[str, int]:
         """Decision counters for ``repro policy compare`` and tooling."""
         return {}
-
-    def describe(self) -> str:
-        """One-line human description (used by ``repro policy show``)."""
-        doc = (type(self).__doc__ or "").strip()
-        return doc.splitlines()[0] if doc else type(self).__name__

@@ -8,8 +8,7 @@ metric that weighs performance more heavily than EDP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +57,11 @@ class EnergyMeter:
     """Integrates piecewise-constant power into energy over time.
 
     The system simulator calls :meth:`accumulate` for every interval
-    between events; per-interval samples can optionally be kept for
-    time-series figures (Figs. 14/15).
+    between events and :meth:`accumulate_intervals` for the quiet
+    monitor ticks it advances together.
     """
 
-    keep_samples: bool = False
     energy_j: float = 0.0
-    elapsed_s: float = 0.0
-    samples: List[Tuple[float, float, float]] = field(default_factory=list)
-    _time_s: float = 0.0
 
     def accumulate(self, power_w: Watts, dt_s: Seconds) -> None:
         """Add an interval of constant power."""
@@ -76,11 +71,7 @@ class EnergyMeter:
             raise ConfigurationError("power must be non-negative")
         if dt_s == 0:
             return
-        if self.keep_samples:
-            self.samples.append((self._time_s, dt_s, power_w))
         self.energy_j += power_w * dt_s
-        self.elapsed_s += dt_s
-        self._time_s += dt_s
 
     def accumulate_intervals(self, power_w: Watts, dts_s: np.ndarray) -> None:
         """Add consecutive intervals at one constant power.
@@ -88,15 +79,10 @@ class EnergyMeter:
         Leaves what :meth:`accumulate` on each interval in turn leaves,
         float for float.
         """
-        if self.keep_samples:
-            for dt_s in dts_s.tolist():
-                self.accumulate(power_w, dt_s)
-            return
         if len(dts_s) and dts_s.min() < 0:
             raise ConfigurationError("interval must be non-negative")
         if power_w < 0:
             raise ConfigurationError("power must be non-negative")
-        dts_s = dts_s[dts_s != 0]
-        self.energy_j = running_total(self.energy_j, power_w * dts_s)
-        self.elapsed_s = running_total(self.elapsed_s, dts_s)
-        self._time_s = running_total(self._time_s, dts_s)
+        self.energy_j = running_total(
+            self.energy_j, power_w * dts_s[dts_s != 0]
+        )

@@ -101,19 +101,6 @@ class PowerModel:
             raise ConfigurationError("voltage must be positive")
         return voltage_mv / self.spec.nominal_voltage_mv
 
-    def core_dynamic_w(
-        self, freq_hz: Hertz, voltage_mv: Millivolts, activity: float
-    ) -> Watts:
-        """Dynamic power of one core: C * V^2 * f * activity."""
-        if activity < 0:
-            raise ConfigurationError("activity must be non-negative")
-        return (
-            self.params.core_dyn_max_w
-            * self._v_ratio(voltage_mv) ** 2
-            * (freq_hz / self.spec.fmax_hz)
-            * activity
-        )
-
     def core_leakage_w(self, voltage_mv: Millivolts) -> Watts:
         """Leakage of one core (always on; the rail is shared)."""
         return (
@@ -184,9 +171,8 @@ class PowerModel:
         voltage = state.voltage_mv
         active_pmds = state.active_pmds
         freqs = state.pmd_frequencies_hz
-        # core_dynamic_w's C * V^2 prefix, evaluated once: the per-core
-        # product below keeps its left-to-right order, so every term is
-        # bit-identical to a core_dynamic_w call.
+        # The C * V^2 prefix of every core's C * V^2 * f * activity,
+        # evaluated once.
         dyn_scale = params.core_dyn_max_w * self._v_ratio(voltage) ** 2
         fmax = spec.fmax_hz
         per_pmd = spec.cores_per_pmd

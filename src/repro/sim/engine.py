@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import SimulationError
 
@@ -64,11 +64,6 @@ class EventQueue:
             self._cancelled.add(event.seq)
             self._pending.discard(event.seq)
             self.cancelled_total += 1
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty."""
-        self._drop_cancelled()
-        return self._heap[0].time_s if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the next live event."""

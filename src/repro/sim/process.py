@@ -134,9 +134,3 @@ class SimProcess:
         self.cores = ()
         self.remaining_fraction = 0.0
         self.finish_s = time_s
-
-    def turnaround_s(self) -> float:
-        """Arrival-to-finish time of a completed job."""
-        if self.finish_s is None:
-            raise SimulationError(f"pid {self.pid} has not finished")
-        return self.finish_s - self.arrival_s

@@ -54,8 +54,8 @@ A system replays one decision stream for one or more lanes
 (:class:`SimLane`). A lane holds the state no policy reads — the
 ground-truth Vmin model, the optional thermal model, the power level
 and energy meter, and the violations — so lanes that differ only there
-(other dies, other ambients) share one event loop, placement, monitor
-and PMU, and each ends with the result a one-lane replay of its inputs
+(other dies, other ambients) share one event loop, placement and
+monitor, and each ends with the result a one-lane replay of its inputs
 returns.
 """
 
@@ -85,9 +85,8 @@ from ..policies.surfaces import (
     PolicyEvent,
     TickHorizon,
 )
-from ..power.energy import EnergyMeter, ed2p, running_total
+from ..power.energy import EnergyMeter, ed2p
 from ..power.model import PowerBreakdown, PowerModel
-from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
 from ..workloads.generator import Workload
 from ..workloads.phases import phase_boundaries, resolve_benchmark
@@ -117,11 +116,6 @@ class ViolationRecord:
     voltage_mv: int
     required_mv: float
 
-    @property
-    def depth_mv(self) -> float:
-        """How far below the safe Vmin the rail sat."""
-        return self.required_mv - self.voltage_mv
-
 
 @dataclass(eq=False, slots=True)
 class ReplayPlan:
@@ -144,8 +138,6 @@ class ReplayPlan:
     l3_rate_freq: float
     nthreads: int
     duration_s: float
-    #: Effective switching activity of every thread.
-    activity: float
     #: Done-fraction phase boundaries; empty for static programs.
     boundaries: Tuple[float, ...]
     #: The behaviour profile active when the plan was built.
@@ -233,8 +225,6 @@ class ServerSystem:
         chip: Chip,
         workload: Workload,
         policy: Optional[Policy] = None,
-        power_model: Optional[PowerModel] = None,
-        droop_model: Optional[DroopModel] = None,
         trace_period_s: Optional[float] = 1.0,
         lanes: Optional[Sequence[SimLane]] = None,
     ):
@@ -259,8 +249,7 @@ class ServerSystem:
         self._vmin_table: Optional[VminPolicyTable] = self.policy.vmin_table
         #: Rail lifts the funnel's safe-Vmin clamp made (``policy.clamps``).
         self.clamps = 0
-        self.power_model = power_model or PowerModel(chip.spec)
-        self.droop_model = droop_model or DroopModel(chip.spec)
+        self.power_model = PowerModel(chip.spec)
         self.lanes: Tuple[SimLane, ...] = self._check_lanes(
             lanes if lanes is not None else [SimLane()],
             trace_period_s,
@@ -326,11 +315,6 @@ class ServerSystem:
         self._occ_version = -1
         self._freq_version = -1
         self._volt_version = -1
-        #: Droop plan: the fastest utilized clock and the droop rate of
-        #: each bin (empty when no PMD is utilized). Derived from the
-        #: chip state and execution states, fixed between full refreshes.
-        self._droop_freq = 0
-        self._droop_rates: Tuple[Tuple[Tuple[int, int], float], ...] = ()
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
         #: execution state. Keys hold the behaviour object itself so its
         #: id() stays valid for the cache's lifetime.
@@ -762,13 +746,6 @@ class ServerSystem:
             plan.counters.cycles = cycles
             plan.counters.l3_accesses = accesses
             plan.process.remaining_fraction = left
-        if self._droop_rates:
-            droop_cycles = self._droop_freq * dts
-            droops = self.chip.pmu.droop_events
-            for bin_mv, rate in self._droop_rates:
-                droops[bin_mv] = running_total(
-                    droops[bin_mv], rate * droop_cycles / 1e6
-                )
         state = self._state
         running = bool(self._running)
         for lane in self.lanes:
@@ -878,11 +855,6 @@ class ServerSystem:
             process.remaining_fraction = max(
                 0.0, process.remaining_fraction - dt / plan.duration_s
             )
-        if self._droop_rates:
-            droop_cycles = self._droop_freq * dt
-            droops = self.chip.pmu.droop_events
-            for bin_mv, rate in self._droop_rates:
-                droops[bin_mv] += rate * droop_cycles / 1e6
         for lane in self.lanes:
             lane.meter.accumulate(lane.power_w, dt)
             thermal = lane.thermal
@@ -1026,12 +998,12 @@ class ServerSystem:
                 l3_rate_freq=exec_state.l3_rate_per_mcycles * freq,
                 nthreads=process.nthreads,
                 duration_s=exec_state.duration_s,
-                activity=activity,
                 boundaries=tuple(phase_boundaries(process.profile)),
                 behaviour=behaviour,
             )
             # With dt > 0, every counter and progress delta is
-            # non-negative iff these are.
+            # non-negative iff these are; a negative activity would
+            # draw negative dynamic power.
             if min(freq, plan.l3_rate_freq, activity, plan.duration_s) < 0:
                 raise SimulationError(
                     f"pid {process.pid}: negative clock, L3 rate, "
@@ -1046,38 +1018,9 @@ class ServerSystem:
         self._occ_version = self.chip.occupancy_version
         self._freq_version = self.chip.cppc.transition_count()
         self._volt_version = self.chip.slimpro.transition_count()
-        self._plan_droops(state, plans)
         self._recompute_power(state)
         self._reschedule_completions()
         self._audit_voltage(state, running)
-
-    def _plan_droops(self, state: ChipState, plans: List[ReplayPlan]) -> None:
-        """Fix the droop rates the next intervals accumulate at.
-
-        The rates are the jitter-free
-        :meth:`~repro.vmin.droop.DroopModel.rates_per_mcycles`, scaled by
-        each interval's cycles, and every input they depend on is fixed
-        until the next full recompute.
-        """
-        pmds = state.active_pmds
-        if not pmds:
-            self._droop_rates = ()
-            return
-        activity = sum(plan.activity for plan in plans) / max(1, len(plans))
-        rates = self.droop_model.rates_per_mcycles(
-            len(pmds),
-            state.worst_active_frequency_class(),
-            max(0.05, activity),
-            jitter=False,
-        )
-        freq = state.max_active_frequency()
-        # Every interval's droop counts are non-negative iff these are.
-        if freq < 0 or min(rates.values()) < 0:
-            raise SimulationError(
-                "negative clock or droop rate in the droop plan"
-            )
-        self._droop_freq = freq
-        self._droop_rates = tuple(rates.items())
 
     def _recompute_power(self, state: ChipState) -> None:
         """Evaluate the lane-independent breakdown, then each lane's power."""

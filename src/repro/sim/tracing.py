@@ -61,10 +61,6 @@ class TimelineTrace:
             )
         self.samples.append(sample)
 
-    def times(self) -> List[float]:
-        """Sample times."""
-        return [s.time_s for s in self.samples]
-
     def power_series(self) -> List[float]:
         """Instantaneous power per sample (Fig. 14)."""
         return [s.power_w for s in self.samples]

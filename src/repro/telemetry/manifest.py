@@ -25,7 +25,7 @@ import os
 import platform as _platform
 import subprocess
 import sys
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import Snapshot, merge_snapshots
 
@@ -391,9 +391,16 @@ def summarize_manifest(manifest: Mapping[str, Any]) -> str:
 
 
 def load_manifest(path: str) -> Dict[str, Any]:
-    """Read and JSON-parse a manifest file (no validation)."""
+    """Read and JSON-parse a manifest file (no validation).
+
+    A file that is not UTF-8 JSON with an object at its root raises
+    :class:`ValueError` naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: manifest root must be a JSON object")
     return payload
@@ -410,11 +417,3 @@ def hit_rate_of(manifest: Mapping[str, Any]) -> float:
     """Total characterization-cache hit rate recorded in a manifest."""
     rate = manifest.get("totals", {}).get("cache", {}).get("hit_rate", 0.0)
     return float(rate)
-
-
-def iter_experiment_names(
-    manifest: Mapping[str, Any]
-) -> Iterable[str]:
-    """Names of the experiments a manifest covers, in merge order."""
-    for entry in manifest.get("experiments", []):
-        yield str(entry.get("name"))

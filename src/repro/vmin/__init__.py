@@ -13,7 +13,6 @@ from .cache import (
     get_default_cache,
     make_key,
     model_fingerprint,
-    reset_default_cache,
     set_default_cache,
     spec_fingerprint,
 )
@@ -24,7 +23,13 @@ from .characterize import (
     VminCampaign,
     VoltageStepRecord,
 )
-from .droop import DroopModel, droop_bin, droop_bin_index, droop_ladder
+from .droop import (
+    DROOP_BINS_MV,
+    DroopModel,
+    droop_bin,
+    droop_bin_index,
+    droop_ladder,
+)
 from .faults import (
     FAULT_OUTCOMES,
     OUTCOME_CRASH,
@@ -39,17 +44,8 @@ from .prediction import (
     TrainingPoint,
     VminPredictor,
 )
-from .model import (
-    VminBreakdown,
-    VminModel,
-    variation_attenuation,
-    workload_delta_limit_mv,
-)
-from .variation import (
-    CoreVariationMap,
-    make_variation_map,
-    max_core_offset_mv,
-)
+from .model import VminBreakdown, VminModel, variation_attenuation
+from .variation import CoreVariationMap, make_variation_map
 
 __all__ = [
     "CacheStats",
@@ -58,6 +54,7 @@ __all__ = [
     "TrainingPoint",
     "VminPredictor",
     "CoreVariationMap",
+    "DROOP_BINS_MV",
     "DroopModel",
     "FAULT_OUTCOMES",
     "FaultModel",
@@ -80,11 +77,8 @@ __all__ = [
     "get_default_cache",
     "make_key",
     "make_variation_map",
-    "max_core_offset_mv",
     "model_fingerprint",
-    "reset_default_cache",
     "set_default_cache",
     "spec_fingerprint",
     "variation_attenuation",
-    "workload_delta_limit_mv",
 ]

@@ -20,7 +20,7 @@ and anything else is a miss. The key scheme is::
         freq_class:        Vmin-relevant frequency class of the setting,
         cores:             active core ids,
         pmd_occupancy:     threads per utilized PMD (droop class input),
-        workload:          benchmark/stressmark name,
+        workload:          benchmark name,
         workload_delta_mv: single-core workload Vmin delta,
         seed:              campaign seed,
         ...protocol:       step_mv, run counts, execution mode,
@@ -448,11 +448,6 @@ class VminCache:
                 for key, offset in writer.offsets:
                     self._disk_index[key] = (path, offset)
 
-    def clear(self) -> None:
-        """Drop the in-memory tier (the disk store is left alone)."""
-        with self._lock:
-            self._entries.clear()
-
     def disk_bytes(self) -> int:
         """Total size of the published packs, bytes (0 when memory-only).
 
@@ -606,11 +601,6 @@ def ensure_default_cache(
         if _default_cache.cache_dir == target:
             return _default_cache
     return configure_default_cache(cache_dir=cache_dir)
-
-
-def reset_default_cache() -> VminCache:
-    """Fresh in-memory default cache (used by tests and new runs)."""
-    return configure_default_cache()
 
 
 @cache_key_producer

@@ -18,9 +18,16 @@ import random
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..platform.pmu import DROOP_BINS_MV
 from ..platform.registry import DroopParams, model_for_spec
 from ..platform.specs import ChipSpec, FrequencyClass
+
+#: Droop magnitude bins used throughout the paper, in mV (Table II, Fig. 6).
+DROOP_BINS_MV: Tuple[Tuple[int, int], ...] = (
+    (25, 35),
+    (35, 45),
+    (45, 55),
+    (55, 65),
+)
 
 
 def droop_bin_index(spec: ChipSpec, utilized_pmds: int) -> int:
@@ -77,10 +84,6 @@ def droop_bin(spec: ChipSpec, utilized_pmds: int) -> Tuple[int, int]:
 class DroopModel:
     """Generates droop-detection counts per million cycles (Fig. 6)."""
 
-    #: Bound on the memoized jitter-free rate table (distinct activity
-    #: floats seen over a run); cleared wholesale when exceeded.
-    FLAT_RATE_CACHE_MAX = 1024
-
     def __init__(
         self,
         spec: ChipSpec,
@@ -97,13 +100,6 @@ class DroopModel:
             FrequencyClass.SKIP: params.freq_scale_skip,
             FrequencyClass.DIVIDE: params.freq_scale_divide,
         }
-        #: (utilized_pmds, freq_class, activity) -> jitter-free rates.
-        #: The jitter-free computation is pure, so memoizing it returns
-        #: the exact same floats the direct evaluation would; the fluid
-        #: simulator calls it once per integration interval.
-        self._flat_rates: Dict[
-            Tuple[int, FrequencyClass, float], Dict[Tuple[int, int], float]
-        ] = {}
 
     def rates_per_mcycles(
         self,
@@ -123,11 +119,6 @@ class DroopModel:
         """
         if activity <= 0:
             raise ConfigurationError("activity factor must be positive")
-        if not jitter:
-            key = (utilized_pmds, freq_class, activity)
-            cached = self._flat_rates.get(key)
-            if cached is not None:
-                return dict(cached)
         ceiling = droop_bin_index(self.spec, utilized_pmds)
         rng = (
             random.Random(f"{self._seed}/{workload_name}/{utilized_pmds}")
@@ -152,8 +143,4 @@ class DroopModel:
             if rng is not None and rate > above_ceiling:
                 rate *= 1.0 + 0.25 * (rng.random() - 0.5)
             rates[bin_] = rate
-        if not jitter:
-            if len(self._flat_rates) >= self.FLAT_RATE_CACHE_MAX:
-                self._flat_rates.clear()
-            self._flat_rates[key] = dict(rates)
         return rates

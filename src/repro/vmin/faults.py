@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError
-from ..platform.pmu import DROOP_BINS_MV
 from ..platform.registry import FaultParams, model_for_spec
 from ..platform.specs import ChipSpec
 from ..units import Millivolts
+from .droop import DROOP_BINS_MV
 
 #: Outcome tags of one run: a pass or one of the abnormal behaviours.
 OUTCOME_PASS = "pass"

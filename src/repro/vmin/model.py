@@ -207,8 +207,3 @@ class VminModel:
 #: Largest single-core workload Vmin delta, mV (Section III.A reports up
 #: to ~40 mV total workload variation on X-Gene 2, i.e. about +/-20 mV).
 _MULTICORE_WORKLOAD_DELTA_LIMIT_MV = 20.0
-
-
-def workload_delta_limit_mv() -> Millivolts:
-    """Bound on per-benchmark Vmin deltas used by workload profiles."""
-    return _MULTICORE_WORKLOAD_DELTA_LIMIT_MV

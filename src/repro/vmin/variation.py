@@ -44,33 +44,6 @@ class CoreVariationMap:
             return 0.0
         return max(self.offset_of(c) for c in ids)
 
-    def most_robust_pmd(self, spec: ChipSpec) -> int:
-        """PMD whose worst core has the smallest offset."""
-        return min(
-            range(spec.n_pmds),
-            key=lambda p: max(
-                self.offset_of(c) for c in spec.cores_of_pmd(p)
-            ),
-        )
-
-    def most_sensitive_pmd(self, spec: ChipSpec) -> int:
-        """PMD whose worst core has the largest offset."""
-        return max(
-            range(spec.n_pmds),
-            key=lambda p: max(
-                self.offset_of(c) for c in spec.cores_of_pmd(p)
-            ),
-        )
-
-    def span_mv(self) -> float:
-        """Difference between the most and least sensitive core."""
-        return max(self.offsets_mv) - min(self.offsets_mv)
-
-
-def max_core_offset_mv(spec: ChipSpec) -> float:
-    """Largest static offset possible for a chip family, in mV."""
-    return model_for_spec(spec).variation.max_offset_mv
-
 
 def variation_rng(spec: ChipSpec, silicon_seed: int) -> random.Random:
     """The derived RNG stream of one ``(spec, seed)`` silicon instance.
@@ -92,7 +65,8 @@ def make_variation_map(
     Seed 0 reproduces the specific characterized chip on platforms whose
     bundle carries hand-laid ``paper_offsets_mv`` (X-Gene 2's robust
     PMD2, Fig. 4); every other (spec, seed) pair draws offsets uniformly
-    in ``[0, max_core_offset_mv(spec)]`` with mild within-PMD
+    in ``[0, max_offset_mv]`` of the platform's variation parameters,
+    with mild within-PMD
     correlation, since the two cores of a PMD share layout and supply
     routing.
 

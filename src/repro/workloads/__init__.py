@@ -10,7 +10,6 @@ from .phases import (
     AnyBenchmark,
     PhasedBenchmark,
     WorkloadPhase,
-    all_phased,
     get_phased,
     make_phased,
     phase_boundaries,
@@ -18,11 +17,9 @@ from .phases import (
     resolve_benchmark,
 )
 from .profiles import REFERENCE_FREQ_HZ, BenchmarkProfile, Suite
-from .stressmarks import didt_virus, memory_virus, stressmark_set
 from .suites import (
     CHARACTERIZATION_SPEC,
     FIGURE11_SET,
-    all_benchmarks,
     characterization_set,
     evaluation_pool,
     figure11_set,
@@ -43,19 +40,14 @@ __all__ = [
     "ServerWorkloadGenerator",
     "Suite",
     "Workload",
-    "all_benchmarks",
-    "all_phased",
     "characterization_set",
-    "didt_virus",
     "evaluation_pool",
     "figure11_set",
     "get_benchmark",
     "get_phased",
     "make_phased",
-    "memory_virus",
     "phase_boundaries",
     "profile_at",
     "resolve_benchmark",
-    "stressmark_set",
     "suite_benchmarks",
 ]

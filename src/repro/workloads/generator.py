@@ -45,10 +45,6 @@ class Workload:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def total_threads_issued(self) -> int:
-        """Sum of thread counts over all jobs."""
-        return sum(job.nthreads for job in self.jobs)
-
     def jobs_sorted(self) -> List[JobSpec]:
         """Jobs ordered by start time (ties by id)."""
         return sorted(self.jobs, key=lambda j: (j.start_time_s, j.job_id))

@@ -45,8 +45,7 @@ class WorkloadPhase:
 class PhasedBenchmark:
     """A program whose coarse-grain behaviour changes across phases.
 
-    All phases must agree on the threading semantics (``parallel``); the
-    total reference time is the fraction-weighted sum of the phases'.
+    All phases must agree on the threading semantics (``parallel``).
     """
 
     name: str
@@ -65,39 +64,6 @@ class PhasedBenchmark:
             raise ConfigurationError(
                 f"{self.name}: phases mix parallel and replicated profiles"
             )
-
-    # -- BenchmarkProfile-compatible surface --------------------------------
-
-    @property
-    def parallel(self) -> bool:
-        """Threading semantics, shared by all phases."""
-        return self.phases[0].profile.parallel
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """Weighted parallel efficiency across phases."""
-        return sum(
-            p.fraction * p.profile.parallel_efficiency for p in self.phases
-        )
-
-    @property
-    def ref_time_s(self) -> float:
-        """Total reference time: fraction-weighted over phases."""
-        return sum(p.fraction * p.profile.ref_time_s for p in self.phases)
-
-    @property
-    def mem_fraction(self) -> float:
-        """Time-weighted memory fraction (for summaries only)."""
-        total = self.ref_time_s
-        return sum(
-            p.fraction * p.profile.ref_time_s * p.profile.mem_fraction
-            for p in self.phases
-        ) / total
-
-    @property
-    def vmin_delta_mv(self) -> float:
-        """Worst (largest) Vmin delta across phases — safety-relevant."""
-        return max(p.profile.vmin_delta_mv for p in self.phases)
 
     # -- phase lookup ------------------------------------------------------
 
@@ -193,11 +159,6 @@ def get_phased(name: str) -> PhasedBenchmark:
             f"{sorted(_PHASED_REGISTRY)}"
         )
     return _PHASED_REGISTRY[name]
-
-
-def all_phased() -> List[PhasedBenchmark]:
-    """All built-in phased benchmarks."""
-    return list(_PHASED_REGISTRY.values())
 
 
 def resolve_benchmark(name: str) -> AnyBenchmark:

@@ -128,11 +128,6 @@ def get_benchmark(name: str) -> BenchmarkProfile:
     return _REGISTRY[name]
 
 
-def all_benchmarks() -> List[BenchmarkProfile]:
-    """All 41 profiles, in suite order."""
-    return list(_REGISTRY.values())
-
-
 def suite_benchmarks(suite: Suite) -> List[BenchmarkProfile]:
     """Profiles of one suite."""
     return [p for p in _REGISTRY.values() if p.suite is suite]

@@ -56,15 +56,7 @@ class TestHysteresis:
     def test_clear_crossing_flips(self, classifier):
         flip = sample(classifier, 5000.0, WorkloadClass.CPU_INTENSIVE)
         assert flip.decided is WorkloadClass.MEMORY_INTENSIVE
-        assert flip.changed
-
-    def test_changed_flag_only_on_flip(self, classifier):
-        stays = sample(classifier, 100.0, WorkloadClass.CPU_INTENSIVE)
-        assert not stays.changed
-
-    def test_unknown_never_counts_as_change(self, classifier):
-        first = sample(classifier, 100.0, WorkloadClass.UNKNOWN)
-        assert not first.changed
+        assert flip.decided is not flip.previous
 
     def test_bounds(self):
         c = L3RateClassifier(threshold=3000.0, hysteresis=0.1)

@@ -5,12 +5,12 @@ import pytest
 from repro.core.monitoring import (
     MIN_WINDOW_CYCLES,
     MonitoringDaemon,
-    PerfLikeReader,
     kernel_module_reader,
 )
 from repro.errors import ConfigurationError
 from repro.sim.process import SimProcess, WorkloadClass
 from repro.workloads.suites import get_benchmark
+from tests.perf_like_reader import PerfLikeReader
 from tests.replay_oracle import advance_process_counters
 
 

@@ -20,7 +20,7 @@ from repro.experiments.registry import (
     topological_order,
 )
 from repro.experiments.energy_runner import EnergyRunner
-from repro.vmin.cache import get_default_cache, reset_default_cache
+from repro.vmin.cache import configure_default_cache, get_default_cache
 from repro.vmin.characterize import VminCampaign
 
 #: Cheap experiments used for end-to-end orchestration tests.
@@ -29,9 +29,9 @@ FAST_SUBSET = ["table1", "fig5", "fig6"]
 
 @pytest.fixture(autouse=True)
 def fresh_default_cache():
-    reset_default_cache()
+    configure_default_cache()
     yield
-    reset_default_cache()
+    configure_default_cache()
 
 
 def _count_sweeps_with_a_miss(monkeypatch):
@@ -360,7 +360,7 @@ class TestRunExperiments:
         cold = orchestrator.run_experiments(
             names=names, jobs=1, cache_dir=tmp_path
         )
-        reset_default_cache()
+        configure_default_cache()
         warm = orchestrator.run_experiments(
             names=names, jobs=1, cache_dir=tmp_path
         )

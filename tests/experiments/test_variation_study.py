@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments import variation_study
+from repro.platform.specs import get_spec
+from repro.vmin.model import VminModel
+from repro.workloads.suites import characterization_set
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +46,28 @@ class TestVariationStudy:
         text = study.format()
         assert "Chip-to-chip" in text
         assert "foreign-table viol" in text
+
+
+def scalar_worst_single_core_vmin(spec, model):
+    """One scalar ``safe_vmin_mv`` per core and benchmark: the oracle."""
+    worst = 0.0
+    for core in range(spec.n_cores):
+        for profile in characterization_set():
+            worst = max(
+                worst,
+                model.safe_vmin_mv(
+                    spec.fmax_hz, (core,), profile.vmin_delta_mv
+                ),
+            )
+    return worst
+
+
+class TestWorstSingleCoreVmin:
+    @pytest.mark.parametrize("platform", ["xgene2", "xgene3-xl"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_matrix_equals_the_scalar_loop(self, platform, seed):
+        spec = get_spec(platform)
+        model = VminModel(spec, silicon_seed=seed)
+        worst = variation_study._worst_single_core_vmin(spec, model)
+        assert type(worst) is float
+        assert worst == scalar_worst_single_core_vmin(spec, model)

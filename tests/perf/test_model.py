@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.perf.model import (
     bandwidth_demand_gbs,
     execution_state,
-    job_duration_s,
     multi_instance_performance_ratio,
     solo_slowdown,
     thread_work,
@@ -18,25 +17,25 @@ from repro.workloads.suites import get_benchmark
 
 class TestFrequencyScaling:
     def test_cpu_intensive_scales_with_frequency(self, spec3, namd):
-        fast = job_duration_s(namd, spec3, ghz(3.0))
-        slow = job_duration_s(namd, spec3, ghz(1.5))
+        fast = execution_state(namd, spec3, ghz(3.0)).duration_s
+        slow = execution_state(namd, spec3, ghz(1.5)).duration_s
         assert slow / fast == pytest.approx(2.0, rel=0.05)
 
     def test_memory_intensive_barely_scales(self, spec3, cg):
-        fast = job_duration_s(cg, spec3, ghz(3.0))
-        slow = job_duration_s(cg, spec3, ghz(1.5))
+        fast = execution_state(cg, spec3, ghz(3.0)).duration_s
+        slow = execution_state(cg, spec3, ghz(1.5)).duration_s
         assert slow / fast < 1.35
 
     def test_reference_point_duration(self, spec3, namd):
         # At the reference clock on the reference chip, the solo
         # duration is the profile's reference time.
-        assert job_duration_s(namd, spec3, REFERENCE_FREQ_HZ) == (
+        assert execution_state(namd, spec3, REFERENCE_FREQ_HZ).duration_s == (
             pytest.approx(namd.ref_time_s, rel=0.01)
         )
 
     def test_xgene2_memory_path_slower(self, spec2, spec3, cg):
-        t2 = job_duration_s(cg, spec2, ghz(2.4))
-        t3 = job_duration_s(cg, spec3, ghz(2.25))
+        t2 = execution_state(cg, spec2, ghz(2.4)).duration_s
+        t3 = execution_state(cg, spec3, ghz(2.25)).duration_s
         # Lower clock AND slower memory on X-Gene 2.
         assert t2 > t3
 
@@ -49,8 +48,8 @@ class TestThreadSemantics:
     """Section II.B: parallel work-split vs replicated instances."""
 
     def test_parallel_split_speeds_up(self, spec3, cg):
-        solo = job_duration_s(cg, spec3, ghz(3.0), nthreads=1)
-        split = job_duration_s(cg, spec3, ghz(3.0), nthreads=8)
+        solo = execution_state(cg, spec3, ghz(3.0), nthreads=1).duration_s
+        split = execution_state(cg, spec3, ghz(3.0), nthreads=8).duration_s
         assert split < solo / 4
 
     def test_replicated_does_not_split(self, spec3, namd):
@@ -75,23 +74,23 @@ class TestThreadSemantics:
 
 class TestContentionAndSharing:
     def test_contention_inflates_memory_part(self, spec3, cg):
-        base = job_duration_s(cg, spec3, ghz(3.0))
-        crowded = job_duration_s(cg, spec3, ghz(3.0), contention=2.0)
+        base = execution_state(cg, spec3, ghz(3.0)).duration_s
+        crowded = execution_state(cg, spec3, ghz(3.0), contention=2.0).duration_s
         assert crowded > base * 1.5
 
     def test_contention_ignores_cpu_bound(self, spec3, namd):
-        base = job_duration_s(namd, spec3, ghz(3.0))
-        crowded = job_duration_s(namd, spec3, ghz(3.0), contention=3.0)
+        base = execution_state(namd, spec3, ghz(3.0)).duration_s
+        crowded = execution_state(namd, spec3, ghz(3.0), contention=3.0).duration_s
         assert crowded < base * 1.1
 
     def test_l2_sharing_slows_memory_bound(self, spec3, cg):
-        alone = job_duration_s(cg, spec3, ghz(3.0), shares_pmd=False)
-        shared = job_duration_s(cg, spec3, ghz(3.0), shares_pmd=True)
+        alone = execution_state(cg, spec3, ghz(3.0), shares_pmd=False).duration_s
+        shared = execution_state(cg, spec3, ghz(3.0), shares_pmd=True).duration_s
         assert shared > alone * 1.2
 
     def test_l2_sharing_spares_cpu_bound(self, spec3, namd):
-        alone = job_duration_s(namd, spec3, ghz(3.0), shares_pmd=False)
-        shared = job_duration_s(namd, spec3, ghz(3.0), shares_pmd=True)
+        alone = execution_state(namd, spec3, ghz(3.0), shares_pmd=False).duration_s
+        shared = execution_state(namd, spec3, ghz(3.0), shares_pmd=True).duration_s
         assert shared < alone * 1.05
 
     def test_invalid_contention_rejected(self, spec3, cg):
@@ -100,13 +99,9 @@ class TestContentionAndSharing:
 
 
 class TestExecutionState:
-    def test_shares_sum_to_one(self, spec3, cg):
-        state = execution_state(cg, spec3, ghz(3.0))
-        assert state.cpu_share + state.mem_share == pytest.approx(1.0)
-
     def test_memory_bound_mostly_stalled(self, spec3, cg):
         state = execution_state(cg, spec3, ghz(3.0))
-        assert state.mem_share > 0.6
+        assert 1.0 - state.cpu_share > 0.6
 
     def test_cpu_share_rises_at_low_frequency(self, spec3, cg):
         hi = execution_state(cg, spec3, ghz(3.0))

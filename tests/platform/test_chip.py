@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.platform.chip import Chip
-from repro.platform.specs import FrequencyClass, get_spec
-from repro.units import ghz, MHZ
+from repro.platform.specs import get_spec
+from repro.units import ghz
 
 
 class TestOccupancy:
@@ -118,10 +118,6 @@ class TestKnobs:
         chip2.set_pmd_frequency(1, ghz(1.2))
         assert chip2.cppc.frequency_of(1) == ghz(1.2)
 
-    def test_set_all_frequencies(self, chip2):
-        chip2.set_all_frequencies(900 * MHZ)
-        assert chip2.cppc.frequencies() == (900 * MHZ,) * 4
-
 
 class TestChipState:
     def test_snapshot_captures_point(self, chip2):
@@ -152,25 +148,13 @@ class TestChipState:
     def test_max_active_frequency_idle_is_floor(self, chip2, spec2):
         assert chip2.state().max_active_frequency() == spec2.fmin_hz
 
-    def test_max_active_frequency(self, chip2):
-        chip2.set_all_frequencies(ghz(1.2))
+    def test_max_active_frequency(self, chip2, spec2):
+        for pmd in range(spec2.n_pmds):
+            chip2.set_pmd_frequency(pmd, ghz(1.2))
         chip2.set_pmd_frequency(2, ghz(2.4))
         chip2.occupy(4, "p")  # core 4 is on PMD 2
         chip2.occupy(0, "q")
         assert chip2.state().max_active_frequency() == ghz(2.4)
-
-    def test_worst_active_frequency_class(self, chip2):
-        chip2.set_all_frequencies(900 * MHZ)
-        chip2.occupy(0, "p")
-        assert (
-            chip2.state().worst_active_frequency_class()
-            is FrequencyClass.DIVIDE
-        )
-        chip2.set_pmd_frequency(0, ghz(2.4))
-        assert (
-            chip2.state().worst_active_frequency_class()
-            is FrequencyClass.HIGH
-        )
 
     def test_from_name_factory(self):
         chip = Chip(get_spec("xgene3"), silicon_seed=5)

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.errors import ConfigurationError, FrequencyRangeError
+from repro.errors import ConfigurationError
 from repro.platform.specs import ChipSpec, CacheSpec, FrequencyClass, get_spec
 from repro.units import ghz, MHZ
 
@@ -92,14 +92,6 @@ class TestFrequencySteps:
     def test_half_frequency(self, spec2, spec3):
         assert spec2.half_frequency_hz == ghz(1.2)
         assert spec3.half_frequency_hz == ghz(1.5)
-
-    def test_validate_frequency_accepts_steps(self, spec2):
-        for freq in spec2.frequency_steps():
-            spec2.validate_frequency(freq)
-
-    def test_validate_frequency_rejects_off_grid(self, spec2):
-        with pytest.raises(FrequencyRangeError):
-            spec2.validate_frequency(ghz(1.0))
 
     def test_nearest_frequency_snaps(self, spec2):
         assert spec2.nearest_frequency(ghz(1.0)) == 900 * MHZ

@@ -64,7 +64,8 @@ class TestClamp:
         # Undervolt while pinning the busy PMD at fmax: the clamp must
         # price the *requested* clock, not the current (fmin) one.
         system = idle_system(threads=[1])
-        system.chip.set_all_frequencies(SPEC2.fmin_hz)
+        for pmd in range(SPEC2.n_pmds):
+            system.chip.set_pmd_frequency(pmd, SPEC2.fmin_hz)
         system.admit(system.processes[0], (0,))
         apply_action(
             system, Action(voltage_mv=650, pmd_freqs_hz={0: SPEC2.fmax_hz})
@@ -76,7 +77,8 @@ class TestClamp:
 
     def test_lifted_raise_lands_before_the_clocks(self):
         system = idle_system(threads=[1])
-        system.chip.set_all_frequencies(SPEC2.fmin_hz)
+        for pmd in range(SPEC2.n_pmds):
+            system.chip.set_pmd_frequency(pmd, SPEC2.fmin_hz)
         system.admit(system.processes[0], (0,))
         low = TABLE2.safe_voltage_mv(1, SPEC2.fmin_hz)
         system.chip.set_voltage(low)

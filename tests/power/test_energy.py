@@ -45,7 +45,6 @@ class TestEnergyMeter:
         meter.accumulate(10.0, 5.0)
         meter.accumulate(20.0, 5.0)
         assert meter.energy_j == 150.0
-        assert meter.elapsed_s == 10.0
 
     def test_zero_interval_noop(self):
         meter = EnergyMeter()
@@ -62,17 +61,6 @@ class TestEnergyMeter:
         with pytest.raises(ConfigurationError):
             meter.accumulate(-1.0, 1.0)
 
-    def test_samples_kept_on_request(self):
-        meter = EnergyMeter(keep_samples=True)
-        meter.accumulate(10.0, 1.0)
-        meter.accumulate(12.0, 2.0)
-        assert meter.samples == [(0.0, 1.0, 10.0), (1.0, 2.0, 12.0)]
-
-    def test_samples_not_kept_by_default(self):
-        meter = EnergyMeter()
-        meter.accumulate(10.0, 1.0)
-        assert meter.samples == []
-
 
 #: Intervals the simulator meters: monitor periods and odd remainders.
 _INTERVALS = st.lists(
@@ -85,15 +73,11 @@ _INTERVALS = st.lists(
 
 
 class TestIntervals:
-    @given(
-        st.floats(0.0, 500.0, allow_nan=False),
-        _INTERVALS,
-        st.booleans(),
-    )
+    @given(st.floats(0.0, 500.0, allow_nan=False), _INTERVALS)
     @settings(max_examples=100, deadline=None)
-    def test_equals_one_accumulate_per_interval(self, power, dts, samples):
-        one_by_one = EnergyMeter(keep_samples=samples)
-        batched = EnergyMeter(keep_samples=samples)
+    def test_equals_one_accumulate_per_interval(self, power, dts):
+        one_by_one = EnergyMeter()
+        batched = EnergyMeter()
         for meter in (one_by_one, batched):
             meter.accumulate(power, 0.3)
         for dt in dts:

@@ -26,20 +26,31 @@ def busy_state(spec, cores, voltage_mv=None, freq_hz=None):
     )
 
 
+def dynamic_w(power, spec, voltage_mv, freq_hz, activity):
+    """Dynamic chip power with every core busy at one activity, W.
+
+    Each core draws C * V^2 * f * activity, so the chip's sum scales the
+    way one core's term does.
+    """
+    cores = range(spec.n_cores)
+    state = busy_state(spec, cores, voltage_mv=voltage_mv, freq_hz=freq_hz)
+    return power.chip_power(state, {c: activity for c in cores}).dynamic_w
+
+
 class TestComponentScaling:
     def test_dynamic_power_quadratic_in_voltage(self, power3, spec3):
-        hi = power3.core_dynamic_w(spec3.fmax_hz, 870, 1.0)
-        lo = power3.core_dynamic_w(spec3.fmax_hz, 435, 1.0)
+        hi = dynamic_w(power3, spec3, 870, spec3.fmax_hz, 1.0)
+        lo = dynamic_w(power3, spec3, 435, spec3.fmax_hz, 1.0)
         assert hi / lo == pytest.approx(4.0)
 
     def test_dynamic_power_linear_in_frequency(self, power3, spec3):
-        hi = power3.core_dynamic_w(ghz(3.0), 870, 1.0)
-        lo = power3.core_dynamic_w(ghz(1.5), 870, 1.0)
+        hi = dynamic_w(power3, spec3, 870, ghz(3.0), 1.0)
+        lo = dynamic_w(power3, spec3, 870, ghz(1.5), 1.0)
         assert hi / lo == pytest.approx(2.0)
 
     def test_dynamic_power_linear_in_activity(self, power3, spec3):
-        one = power3.core_dynamic_w(spec3.fmax_hz, 870, 1.0)
-        half = power3.core_dynamic_w(spec3.fmax_hz, 870, 0.5)
+        one = dynamic_w(power3, spec3, 870, spec3.fmax_hz, 1.0)
+        half = dynamic_w(power3, spec3, 870, spec3.fmax_hz, 0.5)
         assert one / half == pytest.approx(2.0)
 
     def test_leakage_superlinear_in_voltage(self, power3):
@@ -49,11 +60,17 @@ class TestComponentScaling:
 
     def test_negative_activity_rejected(self, power3, spec3):
         with pytest.raises(ConfigurationError):
-            power3.core_dynamic_w(spec3.fmax_hz, 870, -0.1)
+            dynamic_w(power3, spec3, 870, spec3.fmax_hz, -0.1)
 
     def test_zero_voltage_rejected(self, power3, spec3):
+        state = ChipState(
+            spec=spec3,
+            voltage_mv=0,
+            pmd_frequencies_hz=(spec3.fmax_hz,) * spec3.n_pmds,
+            active_cores=frozenset({0}),
+        )
         with pytest.raises(ConfigurationError):
-            power3.core_dynamic_w(spec3.fmax_hz, 0, 1.0)
+            power3.chip_power(state, {0: 1.0})
 
     def test_gated_pmd_cheaper(self, power3, spec3):
         busy = power3.pmd_overhead_w(spec3.fmax_hz, 870, gated=False)

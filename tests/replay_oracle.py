@@ -9,8 +9,8 @@ per-process steps are the helpers of this module, and nothing in
 ``src/`` calls them:
 
 * fluid integration through :func:`advance_process_counters` and
-  :func:`progress`, reading the clocks from a fresh chip snapshot, and
-  droops through :func:`events_for_interval` and :func:`record_droops`;
+  :func:`progress`, reading each process's clock from a fresh chip
+  snapshot;
 * completion and phase rescheduling through :func:`next_phase_boundary`;
 * the behaviour-change scan over every running process;
 * every monitor tick dispatched on its own: it never folds quiet ticks
@@ -32,22 +32,20 @@ The tests replay one workload through both and compare every register;
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from hypothesis import strategies as st
 
 from repro.core.policy import VminPolicyTable
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.platform.chip import Chip
-from repro.platform.pmu import Pmu
-from repro.platform.specs import FrequencyClass, get_spec
+from repro.platform.specs import get_spec
 from repro.platform.thermal import ThermalModel
 from repro.policies.ed2p import Ed2pClockPlan, Ed2pPolicy, ed2p_clock_plan
 from repro.policies.registry import resolve_policy
 from repro.policies.surfaces import Policy
 from repro.sim.process import ProcessCounters, SimProcess
 from repro.sim.system import REMAINING_EPS, ServerSystem, SimLane
-from repro.vmin.droop import DroopModel
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.phases import phase_boundaries
 from repro.workloads.profiles import BenchmarkProfile
@@ -85,31 +83,6 @@ def next_phase_boundary(process: SimProcess) -> Optional[float]:
         if boundary > process.done_fraction + 1e-9:
             return boundary
     return None
-
-
-def record_droops(pmu: Pmu, bin_mv: Tuple[int, int], count: float) -> None:
-    """Accumulate droop detections in one magnitude bin."""
-    if bin_mv not in pmu.droop_events:
-        raise ConfigurationError(f"unknown droop bin {bin_mv}")
-    if count < 0:
-        raise ConfigurationError("droop count must be non-negative")
-    pmu.droop_events[bin_mv] += count
-
-
-def events_for_interval(
-    model: DroopModel,
-    utilized_pmds: int,
-    cycles: float,
-    freq_class: FrequencyClass = FrequencyClass.HIGH,
-    activity: float = 1.0,
-) -> Dict[Tuple[int, int], float]:
-    """Expected droop detections over ``cycles`` cycles, per bin."""
-    if cycles < 0:
-        raise ConfigurationError("cycles must be non-negative")
-    rates = model.rates_per_mcycles(
-        utilized_pmds, freq_class, activity, jitter=False
-    )
-    return {bin_: rate * cycles / 1e6 for bin_, rate in rates.items()}
 
 
 class _NoExecCache(dict):
@@ -187,11 +160,8 @@ class LoopOracleSystem(ServerSystem):
         if dt <= 0:
             self._sample_trace_until(time_s)
             return
-        state = self.chip.state()
-        running = self.running_processes()
         proc_states = self._proc_states
-        pmu = self.chip.pmu
-        for process in running:
+        for process in self.running_processes():
             exec_state = proc_states[process.pid]
             freq = self.process_frequency_hz(process)
             cycles = freq * dt * process.nthreads
@@ -200,20 +170,6 @@ class LoopOracleSystem(ServerSystem):
             ) * process.nthreads
             advance_process_counters(process.counters, cycles, accesses)
             progress(process, dt / exec_state.duration_s)
-        pmds = state.active_pmds
-        if pmds:
-            activity = sum(
-                proc_states[p.pid].effective_activity for p in running
-            ) / max(1, len(running))
-            events = events_for_interval(
-                self.droop_model,
-                utilized_pmds=len(pmds),
-                cycles=state.max_active_frequency() * dt,
-                freq_class=state.worst_active_frequency_class(),
-                activity=max(0.05, activity),
-            )
-            for bin_mv, count in events.items():
-                record_droops(pmu, bin_mv, count)
         for lane in self.lanes:
             lane.meter.accumulate(lane.power_w, dt)
             if lane.thermal is not None:
@@ -309,14 +265,13 @@ def observables(result):
     }
 
 
-def replay_observables(system: ServerSystem, lane: SimLane) -> dict:
+def replay_observables(lane: SimLane) -> dict:
     """Every observable of one lane of a finished replay, raw.
 
     The result fields and trace the incremental-refresh suite compares,
-    plus each process's PMU counters, class and remaining work, every
-    droop bin, the lane's temperature series and its energy meter.
+    plus each process's PMU counters, class and remaining work, the
+    lane's temperature series and its energy meter.
     """
-    pmu = system.chip.pmu
     result = lane.result
     return {
         **observables(result),
@@ -329,9 +284,8 @@ def replay_observables(system: ServerSystem, lane: SimLane) -> dict:
             )
             for p in result.processes
         ],
-        "droop_bins": sorted(pmu.droop_events.items()),
         "temperature_series": list(lane.temperature_series),
-        "meter": (lane.meter.energy_j, lane.meter.elapsed_s),
+        "meter": lane.meter.energy_j,
     }
 
 
@@ -400,4 +354,4 @@ def replay(
         lanes=[lane],
     )
     system.run()
-    return replay_observables(system, lane)
+    return replay_observables(lane)

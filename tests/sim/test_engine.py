@@ -37,18 +37,12 @@ class TestEventQueue:
         queue.cancel(event)
         assert len(queue) == 0
 
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(2.0, "x")
-        assert queue.peek_time() == 2.0
-
     def test_peek_skips_cancelled(self):
         queue = EventQueue()
         early = queue.schedule(1.0, "early")
         queue.schedule(2.0, "late")
         queue.cancel(early)
-        assert queue.peek_time() == 2.0
+        assert queue.pop().time_s == 2.0
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
@@ -82,7 +76,8 @@ class TestEventQueue:
             queue.cancel(buried)
             assert queue.pop().seq == live.seq
             assert not queue
-            queue.peek_time()  # any lazy-deletion entry point
+            with pytest.raises(SimulationError):
+                queue.pop()  # the lazy-deletion entry point
             assert not queue._cancelled
             assert not queue._heap
 
@@ -97,9 +92,8 @@ class TestEventQueue:
         for event in cancelled:
             queue.cancel(event)
         assert len(queue) == 1
-        queue.peek_time()
-        assert len(queue._cancelled) <= 128
         assert queue.pop().kind == "pinned"
+        assert len(queue._cancelled) <= 128
         assert not queue._cancelled and not queue._heap
 
     def test_pop_order_survives_compaction(self):
@@ -108,7 +102,6 @@ class TestEventQueue:
         victims = [queue.schedule(100.0 + i, "v") for i in range(300)]
         for event in victims:
             queue.cancel(event)
-        queue.peek_time()
         assert [queue.pop().seq for _ in range(5)] == [
             e.seq for e in keep
         ]

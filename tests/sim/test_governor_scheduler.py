@@ -76,7 +76,8 @@ class TestOndemandPmdScope:
 
 class TestPinnedGovernors:
     def test_performance(self, chip2, spec2):
-        chip2.set_all_frequencies(spec2.fmin_hz)
+        for pmd in range(spec2.n_pmds):
+            chip2.set_pmd_frequency(pmd, spec2.fmin_hz)
         govern(chip2, PerformancePolicy())
         assert chip2.cppc.frequencies() == (spec2.fmax_hz,) * 4
 

@@ -153,7 +153,7 @@ class TestIncrementalEquivalence:
                 lanes=[lane],
             )
             system.run()
-            replays.append(replay_observables(system, lane))
+            replays.append(replay_observables(lane))
         fast, oracle = replays
         assert fast["violations"]
         assert fast == oracle

@@ -65,7 +65,7 @@ def make_lane(platform, silicon_seed, ambient_c):
 def replay_lanes(
     platform, workload, policy_key, inputs, system_cls=ServerSystem
 ):
-    """One replay with a lane per input; the replayed system and lanes."""
+    """One replay with a lane per input; the replayed lanes."""
     lanes = [make_lane(platform, *each) for each in inputs]
     system = system_cls(
         Chip(get_spec(platform)),
@@ -75,16 +75,14 @@ def replay_lanes(
         lanes=lanes,
     )
     system.run()
-    return system, lanes
+    return lanes
 
 
 def assert_lanes_match_single_replays(platform, workload, policy_key, inputs):
-    system, lanes = replay_lanes(platform, workload, policy_key, inputs)
+    lanes = replay_lanes(platform, workload, policy_key, inputs)
     for each, lane in zip(inputs, lanes):
-        one, (single,) = replay_lanes(platform, workload, policy_key, [each])
-        assert replay_observables(system, lane) == replay_observables(
-            one, single
-        )
+        (single,) = replay_lanes(platform, workload, policy_key, [each])
+        assert replay_observables(lane) == replay_observables(single)
 
 
 class TestLanesMatchSingleReplays:
@@ -121,17 +119,15 @@ class TestLanesMatchSingleReplays:
             seed=0,
         )
         inputs = [(0, None), (3, None), (0, 95.0)]
-        system, lanes = replay_lanes("xgene2", workload, "daemon", inputs)
+        lanes = replay_lanes("xgene2", workload, "daemon", inputs)
         # Against the full-refresh oracle, whose lane power is one whole
         # chip_power call at the lane's leakage multiplier: the per-lane
         # split must equal it.
         for each, lane in zip(inputs, lanes):
-            one, (single,) = replay_lanes(
+            (single,) = replay_lanes(
                 "xgene2", workload, "daemon", [each], FullRefreshSystem
             )
-            assert replay_observables(system, lane) == replay_observables(
-                one, single
-            )
+            assert replay_observables(lane) == replay_observables(single)
         cool, other_die, hot = lanes
         assert cool.violations == []
         assert hot.violations

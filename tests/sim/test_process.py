@@ -46,15 +46,11 @@ class TestLifecycle:
         assert proc.state is ProcessState.DONE
         assert proc.cores == ()
         assert proc.remaining_fraction == 0.0
-        assert proc.turnaround_s() == 40.0
+        assert proc.finish_s - proc.arrival_s == 40.0
 
     def test_finish_before_start_rejected(self, proc):
         with pytest.raises(SimulationError):
             proc.finish(20.0)
-
-    def test_turnaround_needs_finish(self, proc):
-        with pytest.raises(SimulationError):
-            proc.turnaround_s()
 
 
 class TestMigration:

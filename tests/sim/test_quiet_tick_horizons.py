@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.core.monitoring import MonitoringDaemon, PerfLikeReader
+from repro.core.monitoring import MonitoringDaemon
 from repro.platform.chip import Chip
 from repro.platform.specs import get_spec
 from repro.platform.thermal import ThermalModel
@@ -38,6 +38,7 @@ from repro.telemetry import names as metric_names
 from repro.vmin.model import VminModel
 from repro.workloads.generator import JobSpec, Workload
 
+from tests.perf_like_reader import PerfLikeReader
 from tests.replay_oracle import (
     LoopOracleSystem,
     _table,
@@ -132,7 +133,7 @@ def replay(system_cls, platform, workload, policy, lane_inputs, trace):
         counters = registry.snapshot()["counters"]
     folded = counters.get(metric_names.SIM_EVENTS_FOLDED, 0)
     observed = {
-        "lanes": [replay_observables(system, lane) for lane in lanes],
+        "lanes": [replay_observables(lane) for lane in lanes],
         "policy": policy_state(policy),
         "events": system.dispatched,
         "counters": {

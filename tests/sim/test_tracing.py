@@ -25,7 +25,7 @@ class TestTimelineTrace:
         trace.append(sample(0.0, power=10.0))
         trace.append(sample(1.0, power=20.0))
         assert trace.power_series() == [10.0, 20.0]
-        assert trace.times() == [0.0, 1.0]
+        assert [s.time_s for s in trace.samples] == [0.0, 1.0]
         assert trace.load_series() == [4, 4]
 
     def test_time_ordering_enforced(self):
@@ -41,7 +41,7 @@ class TestTimelineTrace:
         trace = TimelineTrace()
         trace.append(sample(1.0, power=10.0))
         trace.append(sample(1.0, power=12.0))
-        assert trace.times() == [1.0, 1.0]
+        assert [s.time_s for s in trace.samples] == [1.0, 1.0]
         assert trace.power_series() == [10.0, 12.0]
 
     def test_nan_time_rejected(self):

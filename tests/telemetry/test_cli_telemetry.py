@@ -9,16 +9,16 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.experiments import orchestrator
-from repro.vmin.cache import reset_default_cache
+from repro.vmin.cache import configure_default_cache
 
 RUN_KWARGS = dict(platform="xgene2", duration_s=60.0, seed=0)
 
 
 @pytest.fixture(autouse=True)
 def fresh_default_cache():
-    reset_default_cache()
+    configure_default_cache()
     yield
-    reset_default_cache()
+    configure_default_cache()
 
 
 def _shrink_registry(monkeypatch, names=("table1", "fig5")):
@@ -151,3 +151,42 @@ class TestTelemetrySubcommands:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["telemetry", "frobnicate"])
+
+
+#: Manifest files no JSON parser reads: cut mid-string, and not UTF-8.
+BROKEN_MANIFESTS = {
+    "truncated": json.dumps(
+        {"schema_version": 1, "kind": "repro-run-manifest"}, indent=2
+    ).encode()[:30],
+    "not-utf8": b'{"kind": "\xff\xfe"}',
+}
+
+
+class TestBrokenManifests:
+    """A manifest that does not parse is named, on one line, exit 2."""
+
+    @pytest.mark.parametrize("damage", sorted(BROKEN_MANIFESTS))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "{broken}"],
+            ["summarize", "{broken}"],
+            ["diff", "{broken}", "{good}"],
+            ["diff", "{good}", "{broken}"],
+        ],
+        ids=["check", "summarize", "diff-left", "diff-right"],
+    )
+    def test_broken_file_is_named(self, tmp_path, capsys, damage, command):
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(BROKEN_MANIFESTS[damage])
+        good = tmp_path / "good.json"
+        good.write_text("{}")
+        argv = [
+            arg.format(broken=broken, good=good) for arg in command
+        ]
+        assert main(["telemetry", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro telemetry: error: {broken}: ")

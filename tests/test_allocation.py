@@ -14,7 +14,6 @@ from repro.allocation import (
     pick_free_cores,
     spreaded_cores,
     utilized_pmd_count,
-    utilized_pmds,
 )
 from repro.errors import ConfigurationError, PlacementError
 from repro.platform.specs import get_spec, xgene2_spec
@@ -55,7 +54,7 @@ class TestSpreaded:
     def test_one_thread_per_pmd(self, spec2):
         cores = spreaded_cores(spec2, 4)
         assert cores == (0, 2, 4, 6)
-        assert len(utilized_pmds(spec2, cores)) == 4
+        assert len({spec2.pmd_of_core(c) for c in cores}) == 4
 
     def test_xgene3_16t_spreaded_uses_16_pmds(self, spec3):
         # Table II: 16T(spreaded) -> 16 PMDs.
@@ -95,20 +94,20 @@ class TestPickFreeCores:
         chosen = pick_free_cores(
             spec2, range(8), 4, Allocation.CLUSTERED
         )
-        assert len(utilized_pmds(spec2, chosen)) == 2
+        assert len({spec2.pmd_of_core(c) for c in chosen}) == 2
 
     def test_spreaded_prefers_fresh_pmds(self, spec2):
         # Cores 0 and 1 busy (PMD0 full); the spreaded pick should use
         # fresh PMDs 1, 2, 3.
         free = [2, 3, 4, 5, 6, 7]
         chosen = pick_free_cores(spec2, free, 3, Allocation.SPREADED)
-        assert len(utilized_pmds(spec2, chosen)) == 3
+        assert len({spec2.pmd_of_core(c) for c in chosen}) == 3
 
     def test_spreaded_on_empty_chip(self, spec3):
         chosen = pick_free_cores(
             spec3, range(32), 16, Allocation.SPREADED
         )
-        assert len(utilized_pmds(spec3, chosen)) == 16
+        assert len({spec3.pmd_of_core(c) for c in chosen}) == 16
 
     def test_not_enough_free(self, spec2):
         with pytest.raises(PlacementError):

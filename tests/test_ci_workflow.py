@@ -281,6 +281,16 @@ def test_verify_job_gates_on_structured_manifest(workflow):
     assert "manifest_warm.json" in paths
 
 
+def test_verify_job_runs_the_reachability_trace(workflow):
+    # An unreached def in src/ fails the job unless the allowlist names
+    # it with the reason it stays.
+    text = _steps_text(workflow["jobs"]["verify"])
+    assert "PYTHONPATH=src python tools/reachability.py" in text
+    tools = Path(__file__).parent.parent / "tools"
+    assert (tools / "reachability.py").is_file()
+    assert (tools / "reachability_allow.txt").is_file()
+
+
 def test_perfbench_reference_job_checks_both_chips(workflow):
     job = workflow["jobs"]["perfbench-reference"]
     assert job["timeout-minutes"] <= 30

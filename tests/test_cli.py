@@ -10,7 +10,7 @@ from repro.errors import SimulationError
 from repro.experiments import fig3_vmin_characterization, tables34
 from repro.experiments.registry import REGISTRY, experiment_names
 from repro.platform.specs import xgene2_spec, xgene3_spec
-from repro.vmin.cache import reset_default_cache
+from repro.vmin.cache import configure_default_cache
 
 #: ``--duration`` values the CLI refuses, with the reason it gives.
 #: Above one day the generator's per-second occupancy array alone would
@@ -96,9 +96,9 @@ class TestExecution:
 class TestRunAll:
     @pytest.fixture(autouse=True)
     def fresh_default_cache(self):
-        reset_default_cache()
+        configure_default_cache()
         yield
-        reset_default_cache()
+        configure_default_cache()
 
     def test_parser_accepts_jobs_and_cache_dir(self, tmp_path):
         args = build_parser().parse_args(
@@ -136,9 +136,9 @@ class TestErrorExits:
 
     @pytest.fixture(autouse=True)
     def fresh_default_cache(self):
-        reset_default_cache()
+        configure_default_cache()
         yield
-        reset_default_cache()
+        configure_default_cache()
 
     def test_missing_manifest_directory_refused_before_running(
         self, tmp_path, capsys

@@ -120,9 +120,9 @@ class TestManifestDeterminism:
     def _run(self):
         from repro.experiments import orchestrator
         from repro.telemetry import build_manifest
-        from repro.vmin.cache import reset_default_cache
+        from repro.vmin.cache import configure_default_cache
 
-        reset_default_cache()
+        configure_default_cache()
         summary = orchestrator.run_experiments(
             names=self.NAMES, jobs=1, collect_telemetry=True, **self.KWARGS
         )

@@ -151,7 +151,7 @@ def test_broken_references_are_reported(ref, why):
         "tests/sim/test_engine.py",
         "src/repro/platform/defs/*.toml",
         "tests/lint/",
-        "repro.kernels.parity.verify_parity()",
+        "repro.kernels.vmin.safe_vmin_matrix()",
         "repro.sim.system.ServerSystem",
     ],
 )

@@ -10,12 +10,13 @@ from repro import (
     get_spec,
     run_evaluation,
 )
-from repro.core.monitoring import MonitoringDaemon, PerfLikeReader
+from repro.core.monitoring import MonitoringDaemon
 from repro.core.policy import VminPolicyTable
 from repro.policies.governors import BaselinePolicy
 from repro.sim.process import WorkloadClass
 from repro.vmin.characterize import VminCampaign
 from repro.allocation import Allocation
+from tests.perf_like_reader import PerfLikeReader
 
 
 class TestCharacterizationToPolicyToDaemon:

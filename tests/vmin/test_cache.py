@@ -23,7 +23,6 @@ from repro.vmin.cache import (
     make_key,
     model_fingerprint,
     occupancy_of,
-    reset_default_cache,
     spec_fingerprint,
 )
 from repro.vmin.characterize import VminCampaign
@@ -34,9 +33,9 @@ from repro.workloads.suites import characterization_set
 @pytest.fixture(autouse=True)
 def fresh_default_cache():
     """Isolate every test from the process-wide default cache."""
-    reset_default_cache()
+    configure_default_cache()
     yield
-    reset_default_cache()
+    configure_default_cache()
 
 
 class TestKeying:

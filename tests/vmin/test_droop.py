@@ -3,15 +3,19 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.platform.pmu import DROOP_BINS_MV
 from repro.platform.specs import FrequencyClass
 from repro.vmin.droop import (
+    DROOP_BINS_MV,
     DroopModel,
     droop_bin,
     droop_bin_index,
     droop_ladder,
 )
-from tests.replay_oracle import events_for_interval
+
+
+class TestDroopBins:
+    def test_bins_match_paper(self):
+        assert DROOP_BINS_MV == ((25, 35), (35, 45), (45, 55), (55, 65))
 
 
 class TestDroopLadder:
@@ -99,21 +103,3 @@ class TestDroopRates:
             16, FrequencyClass.SKIP, jitter=False
         )
         assert skip[(55, 65)] < high[(55, 65)]
-
-
-class TestEventsForInterval:
-    def test_events_scale_with_cycles(self, spec3):
-        model = DroopModel(spec3)
-        one = events_for_interval(model, 16, 1e6)
-        ten = events_for_interval(model, 16, 1e7)
-        assert ten[(55, 65)] == pytest.approx(10 * one[(55, 65)])
-
-    def test_zero_cycles_zero_events(self, spec3):
-        model = DroopModel(spec3)
-        assert all(
-            v == 0 for v in events_for_interval(model, 16, 0).values()
-        )
-
-    def test_negative_cycles_rejected(self, spec3):
-        with pytest.raises(ConfigurationError):
-            events_for_interval(DroopModel(spec3), 16, -1)

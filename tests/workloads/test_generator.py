@@ -101,9 +101,6 @@ class TestLoadPhases:
         assert (per_minute == 0).any()
         assert per_minute.max() >= 3
 
-    def test_total_threads_issued(self, workload32):
-        assert workload32.total_threads_issued() >= len(workload32)
-
 
 class TestValidation:
     def test_bad_core_count(self):

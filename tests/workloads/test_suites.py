@@ -5,13 +5,17 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workloads.profiles import Suite
 from repro.workloads.suites import (
-    all_benchmarks,
     characterization_set,
     evaluation_pool,
     figure11_set,
     get_benchmark,
     suite_benchmarks,
 )
+
+
+def all_benchmarks():
+    """Every registered profile, suite by suite."""
+    return [p for suite in Suite for p in suite_benchmarks(suite)]
 
 
 class TestComposition:
