@@ -21,11 +21,6 @@ See :mod:`repro.experiments` for one regenerator per paper table/figure.
 """
 
 from .allocation import Allocation, cores_for, utilized_pmd_count
-
-# repro.vmin before everything that reaches repro.kernels: the Vmin
-# campaign and the batched kernels import each other's modules, and only
-# initializing repro.vmin first resolves them.
-from .vmin import FaultModel, VminCampaign, VminModel
 from .core import (
     L3RateClassifier,
     MonitoringDaemon,
@@ -52,6 +47,7 @@ from .perf import execution_state
 from .platform import Chip, ChipSpec, get_spec, xgene2_spec, xgene3_spec
 from .power import EnergyMeter, PowerModel, ed2p
 from .sim import ServerSystem, SystemResult
+from .vmin import FaultModel, VminCampaign, VminModel
 from .workloads import (
     BenchmarkProfile,
     ServerWorkloadGenerator,

@@ -5,19 +5,20 @@ table and the four evaluation configurations (Baseline / Safe-Vmin /
 Placement / Optimal). The control policies themselves — the daemon, the
 Safe-Vmin trim, the governors and power cappers — live in
 :mod:`repro.policies`.
+
+The policies are built on the monitor, the placement engine and the
+table, and the configurations (:mod:`repro.core.configurations`) run
+the policies. So the configuration names are exported lazily (PEP 562):
+importing this package, as every policy module does, never imports a
+policy.
 """
+
+import importlib
 
 from .classifier import (
     DEFAULT_THRESHOLD,
     ClassificationSample,
     L3RateClassifier,
-)
-from .configurations import (
-    CONFIG_NAMES,
-    ConfigurationRow,
-    EvaluationResult,
-    run_configuration,
-    run_evaluation,
 )
 from .monitoring import (
     MIN_WINDOW_CYCLES,
@@ -52,3 +53,24 @@ __all__ = [
     "run_configuration",
     "run_evaluation",
 ]
+
+#: The configuration names, defined in :mod:`repro.core.configurations`.
+_CONFIGURATION_EXPORTS = frozenset(
+    {
+        "CONFIG_NAMES",
+        "ConfigurationRow",
+        "EvaluationResult",
+        "run_configuration",
+        "run_evaluation",
+    }
+)
+
+
+def __getattr__(name: str):
+    """Import the configurations module on first use of one of its names."""
+    if name in _CONFIGURATION_EXPORTS:
+        module = importlib.import_module(f"{__name__}.configurations")
+        return getattr(module, name)
+    raise AttributeError(
+        f"module {__name__!r} has no attribute {name!r}"
+    )

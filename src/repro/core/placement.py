@@ -156,6 +156,9 @@ class PlacementEngine:
             p.pid: p.observed_class for p in processes
         }
         pmd_kind: Dict[int, str] = {}
+        # Every core is a chip's: taken from range(n_cores) by plan, or
+        # held by a running process for retune.
+        per_pmd = self.spec.cores_per_pmd
         for pid, cores in plan.assignments.items():
             kind = (
                 "mem"
@@ -163,7 +166,7 @@ class PlacementEngine:
                 else "cpu"
             )
             for core in cores:
-                pmd = self.spec.pmd_of_core(core)
+                pmd = core // per_pmd
                 # A PMD hosting any CPU-intensive thread must run at the
                 # CPU clock; never slow a CPU-bound process down.
                 if pmd_kind.get(pmd) != "cpu":

@@ -49,7 +49,11 @@ class PolicyEntry:
 
 
 class VminPolicyTable:
-    """Measured worst-case safe Vmin per (frequency class, droop class)."""
+    """Measured worst-case safe Vmin per (frequency class, droop class).
+
+    A table never changes after construction, so
+    :meth:`safe_voltage_mv` keeps each answer it gives.
+    """
 
     def __init__(
         self,
@@ -60,8 +64,10 @@ class VminPolicyTable:
         if guard_mv < 0:
             raise ConfigurationError("guard_mv must be non-negative")
         self.spec = spec
-        self.guard_mv = guard_mv
+        self._guard_mv = guard_mv
         self._entries = dict(entries)
+        #: (utilized PMDs, clock) -> :meth:`safe_voltage_mv`'s answer.
+        self._levels: Dict[Tuple[int, float], int] = {}
         self._n_classes = len(droop_ladder(spec))
         for freq_class in self._required_freq_classes(spec):
             for droop_class in range(self._n_classes):
@@ -189,6 +195,11 @@ class VminPolicyTable:
 
     # -- queries -------------------------------------------------------------------
 
+    @property
+    def guard_mv(self) -> int:
+        """Margin added above every measured entry, mV."""
+        return self._guard_mv
+
     def entry(
         self, freq_class: FrequencyClass, droop_class: int
     ) -> PolicyEntry:
@@ -214,12 +225,19 @@ class VminPolicyTable:
         ``freq_hz`` is the highest clock among them. The guard margin is
         included; results never exceed the nominal voltage.
         """
-        droop_class = droop_bin_index(self.spec, max(1, utilized_pmds))
-        freq_class = self.spec.frequency_class(
-            self.spec.nearest_frequency(freq_hz)
-        )
-        level = self.entry(freq_class, droop_class).vmin_mv + self.guard_mv
-        return min(level, self.spec.nominal_voltage_mv)
+        key = (utilized_pmds, freq_hz)
+        level = self._levels.get(key)
+        if level is None:
+            droop_class = droop_bin_index(self.spec, max(1, utilized_pmds))
+            freq_class = self.spec.frequency_class(
+                self.spec.nearest_frequency(freq_hz)
+            )
+            level = min(
+                self.entry(freq_class, droop_class).vmin_mv + self._guard_mv,
+                self.spec.nominal_voltage_mv,
+            )
+            self._levels[key] = level
+        return level
 
     def rows(self) -> List[PolicyEntry]:
         """All entries, for rendering Table II."""

@@ -19,10 +19,6 @@ class VoltageRangeError(ConfigurationError):
     """A voltage outside the regulator's supported range was requested."""
 
 
-class FrequencyRangeError(ConfigurationError):
-    """A frequency outside the chip's supported range was requested."""
-
-
 class PlacementError(ReproError):
     """The placement engine could not satisfy an allocation request."""
 

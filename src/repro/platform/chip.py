@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
@@ -54,7 +55,8 @@ class ChipState:
         pmds = self.active_pmds
         if not pmds:
             return self.spec.fmin_hz
-        return max(self.pmd_frequencies_hz[p] for p in pmds)
+        freqs = self.pmd_frequencies_hz
+        return max([freqs[p] for p in pmds])
 
 
 class Chip:
@@ -68,9 +70,12 @@ class Chip:
             min_mv=spec.min_voltage_mv,
         )
         self.cppc = CppcController(spec)
-        #: core_id -> occupant tag (opaque to the chip; usually a pid).
+        #: core_id -> occupant tag (opaque to the chip, hashable; usually
+        #: a pid).
         self._occupants: Dict[int, object] = {}
-        #: Busy cores per PMD, kept with ``_occupants``.
+        #: occupant -> the cores it holds; and busy cores per PMD. Both
+        #: are kept with ``_occupants``.
+        self._held: Dict[object, List[int]] = {}
         self._pmd_busy: List[int] = [0] * spec.n_pmds
         #: Monotonic change counter of the occupancy map. Bumped only
         #: when the core->occupant mapping actually mutates, so callers
@@ -110,19 +115,20 @@ class Chip:
             )
         if current is None:
             self.occupancy_version += 1
-            self._pmd_busy[self.spec.pmd_of_core(core_id)] += 1
+            self._pmd_busy[core_id // self.spec.cores_per_pmd] += 1
+            self._held.setdefault(occupant, []).append(core_id)
         self._occupants[core_id] = occupant
 
     def release_occupant(self, occupant: object) -> None:
         """Release every core held by ``occupant``."""
-        released = [
-            c for c, o in self._occupants.items() if o == occupant
-        ]
+        released = self._held.pop(occupant, None)
+        if not released:
+            return
+        per_pmd = self.spec.cores_per_pmd
         for core_id in released:
             del self._occupants[core_id]
-            self._pmd_busy[self.spec.pmd_of_core(core_id)] -= 1
-        if released:
-            self.occupancy_version += 1
+            self._pmd_busy[core_id // per_pmd] -= 1
+        self.occupancy_version += 1
 
     def occupant_of(self, core_id: int) -> Optional[object]:
         """Occupant tag of a core, or ``None`` when idle."""
@@ -143,9 +149,8 @@ class Chip:
     @property
     def utilized_pmds(self) -> FrozenSet[int]:
         """PMDs with at least one active core."""
-        return frozenset(
-            pmd for pmd, busy in enumerate(self._pmd_busy) if busy
-        )
+        busy = self._pmd_busy
+        return frozenset(compress(range(len(busy)), busy))
 
     @property
     def pmd_busy_counts(self) -> Tuple[int, ...]:
@@ -163,13 +168,20 @@ class Chip:
     # -- snapshots -----------------------------------------------------------
 
     def state(self) -> ChipState:
-        """Immutable snapshot of the current operating point."""
-        return ChipState(
+        """Immutable snapshot of the current operating point.
+
+        Its :attr:`~ChipState.active_pmds` comes from the busy counts,
+        which hold exactly the PMDs of the snapshot's active cores.
+        """
+        state = ChipState(
             spec=self.spec,
             voltage_mv=self.voltage_mv,
             pmd_frequencies_hz=self.cppc.frequencies(),
             active_cores=self.active_cores,
         )
+        # Fills the cached property, which lives in the instance dict.
+        state.__dict__["active_pmds"] = self.utilized_pmds
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

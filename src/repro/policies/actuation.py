@@ -14,8 +14,9 @@ to the measured safe Vmin, then actuates the fields of an
 3. **admission** — place the arriving process of an ``ADMIT`` event on
    ``admit_cores``;
 4. **frequencies** — per-PMD CPPC requests in the action's insertion
-   order (the CPPC model no-ops requests equal to the current clock, so
-   a full per-PMD map costs exactly what a changed subset costs);
+   order, only those that differ from the live clock: CPPC records no
+   transition for a request equal to an on-grid live clock, so a full
+   per-PMD map leaves what its changed subset leaves;
 5. **settle** — the final rail level, applied unconditionally (this is
    the only step that may lower the voltage).
 
@@ -32,6 +33,10 @@ above nominal needs no lookup: table levels never exceed nominal. No
 policy can therefore drive the rail below its table, and no admission
 can add a PMD or a clock class the rail does not already cover.
 
+Every PMD id of the set-points and every core the action moves or
+admits a thread to is range-checked first: a bad one raises
+:class:`~repro.errors.ConfigurationError` before anything moves.
+
 reprolint rule RL010 bans direct SLIMpro/CPPC actuation, thread
 migration and admission everywhere outside :mod:`repro.platform`; the
 suppressions below are the rule's single sanctioned escape hatch.
@@ -39,11 +44,13 @@ suppressions below are the rule's single sanctioned escape hatch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
+from ..errors import ConfigurationError
 from .surfaces import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..platform.chip import Chip
     from ..sim.process import SimProcess
     from ..sim.system import ServerSystem
 
@@ -67,13 +74,15 @@ def apply_action(
     settle_mv = action.voltage_mv
     admit = action.admit_cores if arriving is not None else None
     moves = _moves(system, action)
+    _check_cores(chip, *moves.values(), admit or ())
+    setpoints = _changed_setpoints(chip, action.pmd_freqs_hz)
     rail = settle_mv
     if rail is None:
         rail = chip.voltage_mv
         if raise_mv is not None and raise_mv > rail:
             rail = raise_mv
     if rail < system.spec.nominal_voltage_mv:
-        required = _table_level(system, action, moves, admit)
+        required = _table_level(system, setpoints, moves, admit)
         if rail < required:
             system.clamps += 1
             if raise_mv is None or raise_mv < required:
@@ -88,10 +97,8 @@ def apply_action(
         system.migrate_many(moves)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     if admit is not None:
         system.admit(arriving, tuple(admit))  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
-    freqs = action.pmd_freqs_hz
-    if freqs:
-        for pmd, freq in freqs.items():
-            chip.set_pmd_frequency(pmd, freq, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
+    for pmd, freq in setpoints.items():
+        chip.set_pmd_frequency(pmd, freq, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
     if settle_mv is not None:
         chip.set_voltage(settle_mv, now)  # reprolint: disable=RL010 -- the clamping funnel is the sanctioned actuator
 
@@ -116,35 +123,76 @@ def _moves(
     return moves
 
 
+def _check_cores(chip: "Chip", *core_sets: Iterable[int]) -> None:
+    """Reject any core outside the chip before a thread moves."""
+    n_cores = chip.spec.n_cores
+    for cores in core_sets:
+        for core in cores:
+            if not 0 <= core < n_cores:
+                raise ConfigurationError(
+                    f"{chip.spec.name}: core {core} out of range"
+                )
+
+
+def _changed_setpoints(
+    chip: "Chip", freqs: Optional[Dict[int, int]]
+) -> Dict[int, int]:
+    """The set-points of ``freqs`` CPPC would act on, in their order.
+
+    CPPC snaps a request to the frequency grid and records a transition
+    only when the snapped clock differs from the live one. A request
+    equal to a live clock on the grid snaps to it, so it is left out;
+    the live clock is off the grid only at a chip's start, when fmax
+    is not a whole step. Every PMD id is range-checked.
+    """
+    if not freqs:
+        return {}
+    live = chip.cppc.frequencies()
+    steps = chip.spec.frequency_steps()
+    changed: Dict[int, int] = {}
+    for pmd, freq in freqs.items():
+        if not 0 <= pmd < len(live):
+            raise ConfigurationError(
+                f"{chip.spec.name}: PMD {pmd} out of range "
+                f"(chip has {len(live)})"
+            )
+        current = live[pmd]
+        if freq != current or current not in steps:
+            changed[pmd] = freq
+    return changed
+
+
 def _table_level(
     system: "ServerSystem",
-    action: Action,
+    setpoints: Dict[int, int],
     moves: Dict["SimProcess", Tuple[int, ...]],
     admit: Optional[Tuple[int, ...]],
 ) -> int:
-    """The table's safe level for the state ``action`` leaves behind.
+    """The table's safe level for the state an action leaves behind.
 
     The PMDs in use are the chip's busy-core counts with the moved and
     admitted threads applied; a process that stays put costs nothing.
+    Each one's clock is its changed set-point, snapped as CPPC snaps it,
+    else its live clock. Every core is range-checked already.
     """
     spec = system.spec
+    per_pmd = spec.cores_per_pmd
     busy = list(system.chip.pmd_busy_counts)
     for process, target in moves.items():
         for core in process.cores:
-            busy[spec.pmd_of_core(core)] -= 1
+            busy[core // per_pmd] -= 1
         for core in target:
-            busy[spec.pmd_of_core(core)] += 1
+            busy[core // per_pmd] += 1
     if admit:
         for core in admit:
-            busy[spec.pmd_of_core(core)] += 1
+            busy[core // per_pmd] += 1
     pmds = [pmd for pmd, count in enumerate(busy) if count]
-    freqs = action.pmd_freqs_hz or {}
-    cppc = system.chip.cppc
+    live = system.chip.cppc.frequencies()
     top = spec.fmin_hz
     for pmd in pmds:
-        freq = freqs.get(pmd)
+        freq = setpoints.get(pmd)
         if freq is None:
-            freq = cppc.frequency_of(pmd)
+            freq = live[pmd]
         else:
             freq = spec.nearest_frequency(freq)
         if freq > top:

@@ -38,7 +38,7 @@ the ones it would leave alone without dispatching each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -215,7 +215,6 @@ class Action:
     admit_cores: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TickHorizon:
     """The next monitor ticks, offered to :meth:`Policy.quiet_ticks`.
 
@@ -224,16 +223,49 @@ class TickHorizon:
     process's counters as tick ``k`` reads them, the values an exact
     counter read (:func:`~repro.core.monitoring.kernel_module_reader`)
     returns there.
+
+    The engine hands over the processes and a builder: the arrays, and
+    so the horizon's length, exist from their first read. A policy that
+    refuses an offer from :attr:`processes` and its own state alone
+    costs no array.
     """
 
-    #: Each tick's instant, seconds, ascending.
-    times: np.ndarray
-    #: The running processes, in the order a monitor pass visits them.
-    processes: Tuple["SimProcess", ...]
-    #: Cycle counter of each process (row) after each tick (column).
-    cycles: np.ndarray
-    #: L3C access counter of each process after each tick.
-    l3_accesses: np.ndarray
+    __slots__ = ("processes", "_build", "_arrays")
+
+    def __init__(
+        self,
+        processes: Tuple["SimProcess", ...],
+        build: Callable[[], Tuple[np.ndarray, ...]],
+    ) -> None:
+        #: The running processes, in the order a monitor pass visits them.
+        self.processes = processes
+        self._build = build
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """Everything the builder makes, built on the first call.
+
+        :attr:`times`, :attr:`cycles` and :attr:`l3_accesses` first,
+        then what the engine keeps for committing the quiet ticks.
+        """
+        if self._arrays is None:
+            self._arrays = self._build()
+        return self._arrays
+
+    @property
+    def times(self) -> np.ndarray:
+        """Each tick's instant, seconds, ascending."""
+        return self.arrays()[0]
+
+    @property
+    def cycles(self) -> np.ndarray:
+        """Cycle counter of each process (row) after each tick (column)."""
+        return self.arrays()[1]
+
+    @property
+    def l3_accesses(self) -> np.ndarray:
+        """L3C access counter of each process after each tick."""
+        return self.arrays()[2]
 
     def __len__(self) -> int:
         return len(self.times)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Tuple
 
 from ..errors import SimulationError
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """One scheduled event; ordering is (time, insertion sequence)."""
+    """One scheduled event; the queue orders by (time, insertion sequence)."""
 
     time_s: float
     seq: int
@@ -31,7 +31,9 @@ class EventQueue:
     """Time-ordered event queue with stable FIFO tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time_s, seq, event)`` entries: tuples order in C, and no
+        #: two entries share a ``seq``, so the event is never compared.
+        self._heap: list[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._cancelled: set[int] = set()
         self._pending: set[int] = set()
@@ -51,10 +53,10 @@ class EventQueue:
         """Add an event; returns it (its ``seq`` can cancel it later)."""
         if time_s < 0:
             raise SimulationError(f"cannot schedule at negative time {time_s}")
-        event = Event(time_s=time_s, seq=next(self._seq), kind=kind,
-                      payload=payload)
-        heapq.heappush(self._heap, event)
-        self._pending.add(event.seq)
+        seq = next(self._seq)
+        event = Event(time_s=time_s, seq=seq, kind=kind, payload=payload)
+        heapq.heappush(self._heap, (time_s, seq, event))
+        self._pending.add(seq)
         self.scheduled_total += 1
         return event
 
@@ -70,14 +72,15 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        event = heapq.heappop(self._heap)
-        self._pending.discard(event.seq)
+        _, seq, event = heapq.heappop(self._heap)
+        self._pending.discard(seq)
         return event
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].seq in self._cancelled:
-            self._cancelled.discard(self._heap[0].seq)
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][1] in self._cancelled:
+            self._cancelled.discard(heap[0][1])
+            heapq.heappop(heap)
         if not self._pending:
             # Every remaining heap entry is a cancelled corpse. Without
             # this, a queue drained by `while queue:` loops (which stop
@@ -93,9 +96,9 @@ class EventQueue:
             # through the lazy top-of-heap check; compact once corpses
             # dominate so the sets stay bounded by the live event count.
             self._heap = [
-                event
-                for event in self._heap
-                if event.seq not in self._cancelled
+                entry
+                for entry in self._heap
+                if entry[1] not in self._cancelled
             ]
             heapq.heapify(self._heap)
             self._cancelled.clear()

@@ -33,18 +33,28 @@ the scheduled one. The recompute-everything flow survives as a test
 oracle (``tests/replay_oracle.py::FullRefreshSystem``); the equivalence
 property suites assert both produce identical results.
 
-Every full recompute also builds one :class:`ReplayPlan` per running
+Every full recompute also holds one :class:`ReplayPlan` per running
 process: the constants the per-event loops (fluid integration,
 completion rescheduling, the behaviour-change scan) need until the next
 full recompute, so those loops do flat float arithmetic instead of
-per-process method calls.
+per-process method calls. Contention couples every process, so each
+full recompute takes every plan's inputs afresh — the slowest clock
+from the snapshot's per-PMD clocks, the PMD sharing from the chip's
+busy counts, the behaviour and the contention factor — but rebuilds
+only the plans whose inputs changed; the others, most of them, are
+kept. Bandwidth demands and execution states are memoized per
+behaviour identity, and the audit's safe level comes from
+:meth:`~repro.vmin.model.VminModel.safe_vmin_for_state`, which keeps
+its base term per (utilized PMDs, top clock).
 
 Most events are monitor ticks, and most ticks change nothing. After
 each dispatched tick the policy is offered the next ticks as one
 :class:`~repro.policies.surfaces.TickHorizon`, cut before any arrival,
-finish or phase event (:meth:`ServerSystem._tick_horizon`); the ones
-:meth:`~repro.policies.surfaces.Policy.quiet_ticks` calls quiet are
-advanced together (:meth:`ServerSystem._commit_ticks`). Their running
+finish or phase event (:meth:`ServerSystem._tick_horizon`). Its arrays
+are built when the policy first reads them, so an offer refused from
+the processes alone (a process not yet classified) costs none. The
+ticks :meth:`~repro.policies.surfaces.Policy.quiet_ticks` calls quiet
+are advanced together (:meth:`ServerSystem._commit_ticks`). Their running
 sums add along the tick axis left to right, as ``+=`` does, so every
 value equals what dispatching each tick leaves; the loop oracle
 ``tests/replay_oracle.py::LoopOracleSystem`` dispatches every tick and
@@ -64,13 +74,13 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..allocation import Allocation, pick_free_cores
-from ..core.policy import VminPolicyTable
 from ..errors import ConfigurationError, SimulationError
 from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
@@ -95,12 +105,15 @@ from .engine import Event, EventQueue, SimClock
 from .process import ProcessCounters, SimProcess, WorkloadClass
 from .tracing import TimelineTrace, TraceSample
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.policy import VminPolicyTable
+
 #: Remaining-work fractions below this are "done" (float guard).
 REMAINING_EPS = 1e-9
 
 #: Bound on the keyed execution-state cache; cleared wholesale when
-#: exceeded (distinct (behaviour, freq, nthreads, sharing, contention)
-#: operating points seen over one run).
+#: exceeded (distinct (behaviour identity, freq, nthreads, sharing,
+#: contention) operating points seen over one run).
 EXEC_STATE_CACHE_MAX = 4096
 
 #: Most monitor ticks one :class:`TickHorizon` offers. A longer quiet
@@ -121,10 +134,13 @@ class ViolationRecord:
 class ReplayPlan:
     """What the per-event loops need of one running process.
 
-    Built at every full recompute from the chip snapshot and the
-    process's execution state, all of which stay fixed until the next
-    full recompute: occupancy, clocks and active behaviours are exactly
-    what forces one. The loops evaluate the same float expressions, in
+    Built at a full recompute from the chip snapshot and the process's
+    execution state, all of which stay fixed until the next full
+    recompute: occupancy, clocks and active behaviours are exactly what
+    forces one. A later full recompute keeps the plan while the inputs
+    it was built from — the slowest clock, the behaviour, the PMD
+    sharing and the contention factor (the thread count never changes)
+    — are unchanged. The loops evaluate the same float expressions, in
     the same order, as the per-process steps they replace, which the
     test oracle ``tests/replay_oracle.py::LoopOracleSystem`` keeps, so
     the results are bit-identical.
@@ -142,6 +158,12 @@ class ReplayPlan:
     boundaries: Tuple[float, ...]
     #: The behaviour profile active when the plan was built.
     behaviour: BenchmarkProfile
+    #: Whether another thread shared a PMD of the process.
+    shares_pmd: bool
+    #: The chip-wide contention factor the plan was built under.
+    contention: float
+    #: The execution state the plan was built from.
+    exec_state: ExecutionState
 
 
 @dataclass(slots=True)
@@ -290,6 +312,10 @@ class ServerSystem:
         #: replay plans are built from, kept for the per-process loop
         #: oracle the tests replay against them.
         self._proc_states: Dict[int, ExecutionState] = {}
+        #: pid -> the running process's current plan, kept by the next
+        #: full recompute while its inputs are unchanged; dropped when
+        #: the process finishes.
+        self._plan_of: Dict[int, ReplayPlan] = {}
         self._pending_arrivals = 0
         #: Events dispatched per kind + policy dispatch invocations;
         #: preallocated Counter/int slots, flushed into telemetry at
@@ -315,12 +341,16 @@ class ServerSystem:
         self._occ_version = -1
         self._freq_version = -1
         self._volt_version = -1
-        #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
-        #: execution state. Keys hold the behaviour object itself so its
-        #: id() stays valid for the cache's lifetime.
+        #: (id(behaviour), freq, nthreads, shares_pmd, contention) ->
+        #: execution state, and (id(behaviour), freq) -> one thread's
+        #: bandwidth demand. Every behaviour is a profile of one of
+        #: ``self.processes``, alive as long as the system, so its id()
+        #: names it for the caches' lifetime and no key hashes a
+        #: profile's fields.
         self._exec_cache: Dict[
-            Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState
+            Tuple[int, int, int, bool, float], ExecutionState
         ] = {}
+        self._demands: Dict[Tuple[int, int], float] = {}
         self._refreshes_full = 0
         self._refreshes_incremental = 0
         self._reschedules_elided = 0
@@ -421,6 +451,10 @@ class ServerSystem:
         """
         table = self._vmin_table
         if table is None:
+            # repro.core runs systems (core.configurations), so the
+            # simulator imports it only when it needs the table.
+            from ..core.policy import VminPolicyTable
+
             table = VminPolicyTable.from_characterization(self.spec)
             self._vmin_table = table
         return table
@@ -575,6 +609,7 @@ class ServerSystem:
         if current is None or current.seq != event.seq:
             return  # stale completion superseded by a reschedule
         del self._finish_events[process.pid]
+        self._plan_of.pop(process.pid, None)
         self.chip.release_occupant(process.pid)
         process.finish(self.now)
         self._running.remove(process)
@@ -621,32 +656,28 @@ class ServerSystem:
         while it takes a whole chunk.
         """
         while True:
-            built = self._tick_horizon()
-            if built is None:
+            horizon = self._tick_horizon()
+            if horizon is None:
                 return
-            horizon = built[0]
             quiet = self.policy.quiet_ticks(horizon)
-            if not 0 <= quiet <= len(horizon):
+            if quiet == 0:
+                return
+            if not 0 < quiet <= len(horizon):
                 raise SimulationError(
                     f"policy called {quiet} of {len(horizon)} ticks quiet"
                 )
-            if quiet == 0:
-                return
-            self._commit_ticks(quiet, *built)
+            self._commit_ticks(quiet, horizon)
             if quiet < len(horizon):
                 return
 
-    def _tick_horizon(
-        self,
-    ) -> Optional[Tuple[TickHorizon, np.ndarray, np.ndarray, np.ndarray]]:
+    def _tick_horizon(self) -> Optional[TickHorizon]:
         """The ticks before the next arrival, finish or phase event.
 
-        Returns the horizon and, per running process and tick, the
-        intervals, the remaining work and the recomputed finish time;
-        ``None`` when no tick can be advanced. A horizon ends before any
-        tick that another event would precede (ties included) or at
-        which a process's remaining work reaches :data:`REMAINING_EPS`,
-        and none is offered while a phased plan runs.
+        ``None`` when no tick can precede the next of those events, and
+        while a phased plan runs. Otherwise the running processes and a
+        builder (:meth:`_horizon_arrays`) that the horizon calls when a
+        policy first reads its arrays or length, so a policy that
+        refuses the offer from the processes alone builds none.
         """
         tick = self._tick
         if tick is None or self._phased_plans:
@@ -662,11 +693,29 @@ class ServerSystem:
         first_stop = min(
             [stop, *(self._finish_events[p.process.pid].time_s for p in plans)]
         )
-        start = tick.time_s
-        period = self.policy.monitor_period_s
-        span = (first_stop - start) / period
+        span = (first_stop - tick.time_s) / self.policy.monitor_period_s
         if not span > 0:
             return None
+        return TickHorizon(
+            tuple(p.process for p in plans),
+            partial(self._horizon_arrays, stop, first_stop, span),
+        )
+
+    def _horizon_arrays(
+        self, stop: float, first_stop: float, span: float
+    ) -> Tuple[np.ndarray, ...]:
+        """A horizon's arrays: what :class:`TickHorizon` shows, then more.
+
+        The tick instants, each process's cycles and L3 accesses (the
+        horizon's own arrays), then the intervals and, per process and
+        tick, the remaining work and the recomputed finish time. The
+        ticks end before any tick that another event would precede (ties
+        included) or at which a process's remaining work reaches
+        :data:`REMAINING_EPS`; there may be none.
+        """
+        plans = self._plans
+        start = self._tick.time_s
+        period = self.policy.monitor_period_s
         # About ceil(span) ticks precede first_stop; one more covers
         # rounding, and the exact cut below trims the rest.
         count = min(HORIZON_MAX_TICKS, int(min(span, HORIZON_MAX_TICKS)) + 2)
@@ -707,24 +756,16 @@ class ServerSystem:
             quiet &= (remaining > REMAINING_EPS).all(axis=0)
         if not quiet.all():
             count = int(np.argmin(quiet))
-        if count == 0:
-            return None
-        horizon = TickHorizon(
-            times=times[:count],
-            processes=tuple(p.process for p in plans),
-            cycles=cycles[:, :count],
-            l3_accesses=accesses[:, :count],
+        return (
+            times[:count],
+            cycles[:, :count],
+            accesses[:, :count],
+            dts[:count],
+            remaining[:, :count],
+            finish[:, :count],
         )
-        return horizon, dts[:count], remaining[:, :count], finish[:, :count]
 
-    def _commit_ticks(
-        self,
-        quiet: int,
-        horizon: TickHorizon,
-        dts: np.ndarray,
-        remaining: np.ndarray,
-        finish: np.ndarray,
-    ) -> None:
+    def _commit_ticks(self, quiet: int, horizon: TickHorizon) -> None:
         """Leave what dispatching the first ``quiet`` ticks would leave.
 
         Every value is the one the per-tick path computes: running sums
@@ -734,17 +775,18 @@ class ServerSystem:
         queue in the order the per-tick path schedules them, so
         equal-time ties break the same way.
         """
+        times, cycles, accesses, dts, remaining, finish = horizon.arrays()
         last = quiet - 1
-        times = horizon.times[:quiet]
+        times = times[:quiet]
         dts = dts[:quiet]
-        for plan, cycles, accesses, left in zip(
+        for plan, cycles_after, accesses_after, left in zip(
             self._plans,
-            horizon.cycles[:, last].tolist(),
-            horizon.l3_accesses[:, last].tolist(),
+            cycles[:, last].tolist(),
+            accesses[:, last].tolist(),
             remaining[:, last].tolist(),
         ):
-            plan.counters.cycles = cycles
-            plan.counters.l3_accesses = accesses
+            plan.counters.cycles = cycles_after
+            plan.counters.l3_accesses = accesses_after
             plan.process.remaining_fraction = left
         state = self._state
         running = bool(self._running)
@@ -781,14 +823,14 @@ class ServerSystem:
             end_s = float(times[last])
             self._sample_trace_until(end_s)
             self.clock.advance_to(end_s)
-        self._reschedule_folded(quiet, horizon, finish)
+        self._reschedule_folded(quiet, times, finish)
         self._event_counts["tick"] += quiet
         self._controller_calls += quiet
         self._refreshes_incremental += quiet
         self._ticks_folded += quiet
 
     def _reschedule_folded(
-        self, quiet: int, horizon: TickHorizon, finish: np.ndarray
+        self, quiet: int, times: np.ndarray, finish: np.ndarray
     ) -> None:
         """Queue the next tick and the finishes the folded ticks moved.
 
@@ -799,7 +841,6 @@ class ServerSystem:
         order, and the events go in in that order.
         """
         last = quiet - 1
-        times = horizon.times[:quiet]
         finish = finish[:, :quiet]
         events = self.events
         finish_events = self._finish_events
@@ -951,76 +992,133 @@ class ServerSystem:
         return False
 
     def _recompute_all(self) -> None:
-        """Full refresh: rebuild every derived quantity from the chip."""
-        state = self.chip.state()
+        """Full refresh: recompute every derived quantity from the chip.
+
+        Contention couples every process to every other, so every plan
+        input is taken afresh: each process's slowest clock, behaviour
+        and PMD sharing, and the contention factor. A plan whose inputs
+        all equal those it was built from is kept (:class:`ReplayPlan`);
+        the others are rebuilt (:meth:`_build_plan`).
+        """
+        chip = self.chip
+        state = chip.state()
         running = self._running
         spec = self.spec
+        per_pmd = spec.cores_per_pmd
+        clocks = state.pmd_frequencies_hz
+        busy = chip.pmd_busy_counts
+        demand_of = self._demands
         demands: List[float] = []
-        # Per process: the slowest of its core clocks, its behaviour.
-        inputs: List[Tuple[int, BenchmarkProfile]] = []
+        inputs: List[Tuple[int, BenchmarkProfile, bool]] = []
         for process in running:
-            freq = min(map(state.frequency_of_core, process.cores))
+            # The chip holds every core of a running process.
+            pmds = [core // per_pmd for core in process.cores]
+            freq = min([clocks[pmd] for pmd in pmds])
+            # Another thread shares a PMD: its busy count holds both.
+            shares = any([busy[pmd] > 1 for pmd in pmds])
             behaviour = process.current_profile()
-            inputs.append((freq, behaviour))
-            demand = bandwidth_demand_gbs(behaviour, spec, freq)
+            key = (id(behaviour), freq)
+            demand = demand_of.get(key)
+            if demand is None:
+                demand = bandwidth_demand_gbs(behaviour, spec, freq)
+                demand_of[key] = demand
             demands.extend([demand] * process.nthreads)
+            inputs.append((freq, behaviour, shares))
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
+        plan_of = self._plan_of
         activity_map: Dict[int, float] = {}
-        cache = self._exec_cache
-        busy = self.chip.pmd_busy_counts
-        self._proc_states = {}
+        proc_states: Dict[int, ExecutionState] = {}
         plans: List[ReplayPlan] = []
-        for process, (freq, behaviour) in zip(running, inputs):
-            shares = self._shares_pmd(process, busy)
-            key = (behaviour, freq, process.nthreads, shares, crowd)
-            exec_state = cache.get(key)
-            if exec_state is None:
-                exec_state = execution_state(
-                    behaviour,
-                    spec,
-                    freq,
-                    nthreads=process.nthreads,
-                    shares_pmd=shares,
-                    contention=crowd,
+        for process, (freq, behaviour, shares) in zip(running, inputs):
+            plan = plan_of.get(process.pid)
+            if (
+                plan is None
+                or plan.freq != freq
+                or plan.behaviour is not behaviour
+                or plan.shares_pmd != shares
+                or plan.contention != crowd
+            ):
+                plan = self._build_plan(
+                    process, freq, behaviour, shares, crowd, plan
                 )
-                if len(cache) >= EXEC_STATE_CACHE_MAX:
-                    cache.clear()
-                cache[key] = exec_state
-            self._proc_states[process.pid] = exec_state
+                plan_of[process.pid] = plan
+            exec_state = plan.exec_state
+            proc_states[process.pid] = exec_state
             activity = exec_state.effective_activity
             for core in process.cores:
                 activity_map[core] = activity
-            plan = ReplayPlan(
-                process=process,
-                counters=process.counters,
-                freq=freq,
-                l3_rate_freq=exec_state.l3_rate_per_mcycles * freq,
-                nthreads=process.nthreads,
-                duration_s=exec_state.duration_s,
-                boundaries=tuple(phase_boundaries(process.profile)),
-                behaviour=behaviour,
-            )
-            # With dt > 0, every counter and progress delta is
-            # non-negative iff these are; a negative activity would
-            # draw negative dynamic power.
-            if min(freq, plan.l3_rate_freq, activity, plan.duration_s) < 0:
-                raise SimulationError(
-                    f"pid {process.pid}: negative clock, L3 rate, "
-                    "activity or duration in the replay plan"
-                )
             plans.append(plan)
         self._plans = plans
         self._phased_plans = [plan for plan in plans if plan.boundaries]
+        self._proc_states = proc_states
         self._state = state
         self._activity_map = activity_map
         self._bw_util = bw_util
-        self._occ_version = self.chip.occupancy_version
-        self._freq_version = self.chip.cppc.transition_count()
-        self._volt_version = self.chip.slimpro.transition_count()
+        self._occ_version = chip.occupancy_version
+        self._freq_version = chip.cppc.transition_count()
+        self._volt_version = chip.slimpro.transition_count()
         self._recompute_power(state)
         self._reschedule_completions()
-        self._audit_voltage(state, running)
+        self._audit_voltage(state)
+
+    def _build_plan(
+        self,
+        process: SimProcess,
+        freq: int,
+        behaviour: BenchmarkProfile,
+        shares: bool,
+        crowd: float,
+        previous: Optional[ReplayPlan],
+    ) -> ReplayPlan:
+        """A new plan for ``process`` at these inputs.
+
+        The execution state comes from the keyed cache; the phase
+        boundaries, fixed by the process's program, from its previous
+        plan when it has one.
+        """
+        key = (id(behaviour), freq, process.nthreads, shares, crowd)
+        cache = self._exec_cache
+        exec_state = cache.get(key)
+        if exec_state is None:
+            exec_state = execution_state(
+                behaviour,
+                self.spec,
+                freq,
+                nthreads=process.nthreads,
+                shares_pmd=shares,
+                contention=crowd,
+            )
+            if len(cache) >= EXEC_STATE_CACHE_MAX:
+                cache.clear()
+            cache[key] = exec_state
+        plan = ReplayPlan(
+            process=process,
+            counters=process.counters,
+            freq=freq,
+            l3_rate_freq=exec_state.l3_rate_per_mcycles * freq,
+            nthreads=process.nthreads,
+            duration_s=exec_state.duration_s,
+            boundaries=(
+                previous.boundaries
+                if previous is not None
+                else tuple(phase_boundaries(process.profile))
+            ),
+            behaviour=behaviour,
+            shares_pmd=shares,
+            contention=crowd,
+            exec_state=exec_state,
+        )
+        # With dt > 0, every counter and progress delta is non-negative
+        # iff these are; a negative activity would draw negative dynamic
+        # power.
+        activity = exec_state.effective_activity
+        if min(freq, plan.l3_rate_freq, activity, plan.duration_s) < 0:
+            raise SimulationError(
+                f"pid {process.pid}: negative clock, L3 rate, "
+                "activity or duration in the replay plan"
+            )
+        return plan
 
     def _recompute_power(self, state: ChipState) -> None:
         """Evaluate the lane-independent breakdown, then each lane's power."""
@@ -1053,17 +1151,6 @@ class ServerSystem:
             + power.uncore_w
             + power.external_w
         )
-
-    def _shares_pmd(
-        self, process: SimProcess, busy: Tuple[int, ...]
-    ) -> bool:
-        """Whether another thread runs on a PMD of ``process``.
-
-        ``busy`` is the chip's busy-core count per PMD; the process's
-        own core is one of them.
-        """
-        pmd_of_core = self.spec.pmd_of_core
-        return any(busy[pmd_of_core(core)] > 1 for core in process.cores)
 
     def _reschedule_completions(self) -> None:
         now = self.now
@@ -1127,15 +1214,15 @@ class ServerSystem:
             time_s, "phase", process.pid
         )
 
-    def _safe_levels(
-        self, state: ChipState, running: List[SimProcess]
-    ) -> List[float]:
+    def _safe_levels(self, state: ChipState) -> List[float]:
         """Each lane's thermal-free safe Vmin for ``state``.
 
-        Lanes on one silicon model share one evaluation.
+        Lanes on one silicon model share one evaluation. The workload
+        term is the worst of the plans' behaviours, which are the
+        running processes' active ones.
         """
         workload_delta = max(
-            p.current_profile().vmin_delta_mv for p in running
+            plan.behaviour.vmin_delta_mv for plan in self._plans
         )
         by_model: Dict[int, float] = {}
         levels = []
@@ -1150,12 +1237,10 @@ class ServerSystem:
             levels.append(level)
         return levels
 
-    def _audit_voltage(
-        self, state: ChipState, running: List[SimProcess]
-    ) -> None:
-        if not running:
+    def _audit_voltage(self, state: ChipState) -> None:
+        if not self._plans:
             return
-        levels = self._safe_levels(state, running)
+        levels = self._safe_levels(state)
         for lane, level in zip(self.lanes, levels):
             lane.required_base = level
             self._check_rail(lane, state, level)

@@ -4,7 +4,15 @@ This package is the simulated silicon's electrical behaviour: what the
 paper *measured* on the real X-Gene 2/3 chips is encoded here as ground
 truth (Sections III and IV), and the characterization campaigns re-derive
 it exactly the way the authors did on hardware.
+
+The layers import one way: the models here, then the batched kernels of
+:mod:`repro.kernels` (built on the models), then the campaigns of
+:mod:`repro.vmin.characterize` (built on the kernels). So the campaign
+names are exported lazily (PEP 562): importing this package, as every
+kernel module does, never imports a kernel.
 """
+
+import importlib
 
 from .cache import (
     CacheStats,
@@ -15,13 +23,6 @@ from .cache import (
     model_fingerprint,
     set_default_cache,
     spec_fingerprint,
-)
-from .characterize import (
-    CharacterizationPoint,
-    SafeVminResult,
-    UnsafeScanResult,
-    VminCampaign,
-    VoltageStepRecord,
 )
 from .droop import (
     DROOP_BINS_MV,
@@ -82,3 +83,24 @@ __all__ = [
     "spec_fingerprint",
     "variation_attenuation",
 ]
+
+#: The campaign names, defined in :mod:`repro.vmin.characterize`.
+_CAMPAIGN_EXPORTS = frozenset(
+    {
+        "CharacterizationPoint",
+        "SafeVminResult",
+        "UnsafeScanResult",
+        "VminCampaign",
+        "VoltageStepRecord",
+    }
+)
+
+
+def __getattr__(name: str):
+    """Import the campaign module on first use of one of its names."""
+    if name in _CAMPAIGN_EXPORTS:
+        module = importlib.import_module(f"{__name__}.characterize")
+        return getattr(module, name)
+    raise AttributeError(
+        f"module {__name__!r} has no attribute {name!r}"
+    )

@@ -20,7 +20,7 @@ campaign (Section III); here the same relationships are encoded as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..platform.chip import Chip, ChipState
@@ -74,6 +74,15 @@ class VminModel:
         self.variation = variation or make_variation_map(spec, silicon_seed)
         self._table = model_for_spec(spec).vmin_base_mv
         self._n_classes = len(droop_ladder(spec))
+        offsets = self.variation.offsets_mv
+        #: Core ids, largest offset first: the first active core in this
+        #: order holds the worst offset of the active set.
+        self._worst_first = sorted(
+            range(len(offsets)), key=offsets.__getitem__, reverse=True
+        )
+        #: (utilized PMDs, top clock) -> base term, for
+        #: :meth:`safe_vmin_for_state`.
+        self._state_base: Dict[Tuple[int, int], float] = {}
 
     @classmethod
     def for_chip(cls, chip: Chip) -> "VminModel":
@@ -130,10 +139,7 @@ class VminModel:
         """
         cores = frozenset(active_cores)
         pmds = {self.spec.pmd_of_core(c) for c in cores}
-        droop_class = droop_bin_index(self.spec, max(1, len(pmds)))
-        freq_class = self.spec.frequency_class(
-            self.spec.nearest_frequency(freq_hz)
-        )
+        freq_class, droop_class = self._classes(len(pmds), freq_hz)
         base = self.base_vmin_mv(freq_class, droop_class)
         atten = variation_attenuation(len(cores))
         core_offset = self.variation.max_offset(cores)
@@ -164,13 +170,41 @@ class VminModel:
         """Safe Vmin for a live chip snapshot.
 
         Uses the highest frequency among utilized PMDs; a fully idle chip
-        is evaluated at its configured clocks with no active cores'
-        variation term.
+        is evaluated as core 0 alone at the floor clock
+        (:meth:`ChipState.max_active_frequency`). Equals
+        ``evaluate(...).total_mv`` for those arguments: the base term is
+        kept per (utilized PMDs, top clock), and the worst offset is the
+        first active core in offset order.
         """
-        cores = state.active_cores or frozenset({0})
-        return self.safe_vmin_mv(
-            state.max_active_frequency(), cores, workload_delta_mv
+        freq_hz = state.max_active_frequency()
+        cores = state.active_cores
+        if not cores:
+            return self.safe_vmin_mv(freq_hz, (0,), workload_delta_mv)
+        key = (len(state.active_pmds), freq_hz)
+        base = self._state_base.get(key)
+        if base is None:
+            base = self.base_vmin_mv(*self._classes(*key))
+            self._state_base[key] = base
+        # Every active core is one of the spec's (the chip, or
+        # ``active_pmds``, rejects any other) and has an offset.
+        offsets = self.variation.offsets_mv
+        core_offset = next(
+            offsets[core] for core in self._worst_first if core in cores
         )
+        total = base + variation_attenuation(len(cores)) * (
+            core_offset + workload_delta_mv
+        )
+        return min(total, float(self.spec.nominal_voltage_mv))
+
+    def _classes(
+        self, n_pmds: int, freq_hz: HertzInt
+    ) -> Tuple[FrequencyClass, int]:
+        """Frequency and droop class of ``n_pmds`` utilized PMDs."""
+        droop_class = droop_bin_index(self.spec, max(1, n_pmds))
+        freq_class = self.spec.frequency_class(
+            self.spec.nearest_frequency(freq_hz)
+        )
+        return freq_class, droop_class
 
     # -- factor decomposition (Fig. 10) ----------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policy import VminPolicyTable
 from repro.errors import ConfigurationError
-from repro.platform.specs import FrequencyClass
+from repro.platform.specs import FrequencyClass, get_spec
 from repro.units import ghz
 from repro.vmin.droop import droop_ladder
 from repro.vmin.model import VminModel
@@ -116,3 +116,26 @@ class TestQueries:
     def test_rows_render(self, policy3):
         rows = policy3.rows()
         assert len(rows) >= 8  # 4 droop classes x 2+ freq classes
+
+
+class TestMemoizedLookup:
+    """``safe_voltage_mv`` keeps its answers; a table never changes."""
+
+    @pytest.mark.parametrize("platform", ["xgene2", "xgene3", "xgene3-xl"])
+    def test_answers_equal_a_fresh_tables_first(self, platform):
+        spec = get_spec(platform)
+        table = VminPolicyTable.from_characterization(spec, guard_mv=7)
+        entries = {
+            (e.freq_class, e.droop_class): e.vmin_mv for e in table.rows()
+        }
+        for asked in range(2):
+            for pmds in range(spec.n_pmds + 1):
+                for freq in spec.frequency_steps():
+                    fresh = VminPolicyTable(spec, entries, guard_mv=7)
+                    assert table.safe_voltage_mv(pmds, freq) == (
+                        fresh.safe_voltage_mv(pmds, freq)
+                    ), (asked, pmds, freq)
+
+    def test_guard_is_read_only(self, policy3):
+        with pytest.raises(AttributeError):
+            policy3.guard_mv = 0

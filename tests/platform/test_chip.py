@@ -72,6 +72,12 @@ _OPERATIONS = st.one_of(
 
 
 class TestPmdBusyCounts:
+    """What the chip keeps beside its occupancy map equals a recount.
+
+    The busy counts per PMD, the cores each occupant holds (what
+    ``release_occupant`` frees) and the snapshot's utilized PMDs.
+    """
+
     @given(
         st.sampled_from(("xgene2", "xgene3", "xgene3-xl")),
         st.lists(_OPERATIONS, max_size=40),
@@ -106,6 +112,19 @@ class TestPmdBusyCounts:
             assert [
                 chip.pmd_is_fully_idle(pmd) for pmd in range(spec.n_pmds)
             ] == [busy == 0 for busy in recount]
+            held = {}
+            for core in range(spec.n_cores):
+                occupant = chip.occupant_of(core)
+                if occupant is not None:
+                    held.setdefault(occupant, []).append(core)
+            assert {
+                occupant: sorted(cores)
+                for occupant, cores in chip._held.items()
+            } == held
+            state = chip.state()
+            assert state.active_pmds == frozenset(
+                spec.pmd_of_core(core) for core in state.active_cores
+            )
 
 
 class TestKnobs:

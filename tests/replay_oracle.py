@@ -85,8 +85,8 @@ def next_phase_boundary(process: SimProcess) -> Optional[float]:
     return None
 
 
-class _NoExecCache(dict):
-    """An execution-state cache that never keeps an entry."""
+class _NoMemo(dict):
+    """A memo that never keeps an entry."""
 
     def __setitem__(self, key, value) -> None:
         pass
@@ -95,18 +95,21 @@ class _NoExecCache(dict):
 class FullRefreshSystem(ServerSystem):
     """A :class:`ServerSystem` that recomputes everything after every event.
 
-    No incremental refresh, execution-state cache, reschedule elision
-    or quiet-tick horizon, and each lane's power is one whole
-    ``chip_power`` evaluation at its leakage multiplier: the original
-    hot path, the ground truth the incremental one must equal bit for
-    bit. Both dispatch and audit every event on its own, same-instant
-    events included.
+    No incremental refresh, execution-state cache, kept replay plan,
+    bandwidth-demand memo, reschedule elision or quiet-tick horizon, and
+    each lane's power is one whole ``chip_power`` evaluation at its
+    leakage multiplier: the original hot path, the ground truth the
+    incremental one must equal bit for bit. Every full recompute builds
+    every plan from inputs computed afresh. Both dispatch and audit
+    every event on its own, same-instant events included.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._elide = False
-        self._exec_cache = _NoExecCache()
+        self._exec_cache = _NoMemo()
+        self._plan_of = _NoMemo()
+        self._demands = _NoMemo()
 
     def _fold_quiet_ticks(self) -> None:
         pass

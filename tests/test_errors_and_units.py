@@ -23,7 +23,6 @@ class TestExceptionHierarchy:
         for name in (
             "ConfigurationError",
             "VoltageRangeError",
-            "FrequencyRangeError",
             "PlacementError",
             "SchedulingError",
             "SimulationError",
