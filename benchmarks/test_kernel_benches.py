@@ -19,7 +19,6 @@ from repro.experiments.energy_runner import EnergyRunner
 from repro.kernels import safe_vmin_matrix
 from repro.platform.specs import xgene2_spec
 from repro.units import ghz
-from repro.vmin.cache import VminCache
 from repro.vmin.characterize import VminCampaign
 from repro.workloads.suites import characterization_set
 
@@ -37,9 +36,7 @@ MIN_CAMPAIGN_SPEEDUP = 5.0
 
 def _bench_campaign(spec):
     """Fresh cache-less campaign plus the full Fig. 3-style point list."""
-    campaign = VminCampaign(
-        spec, step_mv=BENCH_STEP_MV, cache=VminCache(capacity=0)
-    )
+    campaign = VminCampaign(spec, step_mv=BENCH_STEP_MV)
     pool = characterization_set()
     points = []
     for nthreads in (spec.n_cores, spec.n_cores // 2):
@@ -190,17 +187,17 @@ def test_energy_measure_batch_grid(benchmark, spec2):
     pool = characterization_set()
 
     def batched():
-        runner = EnergyRunner(spec, cache=VminCache(capacity=0))
+        runner = EnergyRunner(spec)
         return [
             runner.measure_batch(profile, configs) for profile in pool
         ]
 
     grids = run_once(benchmark, batched)
 
-    # Cold per-config loop for the recorded speedup (same runner class,
-    # scalar entry point, fresh cache so nothing is amortized).
+    # Per-config loop for the recorded speedup (same runner class,
+    # scalar entry point).
     start = time.perf_counter()
-    runner = EnergyRunner(spec, cache=VminCache(capacity=0))
+    runner = EnergyRunner(spec)
     scalar = [
         [runner.measure(profile, *config) for config in configs]
         for profile in pool
@@ -219,16 +216,10 @@ def test_energy_measure_batch_grid(benchmark, spec2):
 def test_policy_table_from_characterization(benchmark):
     """Policy-table construction (batched safe-Vmin matrix underneath)."""
     from repro.core.policy import VminPolicyTable
-    from repro.vmin.cache import get_default_cache, set_default_cache
 
-    previous = get_default_cache()
-    set_default_cache(VminCache(capacity=0))
-    try:
-        table = run_once(
-            benchmark, VminPolicyTable.from_characterization, xgene2_spec()
-        )
-    finally:
-        set_default_cache(previous)
+    table = run_once(
+        benchmark, VminPolicyTable.from_characterization, xgene2_spec()
+    )
     assert table is not None
 
 

@@ -27,7 +27,6 @@ from repro import telemetry
 from repro.allocation import Allocation
 from repro.platform.specs import xgene2_spec
 from repro.units import ghz
-from repro.vmin.cache import VminCache
 from repro.vmin.characterize import VminCampaign
 from repro.workloads.suites import characterization_set
 
@@ -63,7 +62,7 @@ def _noop_span(*args, **kwargs):
 def _campaign_inputs():
     """A kernel-heavy pipeline: batch search + scan + pfail curves."""
     spec = xgene2_spec()
-    campaign = VminCampaign(spec, step_mv=2, cache=VminCache(capacity=0))
+    campaign = VminCampaign(spec, step_mv=2)
     pool = characterization_set()
     points = [
         campaign.point(

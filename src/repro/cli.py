@@ -22,8 +22,9 @@ experiment command and ``run-all`` both go through
 :func:`repro.experiments.orchestrator.run_experiments`: a command also
 runs the experiment's inputs (``repro report`` runs ``table3`` and
 ``table4`` first) but prints only the experiment it names. ``run-all``
-fans the whole registry out over a process pool with memoized Vmin
-characterization: experiment output goes to stdout (in canonical
+fans the whole registry out over a process pool (with
+``--cache-dir``, reusing earlier runs' Vmin characterization
+campaigns): experiment output goes to stdout (in canonical
 registry order, byte-identical for any ``--jobs`` value) and the
 per-experiment timing/cache-hit summary table goes to stderr.
 ``--summary-json PATH`` additionally collects telemetry and writes the
@@ -134,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="PATH",
-        help="on-disk Vmin characterization cache shared across "
-        "processes and invocations (default: in-memory only)",
+        help="directory of the Vmin characterization cache, which "
+        "lets later invocations reuse this run's campaigns "
+        "(default: nothing is cached)",
     )
     parser.add_argument(
         "--summary-json",

@@ -24,12 +24,6 @@ from ..allocation import Allocation, cores_for
 from ..errors import ConfigurationError
 from ..kernels.vmin import safe_vmin_matrix
 from ..platform.specs import ChipSpec, FrequencyClass
-from ..vmin.cache import (
-    get_default_cache,
-    make_key,
-    model_fingerprint,
-    spec_fingerprint,
-)
 from ..vmin.droop import droop_bin_index, droop_ladder
 from ..vmin.model import VminModel
 from ..workloads.profiles import BenchmarkProfile
@@ -109,27 +103,6 @@ class VminPolicyTable:
         pool = list(benchmarks) if benchmarks else characterization_set()
         if not pool:
             raise ConfigurationError("benchmark pool is empty")
-        # The sweep is a characterization campaign: memoize the reduced
-        # table in the content-addressed cache (see repro.vmin.cache).
-        cache = get_default_cache()
-        key = make_key(
-            kind="policy_table",
-            spec=spec_fingerprint(spec),
-            model=model_fingerprint(model),
-            pool=sorted(
-                (profile.name, profile.vmin_delta_mv) for profile in pool
-            ),
-            seed=0,
-            step_mv=step_mv,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            entries = {
-                (FrequencyClass(tag.split(":")[0]), int(tag.split(":")[1])):
-                int(vmin)
-                for tag, vmin in cached.items()
-            }
-            return cls(spec, entries, guard_mv=guard_mv)
         configs = cls._class_configs(spec)
         # One batched (core set x workload delta) grid per representative
         # frequency replaces the scalar triple loop; the per-class worst
@@ -158,13 +131,6 @@ class VminPolicyTable:
                 entries[(freq_class, droop_class)] = min(
                     floor, spec.nominal_voltage_mv
                 )
-        cache.put(
-            key,
-            {
-                f"{freq_class.value}:{droop_class}": vmin
-                for (freq_class, droop_class), vmin in entries.items()
-            },
-        )
         return cls(spec, entries, guard_mv=guard_mv)
 
     @staticmethod

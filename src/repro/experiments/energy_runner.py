@@ -35,14 +35,6 @@ from ..perf.model import bandwidth_demand_gbs, execution_state
 from ..platform.specs import ChipSpec
 from ..power.energy import ed2p
 from ..power.model import PowerModel
-from ..vmin.cache import (
-    VminCache,
-    get_default_cache,
-    make_key,
-    model_fingerprint,
-    occupancy_of,
-    spec_fingerprint,
-)
 from ..vmin.model import VminModel
 from ..workloads.profiles import BenchmarkProfile
 
@@ -79,15 +71,10 @@ class EnergyRunner:
         spec: ChipSpec,
         power_model: Optional[PowerModel] = None,
         vmin_model: Optional[VminModel] = None,
-        cache: Optional[VminCache] = None,
     ):
         self.spec = spec
         self.power_model = power_model or PowerModel(spec)
         self.vmin_model = vmin_model or VminModel(spec)
-        #: Explicit characterization cache, or ``None`` for the process
-        #: default (see :mod:`repro.vmin.cache`).
-        self.cache = cache
-        self._fingerprints: Optional[tuple] = None
 
     def safe_voltage_mv(
         self,
@@ -99,9 +86,7 @@ class EnergyRunner:
         """Characterized safe Vmin of the configuration, stepped up.
 
         This is what the campaign of Section III.A would report: the true
-        Vmin rounded up to the 10 mV sweep step. Results are memoized in
-        the characterization cache — the energy sweeps of Figs. 7/11/12
-        revisit the same configurations many times.
+        Vmin rounded up to the 10 mV sweep step.
         """
         return self.safe_voltages_mv(
             profile, [(nthreads, allocation, freq_hz)]
@@ -114,54 +99,26 @@ class EnergyRunner:
     ) -> List[int]:
         """Batched :meth:`safe_voltage_mv` over (threads, alloc, freq).
 
-        Cache keys and stored values are identical to the scalar method's
-        per configuration; only the cache-missing configurations hit the
-        Vmin model, through one batched kernel evaluation.
+        One batched kernel evaluation of the Vmin model covers every
+        configuration.
         """
-        if self._fingerprints is None:
-            self._fingerprints = (
-                spec_fingerprint(self.spec),
-                model_fingerprint(self.vmin_model),
+        cores = [
+            cores_for(self.spec, nthreads, allocation)
+            for nthreads, allocation, _ in configs
+        ]
+        true_vmins = safe_vmin_grid(
+            self.vmin_model,
+            [self.spec.nearest_frequency(freq) for _, _, freq in configs],
+            cores,
+            profile.vmin_delta_mv,
+        )
+        return [
+            min(
+                int(-(-float(vmin) // CAMPAIGN_STEP_MV) * CAMPAIGN_STEP_MV),
+                self.spec.nominal_voltage_mv,
             )
-        spec_fp, model_fp = self._fingerprints
-        cache = self.cache if self.cache is not None else get_default_cache()
-        results: List[Optional[int]] = [None] * len(configs)
-        pending: List[Tuple[int, str, int, Tuple[int, ...]]] = []
-        for i, (nthreads, allocation, freq_hz) in enumerate(configs):
-            cores = cores_for(self.spec, nthreads, allocation)
-            freq = self.spec.nearest_frequency(freq_hz)
-            key = make_key(
-                kind="safe_voltage",
-                spec=spec_fp,
-                model=model_fp,
-                freq_class=self.spec.frequency_class(freq).value,
-                cores=sorted(cores),
-                pmd_occupancy=occupancy_of(self.spec, cores),
-                workload=profile.name,
-                workload_delta_mv=profile.vmin_delta_mv,
-                seed=0,
-                step_mv=CAMPAIGN_STEP_MV,
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                results[i] = int(cached)
-                continue
-            pending.append((i, key, freq, cores))
-        if pending:
-            true_vmins = safe_vmin_grid(
-                self.vmin_model,
-                [freq for _, _, freq, _ in pending],
-                [cores for _, _, _, cores in pending],
-                profile.vmin_delta_mv,
-            )
-            for k, (i, key, freq, cores) in enumerate(pending):
-                true_vmin = float(true_vmins[k])
-                stepped = int(
-                    -(-true_vmin // CAMPAIGN_STEP_MV) * CAMPAIGN_STEP_MV
-                )
-                results[i] = min(stepped, self.spec.nominal_voltage_mv)
-            cache.put_sweep((key, results[i]) for i, key, _, _ in pending)
-        return results
+            for vmin in true_vmins
+        ]
 
     def measure(
         self,

@@ -1,7 +1,8 @@
 """Figure 12 — energy-delay-squared product across configurations.
 
-Same grid as Fig. 11, but on the ED2P metric that the daemon's policies
-optimise. The reproduction criteria:
+Fig. 11's grid, on the ED2P metric that the daemon's policies optimise:
+the figure formats the ED2P of the run's Fig. 11 measurements, which
+the orchestrator hands over (``depends``). The reproduction criteria:
 
 * for the CPU-intensive benchmarks (namd, EP) the *highest* frequency has
   the best (lowest) ED2P at every thread count;
@@ -12,15 +13,12 @@ optimise. The reproduction criteria:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..allocation import Allocation
 from ..analysis.tables import format_table
-from ..platform.specs import get_spec
 from ..units import fmt_freq
-from ..workloads.profiles import BenchmarkProfile
-from ..workloads.suites import figure11_set
-from .energy_runner import EnergyRunner, RunMeasurement
+from .energy_runner import RunMeasurement
+from .fig11_energy import Fig11Result
 
 
 @dataclass(frozen=True)
@@ -82,48 +80,31 @@ class Fig12Result:
         )
 
 
-def run(
-    platform: str = "xgene2",
-    benchmarks: Optional[Sequence[BenchmarkProfile]] = None,
-    voltage: str = "safe",
-) -> Fig12Result:
-    """Measure the Fig. 12 grid for one platform."""
-    spec = get_spec(platform)
-    runner = EnergyRunner(spec)
-    pool = list(benchmarks) if benchmarks else figure11_set()
-    result = Fig12Result(platform=spec.name)
-    for profile in pool:
-        # Every (threads, frequency) cell of one benchmark in one
-        # batched sweep; cell order matches the original scalar loops.
-        configs = []
-        for nthreads in runner.thread_grid().values():
-            allocation = (
-                Allocation.CLUSTERED
-                if nthreads == spec.n_cores
-                else Allocation.SPREADED
+def run(energy: Fig11Result) -> Fig12Result:
+    """The Fig. 12 grid: the ED2P of every Fig. 11 measurement, in
+    Fig. 11's cell order."""
+    return Fig12Result(
+        platform=energy.platform,
+        cells=[
+            Fig12Cell(
+                benchmark=cell.benchmark,
+                nthreads=cell.nthreads,
+                freq_hz=cell.freq_hz,
+                measurement=cell.measurement,
             )
-            for freq_hz in runner.frequency_grid().values():
-                configs.append((nthreads, allocation, freq_hz))
-        for measurement in runner.measure_batch(
-            profile, configs, voltage=voltage
-        ):
-            result.cells.append(
-                Fig12Cell(
-                    benchmark=profile.name,
-                    nthreads=measurement.nthreads,
-                    freq_hz=measurement.freq_hz,
-                    measurement=measurement,
-                )
-            )
-    return result
+            for cell in energy.cells
+        ],
+    )
 
 
 def render(
-    platform: str, duration_s: float, seed: int, policy: str | None
+    platform: str,
+    duration_s: float,
+    seed: int,
+    policy: str | None,
+    fig11: Fig11Result,
 ) -> Fig12Result:
-    """The Fig. 12 ED2P sweep for one platform.
-
-    A ``policy`` key reruns the sweep at that policy's idle-machine
-    rail mode (default: the safe-Vmin sweep the paper reports).
-    """
-    return run(platform, voltage=policy or "safe")
+    """The ED2P of the run's Fig. 11 sweep on the same platform, which
+    ran at ``policy``'s idle-machine rail mode (default: the safe-Vmin
+    sweep the paper reports)."""
+    return run(fig11)

@@ -11,16 +11,18 @@ schedules the ~20 registered experiments over a process pool:
   experiment's inputs (``depends``) always run before it, requested or
   not, and hand it their result objects, across the pool too; a
   request and an input with the same key run once, and each result is
-  kept only until its last dependent has run;
+  kept only until its last dependent has run. ``depends`` is the one
+  way results move between nodes;
 * results are **merged deterministically**: the ``format()`` text of
   every requested experiment is assembled in the requested order
   regardless of completion order, so ``--jobs 4`` output is
   byte-identical to ``--jobs 1`` output; inputs that were not requested
   run but are not printed, while the summary lists every node;
-* every worker shares the characterization cache
-  (:mod:`repro.vmin.cache`): in-memory within a process, and through
-  the on-disk store across processes when a ``cache_dir`` is given, so
-  repeated safe-Vmin campaigns across figures are not re-simulated.
+* with a ``cache_dir``, every node reads and writes the on-disk
+  characterization cache (:mod:`repro.vmin.cache`), so a later run
+  reuses this run's campaigns; no two nodes of one run characterize
+  the same campaign, so no node reads what another wrote, and a node's
+  work and counters do not depend on which process ran what.
 
 A renderer's :class:`~repro.errors.ReproError` or ``OSError`` comes out
 as an :class:`~repro.errors.ExperimentError` naming the node's label,
@@ -117,7 +119,6 @@ class RunSummary:
             total.hits += item.cache.hits
             total.misses += item.cache.misses
             total.stores += item.cache.stores
-            total.evictions += item.cache.evictions
             total.disk_hits += item.cache.disk_hits
             total.corrupt_discarded += item.cache.corrupt_discarded
         return total
@@ -378,8 +379,8 @@ def _run_schedule(
                 )
                 running[future] = node_of[key]
             # Scheduler-health samples; completion-order dependent, so
-            # they are histogram shapes, never part of any fingerprint
-            # comparison between differently-scheduled runs.
+            # the manifest fingerprint and diff leave them out
+            # (repro.telemetry.manifest.SCHEDULE_KEYS).
             telemetry.observe(metric_names.ORCH_QUEUE_DEPTH, len(waiting))
             telemetry.observe(metric_names.ORCH_INFLIGHT, len(running))
             done, _ = wait(set(running), return_when=FIRST_COMPLETED)

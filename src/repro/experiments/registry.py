@@ -14,15 +14,17 @@ Every experiment module exposes a uniform renderer::
 returning the module's result object, whose ``format()`` is exactly the
 text the CLI prints for that experiment. ``platform`` arrives resolved
 to the entry's ``default_platform`` when the run names none, and
-``inputs`` holds one keyword per name in ``depends``: that experiment's
-result. Modules with several artefacts (``tables34``) use a distinct
-``render_name`` per entry.
+``inputs`` holds one keyword per entry of ``depends``, named after the
+experiment: its result. Modules with several artefacts (``tables34``)
+use a distinct ``render_name`` per entry.
 
-:func:`topological_order` turns a request into :class:`Node` s, one per
-(experiment, platform): an input runs on the platform its dependent
-names for it (``input_platform``), else on the dependent's own, and a
-request and an input with the same key are one node, so a replay that
-several experiments take runs once per run.
+A ``depends`` entry is an experiment name, optionally with a platform
+in the form of node labels (``"fig14@xgene2"``). :func:`topological_order`
+turns a request into :class:`Node` s, one per (experiment, platform):
+an input runs on the platform its ``depends`` entry names, else on its
+dependent's, and a request and an input with the same key are one node,
+so a replay or campaign that several experiments take runs once per
+run.
 """
 
 from __future__ import annotations
@@ -46,13 +48,11 @@ class ExperimentEntry:
     artefact: str
     #: Module implementing the experiment, relative to ``repro.experiments``.
     module: str
-    #: Experiments whose results this one takes as inputs. They always
-    #: run first, requested or not, and each result reaches the renderer
-    #: as the keyword argument of its name.
+    #: Experiments whose results this one takes as inputs, each
+    #: ``name`` (on this experiment's platform) or ``name@platform``.
+    #: They always run first, requested or not, and each result reaches
+    #: the renderer as the keyword argument of its name.
     depends: Tuple[str, ...] = ()
-    #: Platform the inputs run on; ``None`` runs them on this
-    #: experiment's own platform.
-    input_platform: Optional[str] = None
     #: Relative cost hint in seconds; the scheduler launches costly
     #: experiments first to minimize the parallel makespan.
     cost: float = 0.1
@@ -143,6 +143,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="fig12",
         artefact="Fig. 12 — ED2P across configurations",
         module="fig12_ed2p",
+        depends=("fig11",),
         cost=0.02,
         default_platform="xgene2",
     ),
@@ -182,8 +183,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        depends=("fig14",),
-        input_platform="xgene2",
+        depends=("fig14@xgene2",),
         cost=0.2,
         render_name="render_table3",
     ),
@@ -194,8 +194,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        depends=("fig14",),
-        input_platform="xgene3",
+        depends=("fig14@xgene3",),
         cost=0.5,
         render_name="render_table4",
     ),
@@ -217,9 +216,16 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="report",
         artefact="EXPERIMENTS.md-style reproduction report",
         module="report",
-        depends=("table3", "table4"),
+        depends=("fig3@xgene3", "fig4@xgene2", "table3", "table4"),
     ),
 )
+
+
+def split_label(label: str) -> Tuple[str, Optional[str]]:
+    """(experiment, platform) of a ``depends`` entry or node label;
+    the platform is ``None`` when the label names none."""
+    name, _, platform = label.partition("@")
+    return name, platform or None
 
 
 def experiment_names() -> Tuple[str, ...]:
@@ -285,16 +291,16 @@ def topological_order(
         on = wanted or entry.default_platform
         if (name, on) in discovered:
             continue
-        inputs_on = entry.input_platform or on
+        wants = [split_label(dep) for dep in entry.depends]
         inputs = tuple(
-            (dep, inputs_on or get_entry(dep, registry).default_platform)
-            for dep in entry.depends
+            (dep, dep_on or on or get_entry(dep, registry).default_platform)
+            for dep, dep_on in wants
         )
         label = name if on == (platform or entry.default_platform) else (
             f"{name}@{on}"
         )
         discovered[(name, on)] = Node(entry, on, inputs, label)
-        pending.extend((dep, inputs_on) for dep in reversed(entry.depends))
+        pending.extend((dep, dep_on or on) for dep, dep_on in reversed(wants))
     position = {entry.name: i for i, entry in enumerate(registry)}
     rank = {
         key: (position[key[0]], i) for i, key in enumerate(discovered)

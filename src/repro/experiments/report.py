@@ -2,9 +2,10 @@
 
 ``repro report`` emits a Markdown report in the style of EXPERIMENTS.md
 with fresh numbers. The characterization and energy sections run their
-figures on the paper chips; the evaluation section formats the four
-paper-configuration rows of the run's Tables III and IV, which the
-orchestrator hands over as the report's inputs (``depends``). Run
+figures on the paper chips, except the two campaigns the orchestrator
+hands over as inputs (``depends``): Fig. 3 on X-Gene 3 and Fig. 4 on
+X-Gene 2. The evaluation section formats the four paper-configuration
+rows of the run's Tables III and IV, inputs too. Run
 ``repro report --duration 3600`` for the paper-scale evaluation rows.
 """
 
@@ -18,8 +19,6 @@ from ..core.configurations import CONFIG_NAMES
 from ..platform.specs import get_spec
 from ..units import ghz, hz_to_ghz
 from . import (
-    fig3_vmin_characterization as fig3,
-    fig4_core_variation as fig4,
     fig5_pfail as fig5,
     fig7_allocation_energy as fig7,
     fig8_contention as fig8,
@@ -30,6 +29,8 @@ from . import (
     table2,
     tables34,
 )
+from .fig3_vmin_characterization import Fig3Result
+from .fig4_core_variation import Fig4Result
 
 
 def _chip(key: str) -> str:
@@ -51,8 +52,8 @@ class Report:
 
     duration_s: float
     seed: int
-    vmin_campaign: fig3.Fig3Result
-    core_regions: fig4.Fig4Result
+    vmin_campaign: Fig3Result
+    core_regions: Fig4Result
     pfail: fig5.Fig5Result
     factors: fig10.Fig10Result
     droop_classes: table2.Table2Result
@@ -231,26 +232,30 @@ def render(
     duration_s: float,
     seed: int,
     policy: str | None,
+    fig3: Fig3Result,
+    fig4: Fig4Result,
     table3: tables34.TableResult,
     table4: tables34.TableResult,
 ) -> Report:
-    """The report over this run's Tables III and IV.
+    """The report over this run's Fig. 3 on X-Gene 3, Fig. 4 on
+    X-Gene 2 and Tables III and IV.
 
     It covers the paper chips whatever ``platform`` says, and only the
     paper's configurations whatever ``policy`` says.
     """
+    energy = fig11.run("xgene2")
     return Report(
         duration_s=duration_s,
         seed=seed,
-        vmin_campaign=fig3.run("xgene3"),
-        core_regions=fig4.run("xgene2"),
+        vmin_campaign=fig3,
+        core_regions=fig4,
         pfail=fig5.run("xgene3"),
         factors=fig10.run("xgene2"),
         droop_classes=table2.run("xgene3"),
         allocation_energy=fig7.run("xgene2"),
         contention=fig8.run("xgene3"),
         l3c_rates=fig9.run("xgene3"),
-        energy=fig11.run("xgene2"),
-        ed2p=fig12.run("xgene2"),
+        energy=energy,
+        ed2p=fig12.run(energy),
         evaluation=(table3, table4),
     )

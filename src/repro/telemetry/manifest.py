@@ -12,9 +12,10 @@ Two invariants make manifests machine-checkable:
   (:func:`validate_manifest`, stdlib-only checker — no jsonschema
   dependency);
 * the **fingerprint** is computed over the deterministic subset only:
-  timing fields (``elapsed_s``, span trees, …) and the environment
-  block are stripped first, so two same-seed runs produce the same
-  fingerprint even though their wall-clock numbers differ.
+  timing fields (``elapsed_s``, span trees, …), the pool's scheduler
+  histograms and the environment block are stripped first, so two
+  same-seed runs produce the same fingerprint even though their
+  wall-clock numbers and their schedules differ.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import subprocess
 import sys
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from . import names as metric_names
 from .metrics import Snapshot, merge_snapshots
 
 #: Current manifest schema version (bump on structural change).
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Document type tag, so a manifest is self-describing on disk.
 MANIFEST_KIND = "repro.run_manifest"
@@ -40,6 +42,12 @@ MANIFEST_KIND = "repro.run_manifest"
 #: the whole span subtree of a metric snapshot.
 TIMING_KEYS = frozenset(
     {"elapsed_s", "serial_time_s", "total_s", "max_s", "spans"}
+)
+
+#: Histograms that sample the pool's schedule, which depends on the
+#: order nodes complete in; stripped wherever the timing keys are.
+SCHEDULE_KEYS = frozenset(
+    {metric_names.ORCH_QUEUE_DEPTH, metric_names.ORCH_INFLIGHT}
 )
 
 #: Top-level keys excluded from the fingerprint besides timing: the
@@ -53,12 +61,13 @@ def canonical_json(payload: Any) -> str:
 
 
 def strip_timing_fields(payload: Any) -> Any:
-    """Recursive copy of ``payload`` without any timing-valued keys."""
+    """Recursive copy of ``payload`` without any timing-valued or
+    schedule-valued keys."""
     if isinstance(payload, dict):
         return {
             key: strip_timing_fields(value)
             for key, value in payload.items()
-            if key not in TIMING_KEYS
+            if key not in TIMING_KEYS and key not in SCHEDULE_KEYS
         }
     if isinstance(payload, list):
         return [strip_timing_fields(item) for item in payload]
@@ -107,7 +116,6 @@ def _cache_dict(stats: Any) -> Dict[str, Any]:
         "hits": stats.hits,
         "misses": stats.misses,
         "stores": stats.stores,
-        "evictions": stats.evictions,
         "disk_hits": stats.disk_hits,
         "corrupt_discarded": stats.corrupt_discarded,
         "hit_rate": stats.hit_rate,
@@ -196,14 +204,13 @@ _CACHE_SPEC: Dict[str, Any] = {
     "hits": int,
     "misses": int,
     "stores": int,
-    "evictions": int,
     "disk_hits": int,
     "corrupt_discarded": int,
     "hit_rate": float,
 }
 
 _SCHEMAS: Dict[int, Dict[str, Any]] = {
-    1: {
+    2: {
         "schema_version": int,
         "kind": str,
         "environment": {
@@ -336,9 +343,9 @@ def diff_manifests(
 ) -> List[str]:
     """Human-readable differences between two manifests.
 
-    With ``ignore_timing`` (the default) wall-clock fields are stripped
-    first, so two same-seed runs diff empty — the property the
-    determinism suite pins.
+    With ``ignore_timing`` (the default) wall-clock fields and the
+    scheduler histograms are stripped first, so two same-seed runs diff
+    empty at any ``--jobs`` — the property the determinism suite pins.
     """
     a: Dict[str, Any] = {}
     b: Dict[str, Any] = {}

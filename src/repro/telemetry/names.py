@@ -55,7 +55,6 @@ POLICY_CLAMPS = "policy.clamps"
 VMIN_CACHE_HITS = "vmin.cache.hits"
 VMIN_CACHE_MISSES = "vmin.cache.misses"
 VMIN_CACHE_STORES = "vmin.cache.stores"
-VMIN_CACHE_EVICTIONS = "vmin.cache.evictions"
 VMIN_CACHE_DISK_HITS = "vmin.cache.disk_hits"
 VMIN_CACHE_CORRUPT = "vmin.cache.corrupt_discarded"
 VMIN_CACHE_DISK_BYTES = "vmin.cache.disk_bytes"

@@ -4,15 +4,15 @@ The safe-Vmin characterization campaign is the dominant cost of the
 reproduction: every figure that needs a safe voltage re-derives it by
 descending the rail 10 mV at a time with 1000 runs per level
 (Section III.A). The follow-up framework paper (arXiv:2106.09975)
-treats exactly this campaign as the cost worth amortizing across
-experiments — which is what this module does for the simulated chips.
+treats exactly this campaign as the cost worth amortizing — which is
+what this module does for the simulated chips, across invocations.
 
 Cache keys are **content addressed**: every component that can change
 the result is hashed into the key, so a hit is correct by construction
 and anything else is a miss. The key scheme is::
 
     sha256(canonical_json({
-        kind:              "safe_vmin" | "unsafe_scan" | "safe_voltage",
+        kind:              "safe_vmin" | "unsafe_scan",
         spec:              platform spec fingerprint (all ChipSpec fields),
         model:             ground-truth fingerprint (base tables + per-core
                            variation offsets, i.e. the silicon instance),
@@ -26,19 +26,28 @@ and anything else is a miss. The key scheme is::
         ...protocol:       step_mv, run counts, execution mode,
     }))
 
-Storage is a two-level hierarchy: a process-local LRU dictionary in
-front of an optional on-disk store. The disk tier is what lets parallel
-orchestrator workers and repeated ``repro run-all`` invocations share
-campaign results. It holds one *pack* file per campaign sweep
+The cache has one tier and one job. Its tier is a directory: without
+one (the default) nothing is keyed, looked up or stored. Its job is to
+let repeated ``repro run-all --cache-dir DIR`` invocations reuse the
+campaigns of :class:`~repro.vmin.characterize.VminCampaign` (safe-Vmin
+searches and unsafe-region scans), the only results it holds. Within
+one run, results move between experiments through the orchestrator's
+``depends``, never through the cache, so no node of a run reads a key
+that another node wrote. The safe voltages of the energy runner and
+the daemon's policy table are not cached at all: the batched kernels
+compute them faster than a content-addressed key can be derived.
+
+The directory holds one *pack* file per campaign sweep
 (:meth:`VminCache.put_sweep`): each entry is streamed as one
 ``[key, value]`` JSON line into a temporary file, and one atomic rename
 publishes it under a name hashed from the sweep's ordered keys, so two
 workers writing the same sweep publish identical bytes to the same
-name. Lookups stay per key: a memory miss indexes the packs the cache
-has not seen yet, rescanning the directory only when its mtime says new
-packs may have appeared (a skipped rescan costs a recompute, never a
-wrong value). A corrupted or unreadable pack is deleted and counted
-once, never raised. Files of any other layout are ignored.
+name. Lookups stay per key: a key the cache has not indexed yet makes
+it index the packs it has not seen, rescanning the directory only when
+its mtime says new packs may have appeared (a skipped rescan costs a
+recompute, never a wrong value). A corrupted or unreadable pack is
+deleted and counted once, never raised. Files of any other layout are
+ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ import os
 import tempfile
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -198,7 +206,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     disk_hits: int = 0
     corrupt_discarded: int = 0
 
@@ -222,7 +229,6 @@ class CacheStats:
             hits=self.hits - before.hits,
             misses=self.misses - before.misses,
             stores=self.stores - before.stores,
-            evictions=self.evictions - before.evictions,
             disk_hits=self.disk_hits - before.disk_hits,
             corrupt_discarded=self.corrupt_discarded
             - before.corrupt_discarded,
@@ -272,7 +278,8 @@ class _PackWriter:
 
     Any ``OSError`` (or a value JSON cannot encode) abandons the pack:
     its temporary file is deleted and nothing is published. Disk
-    persistence is best-effort; the memory tier already holds the values.
+    persistence is best-effort: the sweep's values are returned either
+    way, only a later run cannot reuse them.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -336,25 +343,19 @@ class _PackWriter:
 
 
 class VminCache:
-    """Two-tier (LRU memory + optional disk) characterization cache.
+    """The on-disk characterization cache of one process.
 
-    ``capacity`` bounds the in-memory tier; ``capacity=0`` disables it
-    (and, with no ``cache_dir``, disables caching entirely, which is the
-    supported way to opt out). ``cache_dir`` enables the on-disk pack
-    store shared across processes and invocations.
+    ``cache_dir`` is the pack store shared across processes and
+    invocations; without it the cache holds nothing, and campaigns skip
+    key derivation altogether.
     """
 
     def __init__(
         self,
-        capacity: int = 4096,
         cache_dir: Optional[Union[str, os.PathLike]] = None,
     ):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, CacheValue]" = OrderedDict()
         self._lock = threading.Lock()
         #: Where each key indexed so far sits on disk: (pack, offset).
         self._disk_index: Dict[str, Tuple[Path, int]] = {}
@@ -376,32 +377,11 @@ class VminCache:
                     f"created: {exc.strerror or exc}"
                 ) from None
 
-    @property
-    def disabled(self) -> bool:
-        """True when no tier can store anything (the opt-out config).
-
-        Callers may use this to skip key derivation entirely: every
-        lookup would miss and every store would be dropped anyway.
-        """
-        return self.capacity == 0 and self.cache_dir is None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     # -- lookup ----------------------------------------------------------------
 
     def get(self, key: str) -> Optional[CacheValue]:
         """Cached value for ``key``, or ``None`` on a miss."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                telemetry.inc(metric_names.VMIN_CACHE_HITS)
-                return self._entries[key]
             value = self._pack_lookup(key)
             if value is None:
                 self.stats.misses += 1
@@ -411,7 +391,6 @@ class VminCache:
             self.stats.disk_hits += 1
             telemetry.inc(metric_names.VMIN_CACHE_HITS)
             telemetry.inc(metric_names.VMIN_CACHE_DISK_HITS)
-            self._memory_store(key, value)
             return value
 
     def put(self, key: str, value: CacheValue) -> None:
@@ -422,9 +401,9 @@ class VminCache:
     def put_sweep(self, entries: Iterable[Tuple[str, CacheValue]]) -> None:
         """Store one campaign sweep's ``(key, value)`` entries.
 
-        Each entry reaches the memory tier as soon as ``entries`` yields
-        it and, with a disk tier, is streamed into the sweep's one pack
-        file, published when ``entries`` is exhausted.
+        Each entry is counted as ``entries`` yields it and streamed into
+        the sweep's one pack file, published when ``entries`` is
+        exhausted. Without a ``cache_dir`` the entries are counted only.
         """
         writer = None if self.cache_dir is None else _PackWriter(self.cache_dir)
         try:
@@ -432,7 +411,6 @@ class VminCache:
                 with self._lock:
                     self.stats.stores += 1
                     telemetry.inc(metric_names.VMIN_CACHE_STORES)
-                    self._memory_store(key, value)
                 if writer is not None:
                     writer.add(key, value)
         except BaseException:
@@ -449,7 +427,7 @@ class VminCache:
                     self._disk_index[key] = (path, offset)
 
     def disk_bytes(self) -> int:
-        """Total size of the published packs, bytes (0 when memory-only).
+        """Total size of the published packs, bytes (0 without a dir).
 
         Scans the cache directory; meant for end-of-run telemetry and
         the run manifest, not for hot-path accounting.
@@ -474,19 +452,7 @@ class VminCache:
                 metric_names.VMIN_CACHE_DISK_BYTES, float(self.disk_bytes())
             )
 
-    # -- memory tier -----------------------------------------------------------
-
-    def _memory_store(self, key: str, value: CacheValue) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            telemetry.inc(metric_names.VMIN_CACHE_EVICTIONS)
-
-    # -- disk tier -------------------------------------------------------------
+    # -- pack store ------------------------------------------------------------
 
     def _pack_lookup(self, key: str) -> Optional[CacheValue]:
         if self.cache_dir is None:
@@ -585,17 +551,16 @@ def set_default_cache(cache: VminCache) -> VminCache:
 
 def configure_default_cache(
     cache_dir: Optional[Union[str, os.PathLike]] = None,
-    capacity: int = 4096,
 ) -> VminCache:
-    """Install a fresh default cache (optionally disk-backed)."""
-    return set_default_cache(VminCache(capacity=capacity, cache_dir=cache_dir))
+    """Install a fresh default cache (on ``cache_dir``, else a no-op)."""
+    return set_default_cache(VminCache(cache_dir=cache_dir))
 
 
 def ensure_default_cache(
     cache_dir: Optional[Union[str, os.PathLike]] = None,
 ) -> VminCache:
     """Point the default cache at ``cache_dir``, keeping it when it
-    already matches (so accumulated entries and stats survive)."""
+    already matches (so its pack index and stats survive)."""
     target = Path(cache_dir) if cache_dir is not None else None
     with _default_lock:
         if _default_cache.cache_dir == target:

@@ -18,7 +18,7 @@ Each execution mode has one path:
   point or many, runs as one batched :mod:`repro.kernels` sweep over
   the whole voltage axis (:meth:`VminCampaign.measure_safe_vmin_batch`,
   :meth:`VminCampaign.scan_unsafe_region_batch`), memoized in the Vmin
-  cache;
+  cache when it has a directory (``--cache-dir``);
 * ``trials`` is the per-run protocol: it draws each level's failures
   binomially and splits them into failure types with one multinomial
   draw, level by level on the campaign's sequential RNG stream
@@ -140,7 +140,6 @@ class VminCampaign:
         pass_runs: int = 1000,
         scan_runs: int = 60,
         seed: int = 0,
-        cache: Optional[VminCache] = None,
     ):
         if step_mv <= 0:
             raise CharacterizationError("step_mv must be positive")
@@ -153,9 +152,6 @@ class VminCampaign:
         self.pass_runs = pass_runs
         self.scan_runs = scan_runs
         self.seed = seed
-        #: Explicit cache, or ``None`` to use the process default; pass
-        #: ``VminCache(capacity=0)`` to opt out of memoization.
-        self.cache = cache
         self._rng = np.random.default_rng(seed)
         self._fingerprints: Optional[Tuple[str, str, str]] = None
 
@@ -198,12 +194,12 @@ class VminCampaign:
 
     # -- memoization -------------------------------------------------------------
 
-    def _cache_backend(self) -> Optional[VminCache]:
-        cache = self.cache if self.cache is not None else get_default_cache()
-        # An opt-out cache (capacity 0, no disk tier) cannot store or
-        # serve anything; returning None lets campaigns skip key
-        # derivation and payload encoding altogether.
-        return None if cache.disabled else cache
+    @staticmethod
+    def _cache_backend() -> Optional[VminCache]:
+        """The process's cache when it has a directory, else None: a
+        campaign without one derives no key and encodes no payload."""
+        cache = get_default_cache()
+        return None if cache.cache_dir is None else cache
 
     @cache_key_producer
     def _campaign_key(

@@ -104,13 +104,13 @@ def fig11_xgene2():
 
 
 @pytest.fixture(scope="module")
-def fig12_xgene2():
-    return fig12.run("xgene2")
+def fig12_xgene2(fig11_xgene2):
+    return fig12.run(fig11_xgene2)
 
 
 @pytest.fixture(scope="module")
 def fig12_xgene3():
-    return fig12.run("xgene3")
+    return fig12.run(fig11.run("xgene3"))
 
 
 class TestFig11:
@@ -153,6 +153,12 @@ class TestFig11:
 
 
 class TestFig12:
+    def test_projects_every_fig11_measurement(self, fig11_xgene2, fig12_xgene2):
+        assert fig12_xgene2.platform == fig11_xgene2.platform
+        assert [c.measurement for c in fig12_xgene2.cells] == [
+            c.measurement for c in fig11_xgene2.cells
+        ]
+
     def test_cpu_intensive_best_at_max_frequency(self, fig12_xgene2):
         for name in ("namd", "EP"):
             for nthreads in (8, 4, 2):
@@ -186,6 +192,23 @@ class TestFig12:
 
 
 class TestEnergyRunner:
+    def test_same_frequency_class_same_safe_voltage(self, spec2):
+        runner = EnergyRunner(spec2)
+        profile = get_benchmark("CG")
+        steps = [
+            f
+            for f in spec2.frequency_steps()
+            if spec2.frequency_class(f) == spec2.frequency_class(spec2.fmax_hz)
+        ]
+        assert len(steps) >= 2
+        first = runner.safe_voltage_mv(
+            profile, 4, Allocation.CLUSTERED, steps[0]
+        )
+        second = runner.safe_voltage_mv(
+            profile, 4, Allocation.CLUSTERED, steps[1]
+        )
+        assert first == second
+
     def test_normalization_only_for_replicated(self, spec3):
         runner = EnergyRunner(spec3)
         spec_run = runner.measure(

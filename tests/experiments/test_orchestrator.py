@@ -17,9 +17,9 @@ from repro.experiments.registry import (
     ExperimentEntry,
     experiment_names,
     get_entry,
+    split_label,
     topological_order,
 )
-from repro.experiments.energy_runner import EnergyRunner
 from repro.vmin.cache import configure_default_cache, get_default_cache
 from repro.vmin.characterize import VminCampaign
 
@@ -60,12 +60,8 @@ def _count_sweeps_with_a_miss(monkeypatch):
 
         return sweep
 
-    for owner, name in (
-        (VminCampaign, "measure_safe_vmin_batch"),
-        (VminCampaign, "scan_unsafe_region_batch"),
-        (EnergyRunner, "safe_voltages_mv"),
-    ):
-        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    for name in ("measure_safe_vmin_batch", "scan_unsafe_region_batch"):
+        monkeypatch.setattr(VminCampaign, name, spy(getattr(VminCampaign, name)))
     return sweeps
 
 
@@ -87,14 +83,20 @@ class TestRegistry:
     def test_depends_reference_known_names(self):
         names = set(experiment_names())
         for entry in REGISTRY:
-            assert set(entry.depends) <= names
+            assert {split_label(dep)[0] for dep in entry.depends} <= names
+
+    def test_split_label(self):
+        assert split_label("fig14@xgene2") == ("fig14", "xgene2")
+        assert split_label("fig14") == ("fig14", None)
 
     def test_get_entry_unknown_name(self):
         with pytest.raises(ConfigurationError):
             get_entry("fig99")
 
     def test_report_depends_on_upstream_experiments(self):
-        assert get_entry("report").depends == ("table3", "table4")
+        assert get_entry("report").depends == (
+            "fig3@xgene3", "fig4@xgene2", "table3", "table4"
+        )
 
 
 class TestTopologicalOrder:
@@ -111,7 +113,17 @@ class TestTopologicalOrder:
 
     def test_deps_outside_selection_are_scheduled(self):
         order = [node.label for node in topological_order(["report"])]
-        assert order == ["fig14@xgene2", "fig14", "table3", "table4", "report"]
+        assert order == [
+            "fig3@xgene3", "fig4", "fig14@xgene2", "fig14", "table3",
+            "table4", "report",
+        ]
+
+    def test_fig12_takes_fig11_on_its_own_platform(self):
+        order = topological_order(["fig12"], platform="xgene3")
+        assert [(node.label, node.key) for node in order] == [
+            ("fig11", ("fig11", "xgene3")),
+            ("fig12", ("fig12", "xgene3")),
+        ]
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -164,7 +176,8 @@ class TestInputs:
             ["report"], duration_s=240.0, seed=5
         )
         assert [o.name for o in summary.outcomes] == [
-            "report", "fig14@xgene2", "fig14", "table3", "table4"
+            "report", "fig3@xgene3", "fig4", "fig14@xgene2", "fig14",
+            "table3", "table4",
         ]
         assert summary.merged_output().count("== ") == 1
 
@@ -244,7 +257,7 @@ def _toy(name, **fields):
 TOY_REGISTRY = (
     _toy("base", default_platform="p1"),
     _toy("user", depends=("base",), default_platform="p1"),
-    _toy("other", depends=("base",), input_platform="p2"),
+    _toy("other", depends=("base@p2",)),
     ExperimentEntry(
         name="slow", artefact="slow", module="toy", render_name="render_slow"
     ),

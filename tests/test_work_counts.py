@@ -1,4 +1,4 @@
-"""Work-count goldens: what a cold ``run-all --jobs 1`` does, counted.
+"""Work-count goldens: what a cold ``run-all`` does, counted.
 
 The host-independent half of every performance claim is the work: the
 replays, events, decisions, placements, kernel points, cache misses and
@@ -6,9 +6,13 @@ refreshes a run makes. ``tests/golden/work_counts_<platform>.json``
 commits the counters of a cold run's manifest (``run-all --jobs 1
 --platform P --summary-json M``, no ``--cache-dir``): the run-level
 counters and those of every node the manifest lists, inputs included.
-Each run is a fresh interpreter, so the in-process Vmin cache starts
-empty. ``--jobs 1`` because under a pool the in-memory cache counters
-depend on which worker runs what.
+Each run is a fresh interpreter.
+
+The same counts hold at any ``--jobs``: results move between nodes only
+through ``depends``, never through a cache, so a node's work does not
+depend on which process ran what, and two ``--jobs 2`` runs share one
+manifest fingerprint. With a ``--cache-dir``, no node of a run reads a
+key that another node wrote: a cold run only misses and stores.
 
 A change that changes the work fails here with the first counter path
 that differs, and regenerates the files on purpose with
@@ -24,9 +28,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import pytest
+
+from repro.telemetry.manifest import diff_manifests
 
 ROOT = Path(__file__).resolve().parent.parent
 PLATFORMS = ("xgene2", "xgene3-xl")
@@ -50,27 +56,33 @@ def work_counts(manifest: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def cold_run_counts(platform: str) -> Dict[str, Any]:
-    """Counts of a cold ``run-all --jobs 1`` in a fresh interpreter."""
+def run_all(platform: str, *args: str) -> Tuple[Dict[str, Any], bytes]:
+    """Manifest and stdout of ``run-all --platform P ARGS`` in a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "manifest.json"
-        subprocess.run(
+        done = subprocess.run(
             [
-                sys.executable, "-m", "repro.cli", "run-all", "--jobs", "1",
-                "--platform", platform, "--summary-json", str(manifest),
+                sys.executable, "-m", "repro.cli", "run-all",
+                "--platform", platform, "--summary-json", str(manifest), *args,
             ],
             env=env,
             cwd=tmp,
-            stdout=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             check=True,
             timeout=300,
         )
-        return work_counts(json.loads(manifest.read_text()))
+        return json.loads(manifest.read_text()), done.stdout
+
+
+def cold_run_counts(platform: str) -> Dict[str, Any]:
+    """Counts of a cold ``run-all --jobs 1`` in a fresh interpreter."""
+    return work_counts(run_all(platform, "--jobs", "1")[0])
 
 
 def _flatten(counts: Dict[str, Any]) -> Dict[str, int]:
@@ -102,6 +114,27 @@ def test_cold_run_all_does_the_committed_work(platform):
         f"{platform}: {difference}; if the work changed on purpose, "
         "regenerate with `PYTHONPATH=src python -m tests.test_work_counts`"
     )
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_jobs_2_runs_share_one_fingerprint(platform):
+    first, second = (run_all(platform, "--jobs", "2")[0] for _ in range(2))
+    assert first["fingerprint"] == second["fingerprint"]
+    assert diff_manifests(first, second) == []
+    golden = json.loads(golden_path(platform).read_text())
+    difference = first_difference(golden, work_counts(first))
+    assert difference is None, f"{platform} at --jobs 2: {difference}"
+
+
+def test_no_node_reads_a_key_another_node_wrote(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    cold, cold_out = run_all("xgene2", "--jobs", "1", "--cache-dir", cache_dir)
+    warm, warm_out = run_all("xgene2", "--jobs", "1", "--cache-dir", cache_dir)
+    cache = cold["totals"]["cache"]
+    assert cache["hits"] == cache["disk_hits"] == 0
+    assert cache["stores"] == cache["misses"] > 0
+    assert warm["totals"]["cache"]["misses"] == 0
+    assert warm_out == cold_out
 
 
 class TestFirstDifference:

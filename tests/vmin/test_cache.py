@@ -11,7 +11,6 @@ import pytest
 
 from repro import telemetry
 from repro.allocation import Allocation
-from repro.experiments.energy_runner import EnergyRunner
 from repro.experiments.orchestrator import run_experiments
 from repro.platform.specs import get_spec
 from repro.telemetry import names as metric_names
@@ -27,7 +26,6 @@ from repro.vmin.cache import (
 )
 from repro.vmin.characterize import VminCampaign
 from repro.vmin.model import VminModel
-from repro.workloads.suites import characterization_set
 
 
 @pytest.fixture(autouse=True)
@@ -73,41 +71,24 @@ class TestKeying:
 
 
 class TestVminCacheCore:
-    def test_miss_then_hit(self):
-        cache = VminCache()
+    def test_miss_then_hit(self, tmp_path):
+        cache = VminCache(cache_dir=tmp_path)
         assert cache.get("k") is None
         cache.put("k", {"x": 1})
         assert cache.get("k") == {"x": 1}
-        assert cache.stats.hits == 1
+        assert cache.stats.hits == cache.stats.disk_hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
 
-    def test_lru_eviction(self):
-        cache = VminCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a; b is now LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
-
-    def test_zero_capacity_disables_memoization(self):
-        cache = VminCache(capacity=0)
-        cache.put("k", 1)
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
-    def test_hit_rate(self):
-        cache = VminCache()
+    def test_hit_rate(self, tmp_path):
+        cache = VminCache(cache_dir=tmp_path)
         cache.put("k", 1)
         cache.get("k")
         cache.get("missing")
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
-    def test_stats_delta(self):
-        cache = VminCache()
+    def test_stats_delta(self, tmp_path):
+        cache = VminCache(cache_dir=tmp_path)
         cache.put("k", 1)
         before = cache.stats.snapshot()
         cache.get("k")
@@ -151,15 +132,6 @@ class TestDiskStore:
         assert second.stats.disk_hits == len(SWEEP)
         assert second.stats.misses == 1
 
-    def test_stores_reach_memory_in_sweep_order(self, tmp_path):
-        cache = VminCache(capacity=2, cache_dir=tmp_path)
-        cache.put_sweep(iter(SWEEP))
-        assert cache.stats.stores == 3 and cache.stats.evictions == 1
-        assert "a" not in cache and "b" in cache and "c" in cache
-        # An evicted entry is still served by the cache's own pack.
-        assert cache.get("a") == {"vmin": 880}
-        assert cache.stats.disk_hits == 1
-
     def test_same_sweep_publishes_same_bytes(self, tmp_path):
         VminCache(cache_dir=tmp_path / "one").put_sweep(iter(SWEEP))
         VminCache(cache_dir=tmp_path / "two").put_sweep(iter(SWEEP))
@@ -199,10 +171,11 @@ class TestDiskStore:
         assert fresh.stats.corrupt_discarded == 1
         assert not path.exists()
 
-    def test_unserializable_value_still_cached_in_memory(self, tmp_path):
+    def test_unserializable_value_publishes_nothing(self, tmp_path):
         cache = VminCache(cache_dir=tmp_path)
         cache.put("k", {0, 1})  # sets are not JSON-serializable
-        assert cache.get("k") == {0, 1}
+        assert cache.stats.stores == 1
+        assert cache.get("k") is None
         assert list(tmp_path.iterdir()) == []
 
     def test_disk_bytes_counts_published_packs_only(self, tmp_path):
@@ -300,7 +273,7 @@ class TestPackFaults:
         assert reader.stats.corrupt_discarded == 0
 
     @pytest.mark.parametrize("where", ["mkstemp", "write", "replace"])
-    def test_os_error_keeps_memory_tier(self, tmp_path, monkeypatch, where):
+    def test_os_error_publishes_nothing(self, tmp_path, monkeypatch, where):
         def refuse(*args, **kwargs):
             raise OSError(errno.ENOSPC, "injected")
 
@@ -322,6 +295,14 @@ class TestPackFaults:
             def close(self):
                 self.handle.close()
 
+        spec = get_spec("xgene2")
+        campaign = VminCampaign(spec)
+        points = [
+            campaign.point(name, 4, Allocation.SPREADED, spec.fmax_hz)
+            for name in ("mcf", "namd", "CG")
+        ]
+        expected = campaign.measure_safe_vmin_batch(points)
+        configure_default_cache(cache_dir=tmp_path)
         if where == "mkstemp":
             monkeypatch.setattr(tempfile, "mkstemp", refuse)
         elif where == "write":
@@ -330,14 +311,16 @@ class TestPackFaults:
             )
         else:
             monkeypatch.setattr(os, "replace", refuse)
+        measured = campaign.measure_safe_vmin_batch(points)
         cache = VminCache(cache_dir=tmp_path)
-        cache.put_sweep(iter(SWEEP))
         cache.put("k", 1)
         monkeypatch.undo()
-        for key, value in SWEEP + [("k", 1)]:
-            assert cache.get(key) == value
-        assert cache.stats.hits == len(SWEEP) + 1
+        # The sweep's values come back whole; only a later run cannot
+        # reuse them.
+        assert measured == expected
+        assert get_default_cache().stats.stores == len(points)
         assert list(tmp_path.iterdir()) == []
+        assert cache.get("k") is None
 
     def test_old_per_key_entries_ignored(self, tmp_path):
         # The per-key layout: one ``{key, value}`` JSON file per entry.
@@ -371,6 +354,11 @@ class TestDefaultCache:
 
 
 class TestCampaignMemoization:
+    @pytest.fixture(autouse=True)
+    def disk_cache(self, tmp_path):
+        """Campaigns cache only with a directory: give every case one."""
+        configure_default_cache(cache_dir=tmp_path)
+
     def _point(self, campaign, spec):
         return campaign.point(
             "mcf",
@@ -439,13 +427,13 @@ class TestCampaignMemoization:
         campaign.measure_safe_vmin(point, mode="trials")
         assert get_default_cache().stats.lookups == 0
 
-    def test_explicit_cache_overrides_default(self):
+    def test_no_cache_dir_looks_nothing_up(self):
+        configure_default_cache()
         spec = get_spec("xgene2")
-        private = VminCache()
-        campaign = VminCampaign(spec, cache=private)
-        campaign.measure_safe_vmin(self._point(campaign, spec))
-        assert private.stats.misses == 1
+        campaign = VminCampaign(spec)
+        campaign.scan_unsafe_region(self._point(campaign, spec))
         assert get_default_cache().stats.lookups == 0
+        assert get_default_cache().stats.stores == 0
 
     def test_unsafe_scan_memoized(self):
         spec = get_spec("xgene2")
@@ -459,53 +447,3 @@ class TestCampaignMemoization:
         assert delta.hits == 2 and delta.misses == 0
         assert second.crash_voltage_mv == first.crash_voltage_mv
         assert len(second.steps) == len(first.steps)
-
-
-class TestEnergyRunnerMemoization:
-    def test_safe_voltage_cached(self):
-        spec = get_spec("xgene2")
-        runner = EnergyRunner(spec)
-        profile = characterization_set()[0]
-        first = runner.safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, spec.fmax_hz
-        )
-        before = get_default_cache().stats.snapshot()
-        second = runner.safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, spec.fmax_hz
-        )
-        delta = get_default_cache().stats.delta(before)
-        assert second == first
-        assert delta.hits == 1 and delta.misses == 0
-
-    def test_same_frequency_class_shares_entry(self):
-        spec = get_spec("xgene2")
-        runner = EnergyRunner(spec)
-        profile = characterization_set()[0]
-        steps = [
-            f
-            for f in spec.frequency_steps()
-            if spec.frequency_class(f) == spec.frequency_class(spec.fmax_hz)
-        ]
-        assert len(steps) >= 2
-        first = runner.safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, steps[0]
-        )
-        second = runner.safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, steps[1]
-        )
-        assert first == second
-        assert get_default_cache().stats.hits == 1
-
-    def test_disk_cache_shared_across_runners(self, tmp_path):
-        spec = get_spec("xgene2")
-        profile = characterization_set()[0]
-        configure_default_cache(cache_dir=tmp_path)
-        EnergyRunner(spec).safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, spec.fmax_hz
-        )
-        configure_default_cache(cache_dir=tmp_path)
-        EnergyRunner(spec).safe_voltage_mv(
-            profile, 4, Allocation.CLUSTERED, spec.fmax_hz
-        )
-        stats = get_default_cache().stats
-        assert stats.hits == 1 and stats.disk_hits == 1

@@ -25,7 +25,6 @@ from repro.kernels import (
 from repro.platform.chip import ChipState
 from repro.platform.specs import xgene2_spec, xgene3_spec
 from repro.power.model import PowerModel
-from repro.vmin.cache import VminCache
 from repro.vmin.characterize import VminCampaign
 from repro.vmin.faults import FaultModel
 from repro.vmin.model import VminModel
@@ -213,9 +212,7 @@ class TestCampaignEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_batched_campaign_matches_scalar_reference(self, case):
         spec, configs, step_mv = case
-        campaign = VminCampaign(
-            spec, step_mv=step_mv, cache=VminCache(capacity=0)
-        )
+        campaign = VminCampaign(spec, step_mv=step_mv)
         points = [
             campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
             for nt, alloc, freq, delta in configs
@@ -235,9 +232,7 @@ class TestCampaignEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_pfail_curve_matches_scalar(self, case):
         spec, configs, step_mv = case
-        campaign = VminCampaign(
-            spec, step_mv=step_mv, cache=VminCache(capacity=0)
-        )
+        campaign = VminCampaign(spec, step_mv=step_mv)
         nt, alloc, freq, delta = configs[0]
         point = campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
         voltages = range(
@@ -251,9 +246,7 @@ class TestCampaignEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_pfail_curves_batch_matches_per_point(self, case):
         spec, configs, step_mv = case
-        campaign = VminCampaign(
-            spec, step_mv=step_mv, cache=VminCache(capacity=0)
-        )
+        campaign = VminCampaign(spec, step_mv=step_mv)
         points = [
             campaign.point("wl", nt, alloc, freq, workload_delta_mv=delta)
             for nt, alloc, freq, delta in configs
