@@ -3,8 +3,8 @@
 ``python -m`` puts the current directory on ``sys.path``, so this tiny
 package is importable from a fresh checkout with nothing installed. It
 points its search path at the real implementation in
-``tools/reprolint`` and re-exports its public surface — every
-submodule (``reprolint.cli``, ``reprolint.rules``, ...) resolves there.
+``tools/reprolint``, so every submodule (``reprolint.cli``,
+``reprolint.rules``, ...) resolves there.
 """
 
 from __future__ import annotations
@@ -18,6 +18,3 @@ __path__ = [
         "reprolint",
     )
 ]
-
-from ._api import *  # noqa: E402,F401,F403
-from ._api import __all__  # noqa: E402,F401

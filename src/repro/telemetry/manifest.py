@@ -12,10 +12,10 @@ Two invariants make manifests machine-checkable:
   (:func:`validate_manifest`, stdlib-only checker — no jsonschema
   dependency);
 * the **fingerprint** is computed over the deterministic subset only:
-  timing fields (``elapsed_s``, span trees, …), the pool's scheduler
-  histograms and the environment block are stripped first, so two
-  same-seed runs produce the same fingerprint even though their
-  wall-clock numbers and their schedules differ.
+  timing fields (``elapsed_s``, span trees, …), the metrics that
+  sample the pool's schedule and the environment block are stripped
+  first, so two same-seed runs produce the same fingerprint even
+  though their wall-clock numbers and their schedules differ.
 """
 
 from __future__ import annotations
@@ -44,10 +44,18 @@ TIMING_KEYS = frozenset(
     {"elapsed_s", "serial_time_s", "total_s", "max_s", "spans"}
 )
 
-#: Histograms that sample the pool's schedule, which depends on the
-#: order nodes complete in; stripped wherever the timing keys are.
+#: Metrics that sample the pool's schedule, stripped wherever the
+#: timing keys are. The scheduler histograms depend on the order nodes
+#: complete in. Each node's ``vmin.cache.disk_bytes`` gauge is the
+#: cache directory's size when the node ends: with a shared
+#: ``--cache-dir`` under ``--jobs N``, that depends on what the other
+#: workers have published by then.
 SCHEDULE_KEYS = frozenset(
-    {metric_names.ORCH_QUEUE_DEPTH, metric_names.ORCH_INFLIGHT}
+    {
+        metric_names.ORCH_QUEUE_DEPTH,
+        metric_names.ORCH_INFLIGHT,
+        metric_names.VMIN_CACHE_DISK_BYTES,
+    }
 )
 
 #: Top-level keys excluded from the fingerprint besides timing: the
@@ -344,8 +352,9 @@ def diff_manifests(
     """Human-readable differences between two manifests.
 
     With ``ignore_timing`` (the default) wall-clock fields and the
-    scheduler histograms are stripped first, so two same-seed runs diff
-    empty at any ``--jobs`` — the property the determinism suite pins.
+    schedule-sampled metrics are stripped first, so two same-seed runs
+    diff empty at any ``--jobs`` — the property the determinism suite
+    pins.
     """
     a: Dict[str, Any] = {}
     b: Dict[str, Any] = {}

@@ -18,7 +18,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture
 def dirty_tree(tmp_path):
-    """A fake project with one RL005-able file and a pyproject."""
+    """A fake project with a pyproject and one file that breaks RL005
+    (a slot-less hot dataclass) and RL001 (a magic unit conversion)."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
     src = tmp_path / "src" / "repro" / "sim"
     src.mkdir(parents=True)
@@ -29,6 +30,10 @@ def dirty_tree(tmp_path):
         "@dataclass\n"
         "class Sample:\n"
         "    t_s: float\n"
+        "\n"
+        "\n"
+        "def rail_volts(rail_mv):\n"
+        "    return rail_mv / 1000\n"
     )
     return tmp_path
 
@@ -60,9 +65,12 @@ class TestExitCodes:
         assert "no such file" in err
 
     def test_unknown_rule_id_is_usage_error(self, dirty_tree, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(dirty_tree / "src"), "--select", "RL999"])
-        assert excinfo.value.code == 2
+        # A selection that names no rule would run none and print
+        # "clean": it is a usage error too.
+        for select in ("RL999", ",", " "):
+            with pytest.raises(SystemExit) as excinfo:
+                main([str(dirty_tree / "src"), "--select", select])
+            assert excinfo.value.code == 2, select
 
 
 class TestFormats:
@@ -156,7 +164,6 @@ class TestSarifFormat:
                 "RL005",
                 "--format",
                 "sarif",
-                "--no-cache",
             ],
             capsys,
         )
@@ -173,48 +180,70 @@ class TestSarifFormat:
         assert region["startColumn"] == 1
 
 
-class TestCacheFlags:
-    def test_stats_line_reports_cache_reuse(self, dirty_tree, capsys):
-        args = [str(dirty_tree / "src"), "--select", "RL005"]
-        _, _, err_cold = run_cli(args, capsys)
-        _, _, err_warm = run_cli(args, capsys)
-        assert "analyzed 1 of 1 files (0 from cache)" in err_cold
-        assert "analyzed 0 of 1 files (1 from cache)" in err_warm
+class TestEachRunStandsAlone:
+    """A run's findings follow from its own options and sources, never
+    from an earlier run over the same tree."""
 
-    def test_no_cache_always_analyzes(self, dirty_tree, capsys):
-        args = [
-            str(dirty_tree / "src"),
-            "--select",
-            "RL005",
-            "--no-cache",
-        ]
-        run_cli(args, capsys)
-        _, _, err = run_cli(args, capsys)
-        assert "analyzed 1 of 1 files" in err
-        assert not (dirty_tree / ".reprolint-cache").exists()
+    def test_full_run_after_a_select_run_reports_every_rule(
+        self, dirty_tree, capsys
+    ):
+        src = str(dirty_tree / "src")
+        run_cli([src, "--select", "RL005"], capsys)
+        code, out, _ = run_cli([src, "--format", "json"], capsys)
+        assert code == 1
+        assert {"RL001", "RL005"} <= {f["rule"] for f in json.loads(out)}
+
+    def test_select_run_after_a_full_run_reports_only_the_selection(
+        self, dirty_tree, capsys
+    ):
+        src = str(dirty_tree / "src")
+        run_cli([src], capsys)
+        code, out, _ = run_cli(
+            [src, "--select", "RL005", "--format", "json"], capsys
+        )
+        assert code == 1
+        assert [f["rule"] for f in json.loads(out)] == ["RL005"]
+
+
+def seed_commit(tree):
+    """``git init`` ``tree`` and commit everything in it."""
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(tree), *args],
+            check=True,
+            capture_output=True,
+            env={
+                "GIT_AUTHOR_NAME": "t",
+                "GIT_AUTHOR_EMAIL": "t@t",
+                "GIT_COMMITTER_NAME": "t",
+                "GIT_COMMITTER_EMAIL": "t@t",
+                "PATH": "/usr/bin:/bin:/usr/local/bin",
+            },
+        )
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    return tree
+
+
+def slotless_dataclass(name):
+    """Module source whose one dataclass breaks RL005."""
+    return (
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        f"class {name}:\n"
+        "    t_s: float\n"
+    )
 
 
 class TestChangedMode:
     @pytest.fixture
     def git_project(self, dirty_tree):
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(dirty_tree), *args],
-                check=True,
-                capture_output=True,
-                env={
-                    "GIT_AUTHOR_NAME": "t",
-                    "GIT_AUTHOR_EMAIL": "t@t",
-                    "GIT_COMMITTER_NAME": "t",
-                    "GIT_COMMITTER_EMAIL": "t@t",
-                    "PATH": "/usr/bin:/bin:/usr/local/bin",
-                },
-            )
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-        return dirty_tree
+        return seed_commit(dirty_tree)
 
     def test_unchanged_tree_reports_nothing(self, git_project, capsys):
         code, out, _ = run_cli(
@@ -245,6 +274,38 @@ class TestChangedMode:
         )
         assert code == 1
         assert "RL005" in out
+
+    def test_dependents_of_a_changed_file_are_reported(
+        self, dirty_tree, capsys
+    ):
+        # uses.py imports helpers.py; lone.py stands alone. Both break
+        # RL005, but only the dependent of the edited file is reported.
+        sim = dirty_tree / "src" / "repro" / "sim"
+        (sim / "helpers.py").write_text("def offset():\n    return 1\n")
+        (sim / "uses.py").write_text(
+            "from repro.sim.helpers import offset\n"
+            + slotless_dataclass("Uses")
+            + "\n\ndef use():\n    return offset()\n"
+        )
+        (sim / "lone.py").write_text(slotless_dataclass("Lone"))
+        seed_commit(dirty_tree)
+        (sim / "helpers.py").write_text("def offset():\n    return 2\n")
+        code, out, _ = run_cli(
+            [
+                str(dirty_tree / "src"),
+                "--select",
+                "RL005",
+                "--format",
+                "json",
+                "--changed",
+                "HEAD",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert [Path(f["path"]).name for f in json.loads(out)] == [
+            "uses.py"
+        ]
 
     def test_unknown_ref_is_usage_error(self, git_project, capsys):
         code, _, err = run_cli(

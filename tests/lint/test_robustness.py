@@ -10,8 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from reprolint.cli import main
-from reprolint.driver import analyze_paths
-from reprolint.engine import lint_file, lint_paths
+from reprolint.driver import analyze_file, analyze_paths
 from reprolint.rules import ALL_RULES, PROGRAM_RULES
 
 
@@ -29,30 +28,31 @@ def _write_undecodable(tmp_path: Path) -> Path:
 
 class TestSyntaxErrors:
     def test_lint_file_reports_rl000_with_location(self, tmp_path):
-        findings = lint_file(_write_syntax_error(tmp_path), ALL_RULES)
+        findings = analyze_file(_write_syntax_error(tmp_path), ALL_RULES)
         assert [f.rule_id for f in findings] == ["RL000"]
         finding = findings[0]
         assert "does not parse" in finding.message
         assert finding.line == 1
         assert finding.path.endswith("broken.py")
 
-    def test_lint_paths_keeps_going_past_broken_files(self, tmp_path):
-        _write_syntax_error(tmp_path)
-        (tmp_path / "fine.py").write_text("x = 1\n")
-        findings = lint_paths([tmp_path], ALL_RULES)
-        assert [f.rule_id for f in findings] == ["RL000"]
-
     def test_analyze_paths_reports_and_continues(self, tmp_path):
         _write_syntax_error(tmp_path)
-        (tmp_path / "fine.py").write_text("x = 1\n")
-        findings, stats = analyze_paths(
+        # Walked after broken.py: its finding shows the sweep went on.
+        (tmp_path / "later.py").write_text(
+            "x = 1  # reprolint: disable=RL001\n"
+        )
+        findings = analyze_paths(
             [tmp_path],
             ALL_RULES,
             program_rules=PROGRAM_RULES,
             root=tmp_path,
         )
-        assert [f.rule_id for f in findings] == ["RL000"]
-        assert stats.files_analyzed == 2
+        assert [(f.rule_id, Path(f.path).name) for f in findings] == [
+            ("RL000", "broken.py"),
+            ("RL000", "later.py"),
+        ]
+        assert "does not parse" in findings[0].message
+        assert "without a reason" in findings[1].message
 
     def test_cli_exits_one(self, tmp_path, capsys):
         path = _write_syntax_error(tmp_path)
@@ -64,7 +64,7 @@ class TestSyntaxErrors:
 
 class TestUndecodableBytes:
     def test_lint_file_reports_rl000(self, tmp_path):
-        findings = lint_file(_write_undecodable(tmp_path), ALL_RULES)
+        findings = analyze_file(_write_undecodable(tmp_path), ALL_RULES)
         assert [f.rule_id for f in findings] == ["RL000"]
         assert "not valid utf-8" in findings[0].message
 
@@ -74,17 +74,3 @@ class TestUndecodableBytes:
         out = capsys.readouterr().out
         assert "RL000" in out
         assert "not valid utf-8" in out
-
-    def test_analyze_paths_caches_the_failure(self, tmp_path):
-        _write_undecodable(tmp_path)
-        cache_dir = tmp_path / ".reprolint-cache"
-        first, _ = analyze_paths(
-            [tmp_path], ALL_RULES, root=tmp_path, cache_dir=cache_dir
-        )
-        second, stats = analyze_paths(
-            [tmp_path], ALL_RULES, root=tmp_path, cache_dir=cache_dir
-        )
-        assert stats.files_analyzed == 0
-        assert [f.as_dict() for f in first] == [
-            f.as_dict() for f in second
-        ]

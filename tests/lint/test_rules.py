@@ -1,25 +1,27 @@
 """Fixture tests of every reprolint rule, with exact line/col pins.
 
-Each fixture is linted via ``lint_file(path, module=..., is_test=...)``
-— the override API that treats a fixture as if it lived at a chosen
-spot in the package — and the findings are compared as exact
-``(rule, line, col)`` tuples, so a rule that drifts by one token fails
-loudly here.
+Each fixture is analyzed via ``analyze_file(path, module=...,
+is_test=...)`` — the override API that treats a fixture as if it lived
+at a chosen spot in the package — and the findings are compared as
+exact ``(rule, line, col)`` tuples, so a rule that drifts by one token
+fails loudly here. The whole-program rules also get small multi-file
+projects, run through ``analyze_paths`` as the CLI runs them.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from reprolint.engine import lint_file
-from reprolint.rules import ALL_RULES
+from reprolint.driver import analyze_file, analyze_paths
+from reprolint.rules import ALL_RULES, PROGRAM_RULES
 from reprolint.rules.parity import KernelScalarParity
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def lint_fixture(name: str, module: str, is_test: bool = False):
-    findings = lint_file(
+    """File rules only (no program rules), over one fixture."""
+    findings = analyze_file(
         FIXTURES / name, ALL_RULES, module=module, is_test=is_test
     )
     return [(f.rule_id, f.line, f.col) for f in findings], findings
@@ -310,9 +312,6 @@ class TestRL003Parity:
 
 def analyze_fixture(name: str, module: str, is_test: bool = False):
     """Whole-program rules only, over a one-file program."""
-    from reprolint.driver import analyze_file
-    from reprolint.rules import PROGRAM_RULES
-
     findings = analyze_file(
         FIXTURES / name,
         (),
@@ -387,3 +386,73 @@ class TestRL009EffectPropagation:
             "rl009_bad.py", "repro.experiments.fixture", is_test=True
         )
         assert marks == []
+
+
+class TestCrossFile:
+    """Program rules over a two-file project, as the CLI runs them."""
+
+    def test_cross_file_rl008_mismatch(self, tmp_path):
+        # The converter sits in helpers.py; the mismatch is in uses.py.
+        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
+        (tmp_path / "helpers.py").write_text(
+            "from repro.units import mv_to_v\n"
+            "\n"
+            "\n"
+            "def rail_volts(raw_mv):\n"
+            "    return mv_to_v(raw_mv)\n"
+        )
+        (tmp_path / "uses.py").write_text(
+            "from helpers import rail_volts\n"
+            "\n"
+            "\n"
+            "def guardband(voltage_mv):\n"
+            "    return voltage_mv - 50.0\n"
+            "\n"
+            "\n"
+            "def bad(raw_mv):\n"
+            "    return guardband(rail_volts(raw_mv))\n"
+        )
+        findings = analyze_paths(
+            [tmp_path],
+            ALL_RULES,
+            program_rules=PROGRAM_RULES,
+            root=tmp_path,
+        )
+        assert [
+            (f.rule_id, Path(f.path).name, f.line, f.col) for f in findings
+        ] == [("RL008", "uses.py", 9, 21)]
+        assert "`helpers.rail_volts` returns V" in findings[0].message
+
+    def test_cross_file_rl009_propagates(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
+        (tmp_path / "clock.py").write_text(
+            "import time\n"
+            "\n"
+            "\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+        )
+        (tmp_path / "keys.py").write_text(
+            "from repro.vmin.cache import cache_key_producer\n"
+            "\n"
+            "from clock import stamp\n"
+            "\n"
+            "\n"
+            "@cache_key_producer\n"
+            "def make_key(cfg):\n"
+            "    return (cfg, indirect())\n"
+            "\n"
+            "\n"
+            "def indirect():\n"
+            "    return stamp()\n"
+        )
+        findings = analyze_paths(
+            [tmp_path],
+            [],
+            program_rules=PROGRAM_RULES,
+            root=tmp_path,
+        )
+        rl009 = [f for f in findings if f.rule_id == "RL009"]
+        assert len(rl009) == 1
+        assert "`keys.indirect` -> `clock.stamp`" in rl009[0].message
+        assert "transitively impure" in rl009[0].message

@@ -80,8 +80,7 @@ def test_lint_job_runs_ruff(workflow):
 def test_lint_invariants_job_runs_reprolint_and_mypy(workflow):
     job = workflow["jobs"]["lint-invariants"]
     text = _steps_text(job)
-    # Ephemeral runners: always the full, cache-free sweep.
-    assert "python -m reprolint src tests --no-cache --format github" in text
+    assert "python -m reprolint src tests --format github" in text
     assert "python -m mypy" in text
     # reprolint must run before anything is installed: it is the same
     # stdlib-only invocation the pre-commit hook uses.

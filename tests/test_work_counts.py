@@ -12,7 +12,11 @@ The same counts hold at any ``--jobs``: results move between nodes only
 through ``depends``, never through a cache, so a node's work does not
 depend on which process ran what, and two ``--jobs 2`` runs share one
 manifest fingerprint. With a ``--cache-dir``, no node of a run reads a
-key that another node wrote: a cold run only misses and stores.
+key that another node wrote: a cold run only misses and stores. Two
+cold ``--jobs 2`` runs with a ``--cache-dir`` share one fingerprint
+too: each node's ``vmin.cache.disk_bytes`` gauge samples the directory
+the pool shares as the node ends, so like the scheduler histograms it
+stays out of the fingerprint and the default diff.
 
 A change that changes the work fails here with the first counter path
 that differs, and regenerates the files on purpose with
@@ -124,6 +128,15 @@ def test_jobs_2_runs_share_one_fingerprint(platform):
     golden = json.loads(golden_path(platform).read_text())
     difference = first_difference(golden, work_counts(first))
     assert difference is None, f"{platform} at --jobs 2: {difference}"
+
+
+def test_jobs_2_runs_with_a_cache_dir_share_one_fingerprint(tmp_path):
+    first, second = (
+        run_all("xgene2", "--jobs", "2", "--cache-dir", str(tmp_path / run))[0]
+        for run in ("first", "second")
+    )
+    assert first["fingerprint"] == second["fingerprint"]
+    assert diff_manifests(first, second) == []
 
 
 def test_no_node_reads_a_key_another_node_wrote(tmp_path):

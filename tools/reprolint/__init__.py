@@ -1,6 +1,6 @@
-"""reprolint — AST-based invariant checks for this repository."""
+"""reprolint — AST-based invariant checks for this repository.
 
-from __future__ import annotations
-
-from ._api import *  # noqa: F401,F403
-from ._api import __all__  # noqa: F401
+Callers import the submodules: :mod:`reprolint.cli` (the
+``python -m reprolint`` entry point), :mod:`reprolint.driver` (the
+analysis pipeline) and :mod:`reprolint.rules` (the rule catalogue).
+"""

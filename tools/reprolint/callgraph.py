@@ -5,9 +5,6 @@ run against: every :class:`~reprolint.symbols.FileSummary` keyed by
 repo-relative path, a symbol table of function qualnames, an index of
 method names for unique-name resolution of ``obj.method(...)`` calls,
 and the call/dependency edges derived from them.
-
-Summaries may come from a fresh parse or from the incremental cache
-(:mod:`reprolint.cache`) — the graph neither knows nor cares.
 """
 
 from __future__ import annotations
@@ -117,8 +114,8 @@ def dependents_closure(
     """Transitive dependents of ``changed`` (excluding ``changed``).
 
     ``deps`` maps each path to the paths it depends on; the closure
-    walks the reversed edges, so editing a callee invalidates every
-    file whose analysis could observe the edit.
+    walks the reversed edges, so editing a callee reaches every file
+    whose analysis could observe the edit (``--changed`` reports them).
     """
     reverse: Dict[str, Set[str]] = {}
     for path, targets in deps.items():

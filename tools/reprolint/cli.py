@@ -5,12 +5,9 @@ Formats: ``text`` (human, default), ``json`` (machine), ``github``
 (workflow annotation commands understood by GitHub Actions), ``sarif``
 (SARIF 2.1.0 for code-scanning upload).
 
-Incremental analysis is on by default: per-file work is cached under
-``.reprolint-cache/`` at the project root and reused while content
-hashes and transitive dependencies are unchanged (``--no-cache``
-bypasses it). ``--changed[=REF]`` restricts *reporting* to files
-changed against a git ref plus their transitive dependents — the
-pre-commit configuration runs in this mode.
+Every run analyzes the whole target set. ``--changed[=REF]`` restricts
+*reporting* to files changed against a git ref plus their transitive
+dependents — the pre-commit configuration runs in this mode.
 """
 
 from __future__ import annotations
@@ -21,9 +18,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .cache import CACHE_DIR_NAME
-from .driver import AnalysisStats, analyze_paths
-from .engine import Finding, SUPPRESSION_RULE_ID, find_project_root
+from .driver import analyze_paths
+from .engine import Finding, SUPPRESSION_RULE_ID
 from .rules import ALL_RULES, PROGRAM_RULES, PROJECT_RULES, RULE_BY_ID
 from .sarif import render_sarif
 
@@ -72,21 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental-cache directory (default: "
-            f"<project root>/{CACHE_DIR_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental analysis cache",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -107,12 +88,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rules = list(ALL_RULES)
     project_rules = list(PROJECT_RULES)
     program_rules = list(PROGRAM_RULES)
-    if options.select:
+    if options.select is not None:
         selected = {
             token.strip().upper()
             for token in options.select.split(",")
             if token.strip()
         }
+        if not selected:
+            parser.error("--select names no rule id")
         unknown = selected - set(RULE_BY_ID) - {SUPPRESSION_RULE_ID}
         if unknown:
             parser.error(
@@ -138,37 +121,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         targets.append(path)
 
-    root = find_project_root(targets)
-    cache_dir = options.cache_dir
-    if cache_dir is None and not options.no_cache and root is not None:
-        cache_dir = root / CACHE_DIR_NAME
-    if options.no_cache:
-        cache_dir = None
-
     try:
-        findings, stats = analyze_paths(
+        findings = analyze_paths(
             targets,
             rules,
             project_rules,
             program_rules,
-            root=root,
-            cache_dir=cache_dir,
             changed_ref=options.changed,
         )
     except RuntimeError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
     report(findings, options.format)
-    print(_stats_line(stats), file=sys.stderr)
     return 1 if findings else 0
-
-
-def _stats_line(stats: AnalysisStats) -> str:
-    return (
-        f"reprolint: analyzed {stats.files_analyzed} of "
-        f"{stats.files_total} files "
-        f"({stats.files_from_cache} from cache)"
-    )
 
 
 def report(findings: Sequence[Finding], fmt: str) -> None:

@@ -1,33 +1,27 @@
-"""Analysis driver: file rules + whole-program rules + the cache.
+"""Analysis driver: file rules + whole-program rules, one path.
 
-:func:`analyze_paths` is the full pipeline behind the CLI. It extends
-:func:`reprolint.engine.lint_paths` with the whole-program layer:
+:func:`analyze_paths` is the full pipeline behind the CLI:
 
-1. hash every target; reuse cached per-file products (findings,
-   summaries, suppressions) for files whose content is unchanged *and*
-   whose transitive dependencies are unchanged;
-2. parse and analyze the rest (file rules + summary extraction);
-3. assemble the :class:`~reprolint.callgraph.Program` from all
-   summaries — fresh or cached — and run the program rules
-   (RL008/RL009) over it;
-4. run project rules, apply suppressions and per-path rule scoping,
+1. parse every target, run the file rules over it and extract its
+   whole-program summary;
+2. assemble the :class:`~reprolint.callgraph.Program` from all
+   summaries and run the program rules (RL008/RL009) over it;
+3. run project rules, apply suppressions and per-path rule scoping,
    and (in ``--changed`` mode) restrict reporting to files changed
    against a git ref plus their transitive dependents.
 
-Findings are identical with and without the cache; only the amount of
-parsing differs. :func:`analyze_file` is the single-file variant the
-fixture tests use.
+Every run analyzes every target. :func:`analyze_file` runs the same
+per-file step over one file with module/test-context overrides; the
+fixture tests use it.
 """
 
 from __future__ import annotations
 
 import ast
 import subprocess
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cache import AnalysisCache, CacheEntry, encode_suppressions
 from .callgraph import Program, dependents_closure
 from .config import rules_disabled_for
 from .engine import (
@@ -48,34 +42,9 @@ from .engine import (
     sort_findings,
     suppression_findings,
 )
-from .symbols import FileSummary, build_summary, content_hash
+from .symbols import FileSummary, build_summary
 
 _Suppressions = Dict[int, Tuple[frozenset, Optional[str]]]
-
-
-@dataclass
-class AnalysisStats:
-    """How much work one :func:`analyze_paths` invocation did."""
-
-    files_total: int = 0
-    #: Files parsed and analyzed this run (cache misses + invalidated).
-    files_analyzed: int = 0
-    #: Files whose products were reused from the cache.
-    files_from_cache: int = 0
-
-
-@dataclass
-class _Target:
-    """One lint target with its identity resolved."""
-
-    path: Path
-    #: Path string as spelled on the command line (finding paths).
-    display: str
-    #: Root-relative POSIX path (cache key, scoping key).
-    rel: str
-    data: Optional[bytes]
-    sha256: str
-    load_error: Optional[Exception] = None
 
 
 def _rel_path(path: Path, root: Path) -> str:
@@ -85,87 +54,31 @@ def _rel_path(path: Path, root: Path) -> str:
         return path.resolve().as_posix()
 
 
-def _read_target(path: Path, root: Path) -> _Target:
-    display = str(path)
-    rel = _rel_path(path, root)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        return _Target(path, display, rel, None, "", exc)
-    return _Target(path, display, rel, data, content_hash(data))
-
-
 def _analyze_target(
-    target: _Target, rules: Sequence[Rule]
+    path: Path, rules: Sequence[Rule], module: str, is_test: bool
 ) -> Tuple[List[Finding], FileSummary, _Suppressions]:
-    """Parse + run file rules + build the summary for one target."""
-    module = derive_module(target.path)
-    is_test = derive_is_test(target.path)
+    """Parse + run file rules + build the summary for one file.
 
-    def failure(
-        exc: Exception,
-    ) -> Tuple[List[Finding], FileSummary, _Suppressions]:
-        stub = FileSummary(
-            path=target.display,
-            module=module,
-            is_test=is_test,
-            sha256=target.sha256,
-        )
-        return [load_failure_finding(target.path, exc)], stub, {}
-
-    if target.load_error is not None or target.data is None:
-        return failure(target.load_error or OSError("unreadable"))
+    A file that cannot be read, decoded or parsed yields one RL000
+    finding and an empty summary.
+    """
+    display = str(path)
     try:
-        text = target.data.decode("utf-8")
-        tree = ast.parse(text, filename=target.display)
+        text = path.read_bytes().decode("utf-8")
+        tree = ast.parse(text, filename=display)
     except LOAD_ERRORS as exc:
-        return failure(exc)
+        stub = FileSummary(path=display, module=module, is_test=is_test)
+        return [load_failure_finding(path, exc)], stub, {}
     source = SourceFile(
-        path=target.path,
+        path=path,
         text=text,
         tree=tree,
         module=module,
         is_test=is_test,
     )
     findings = lint_source(source, rules) + suppression_findings(source)
-    summary = build_summary(
-        tree, target.display, module, is_test, target.sha256
-    )
+    summary = build_summary(tree, display, module, is_test)
     return findings, summary, parse_suppressions(text)
-
-
-def _entry_findings(
-    entry: CacheEntry, display: str
-) -> List[Finding]:
-    """Re-anchor cached findings at this run's display path."""
-    return [
-        Finding(
-            rule_id=item["rule"],
-            path=display,
-            line=item["line"],
-            col=item["col"],
-            message=item["message"],
-        )
-        for item in entry.findings
-    ]
-
-
-def _encode_findings(findings: Sequence[Finding]) -> List[Dict[str, object]]:
-    return [
-        {
-            "rule": f.rule_id,
-            "line": f.line,
-            "col": f.col,
-            "message": f.message,
-        }
-        for f in findings
-    ]
-
-
-def _entry_summary(entry: CacheEntry, display: str) -> FileSummary:
-    data = dict(entry.summary)
-    data["path"] = display
-    return FileSummary.from_dict(data)
 
 
 def git_changed_files(root: Path, ref: str) -> Set[str]:
@@ -208,97 +121,44 @@ def analyze_paths(
     project_rules: Sequence[ProjectRule] = (),
     program_rules: Sequence[ProgramRule] = (),
     root: Optional[Path] = None,
-    cache_dir: Optional[Path] = None,
     changed_ref: Optional[str] = None,
-) -> Tuple[List[Finding], AnalysisStats]:
+) -> List[Finding]:
     """Run the full analysis pipeline over ``paths``.
 
-    The cache is used iff ``cache_dir`` is given; ``changed_ref``
-    restricts *reporting* (not analysis) to files changed against the
-    git ref plus their transitive dependents.
+    ``changed_ref`` restricts *reporting* (not analysis) to files
+    changed against the git ref plus their transitive dependents.
     """
     if root is None:
         root = find_project_root(paths) or Path.cwd()
     root = root.resolve()
-    targets = [
-        _read_target(path, root) for path in iter_target_files(paths)
-    ]
-    stats = AnalysisStats(files_total=len(targets))
-
-    cache = AnalysisCache.load(cache_dir) if cache_dir else None
-    must_analyze: Set[str] = set()
-    if cache is not None:
-        changed = {
-            t.rel
-            for t in targets
-            if cache.fresh_entry(t.rel, t.sha256) is None
-        }
-        invalidated = dependents_closure(cache.dep_sets(), changed)
-        must_analyze = changed | invalidated
-    else:
-        must_analyze = {t.rel for t in targets}
 
     findings: List[Finding] = []
     suppressions: Dict[str, _Suppressions] = {}
     summaries: Dict[str, FileSummary] = {}
     rel_by_display: Dict[str, str] = {}
-    for target in targets:
-        rel_by_display[target.display] = target.rel
-        entry = (
-            cache.fresh_entry(target.rel, target.sha256)
-            if cache is not None and target.rel not in must_analyze
-            else None
+    for path in iter_target_files(paths):
+        display = str(path)
+        rel_by_display[display] = _rel_path(path, root)
+        file_findings, summary, table = _analyze_target(
+            path, rules, derive_module(path), derive_is_test(path)
         )
-        if entry is not None:
-            stats.files_from_cache += 1
-            findings.extend(_entry_findings(entry, target.display))
-            summaries[target.display] = _entry_summary(
-                entry, target.display
-            )
-            suppressions[target.display] = entry.suppression_table()
-            continue
-        stats.files_analyzed += 1
-        file_findings, summary, table = _analyze_target(target, rules)
         findings.extend(file_findings)
-        summaries[target.display] = summary
-        suppressions[target.display] = table
-        if cache is not None:
-            cache.files[target.rel] = CacheEntry(
-                sha256=target.sha256,
-                summary=summary.to_dict(),
-                findings=_encode_findings(file_findings),
-                suppressions=encode_suppressions(table),
-            )
+        summaries[display] = summary
+        suppressions[display] = table
 
     program = Program(summaries)
     for program_rule in program_rules:
         findings.extend(program_rule.check_program(program))
 
-    if project_rules:
-        for project_rule in project_rules:
-            for finding in project_rule.check_project(root):
-                if finding.path not in suppressions:
-                    try:
-                        text = Path(finding.path).read_text(
-                            encoding="utf-8"
-                        )
-                    except OSError:
-                        text = ""
-                    suppressions[finding.path] = parse_suppressions(
-                        text
-                    )
-                findings.append(finding)
-
-    deps_by_display = program.file_dependencies()
-    if cache is not None:
-        for display, dep_displays in deps_by_display.items():
-            rel = rel_by_display.get(display)
-            if rel is None:
-                continue
-            cache.deps[rel] = sorted(
-                rel_by_display.get(dep, dep) for dep in dep_displays
-            )
-        cache.save()
+    for project_rule in project_rules:
+        for finding in project_rule.check_project(root):
+            if finding.path not in suppressions:
+                try:
+                    text = Path(finding.path).read_text(encoding="utf-8")
+                except OSError:
+                    text = ""
+                suppressions[finding.path] = parse_suppressions(text)
+            findings.append(finding)
 
     kept = filter_suppressed(findings, suppressions)
     kept = [
@@ -314,7 +174,7 @@ def analyze_paths(
             rel_by_display.get(path, path): {
                 rel_by_display.get(dep, dep) for dep in deps
             }
-            for path, deps in deps_by_display.items()
+            for path, deps in program.file_dependencies().items()
         }
         report_set = changed_rels | dependents_closure(
             deps_by_rel, changed_rels
@@ -326,7 +186,7 @@ def analyze_paths(
             in report_set
         ]
 
-    return sort_findings(kept), stats
+    return sort_findings(kept)
 
 
 def analyze_file(
@@ -338,27 +198,19 @@ def analyze_file(
 ) -> List[Finding]:
     """Single-file analysis with module/test-context overrides.
 
-    The fixture tests use this to run the whole-program rules over one
-    fixture file *as if* it lived at a given module path — the program
-    model then contains exactly that file.
+    ``module``/``is_test`` override the path-based derivation: the
+    fixture tests use them to analyze a fixture file *as if* it lived
+    at a given spot in the package, and the program model then
+    contains exactly that file.
     """
-    try:
-        source = SourceFile.load(path, module=module, is_test=is_test)
-    except LOAD_ERRORS as exc:
-        return [load_failure_finding(path, exc)]
-    findings = lint_source(source, list(rules)) + suppression_findings(
-        source
-    )
-    summary = build_summary(
-        source.tree,
-        str(path),
-        source.module,
-        source.is_test,
-        content_hash(source.text.encode("utf-8")),
+    if module is None:
+        module = derive_module(path)
+    if is_test is None:
+        is_test = derive_is_test(path)
+    findings, summary, table = _analyze_target(
+        path, rules, module, is_test
     )
     program = Program({str(path): summary})
     for rule in program_rules:
         findings.extend(rule.check_program(program))
-    return filter_suppressed(
-        findings, {str(path): parse_suppressions(source.text)}
-    )
+    return filter_suppressed(findings, {str(path): table})

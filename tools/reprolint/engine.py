@@ -40,7 +40,6 @@ _SKIPPED_DIR_NAMES = {
     ".ruff_cache",
     ".pytest_cache",
     ".vmin-cache",
-    ".reprolint-cache",
     "build",
     "dist",
     ".venv",
@@ -103,29 +102,6 @@ class SourceFile:
     def lines(self) -> List[str]:
         """Source split into lines (1-based access via ``lines[n-1]``)."""
         return self.text.splitlines()
-
-    @classmethod
-    def load(
-        cls,
-        path: Path,
-        module: Optional[str] = None,
-        is_test: Optional[bool] = None,
-    ) -> "SourceFile":
-        """Read and parse one file, deriving module/test context.
-
-        ``module``/``is_test`` override the path-based derivation; the
-        fixture tests use them to lint fixture files *as if* they lived
-        at a given spot in the package.
-        """
-        text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=str(path))
-        if module is None:
-            module = derive_module(path)
-        if is_test is None:
-            is_test = derive_is_test(path)
-        return cls(
-            path=path, text=text, tree=tree, module=module, is_test=is_test
-        )
 
 
 def derive_module(path: Path) -> str:
@@ -326,7 +302,7 @@ def lint_source(
     return sort_findings(findings)
 
 
-#: Exceptions :meth:`SourceFile.load` can raise for a broken target.
+#: What reading, decoding or parsing a broken target can raise.
 LOAD_ERRORS = (SyntaxError, UnicodeDecodeError, OSError)
 
 
@@ -366,28 +342,6 @@ def load_failure_finding(path: Path, exc: Exception) -> Finding:
     )
 
 
-def lint_file(
-    path: Path,
-    rules: Sequence[Rule],
-    module: Optional[str] = None,
-    is_test: Optional[bool] = None,
-) -> List[Finding]:
-    """Lint one file (suppressions applied).
-
-    ``module``/``is_test`` override path-derived context — this is the
-    API the fixture tests use to lint a fixture as if it were, say, a
-    ``repro.sim`` module.
-    """
-    try:
-        source = SourceFile.load(path, module=module, is_test=is_test)
-    except LOAD_ERRORS as exc:
-        return [load_failure_finding(path, exc)]
-    findings = lint_source(source, rules) + suppression_findings(source)
-    return filter_suppressed(
-        findings, {str(source.path): parse_suppressions(source.text)}
-    )
-
-
 def iter_target_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Expand lint targets to Python files, deterministically ordered.
 
@@ -418,43 +372,3 @@ def find_project_root(paths: Sequence[Path]) -> Optional[Path]:
             if (ancestor / "pyproject.toml").is_file():
                 return ancestor
     return None
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    rules: Sequence[Rule],
-    project_rules: Sequence[ProjectRule] = (),
-    root: Optional[Path] = None,
-) -> List[Finding]:
-    """Lint files under ``paths`` plus project-wide invariants."""
-    findings: List[Finding] = []
-    suppressions: Dict[
-        str, Dict[int, Tuple[frozenset, Optional[str]]]
-    ] = {}
-    for path in iter_target_files(paths):
-        try:
-            source = SourceFile.load(path)
-        except LOAD_ERRORS as exc:
-            findings.append(load_failure_finding(path, exc))
-            continue
-        suppressions[str(source.path)] = parse_suppressions(source.text)
-        findings.extend(lint_source(source, rules))
-        findings.extend(suppression_findings(source))
-    if project_rules:
-        if root is None:
-            root = find_project_root(paths)
-        if root is not None:
-            for rule in project_rules:
-                for finding in rule.check_project(root):
-                    if finding.path not in suppressions:
-                        try:
-                            text = Path(finding.path).read_text(
-                                encoding="utf-8"
-                            )
-                        except OSError:
-                            text = ""
-                        suppressions[finding.path] = parse_suppressions(
-                            text
-                        )
-                    findings.append(finding)
-    return filter_suppressed(findings, suppressions)

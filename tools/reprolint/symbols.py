@@ -1,14 +1,12 @@
 """Per-file analysis summaries for the whole-program passes.
 
 A :class:`FileSummary` is everything the interprocedural rules (RL008
-units inference, RL009 effect propagation) and the incremental cache
-need to know about one file *without re-parsing it*: its functions and
-methods, their parameter/return unit signatures, the call sites they
-contain (with the units of every argument), their direct effect sets,
-and the modules they import.
+units inference, RL009 effect propagation) need to know about one file
+once its AST is gone: its functions and methods, their parameter/return
+unit signatures, the call sites they contain (with the units of every
+argument), their direct effect sets, and the modules they import.
 
-Units are carried as small JSON-serializable **terms** so summaries can
-round-trip through ``.reprolint-cache/``:
+Units are carried as small plain-dict **terms**:
 
 * ``{"k": "u", "u": "mV", "s": "strong"|"weak", "why": [...]}`` — a
   concrete unit with its provenance chain;
@@ -26,7 +24,6 @@ and *resolved* across function boundaries by
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -74,15 +71,6 @@ class ParamInfo:
     #: "annotation" (strong) or "suffix" (weak); "" when no unit.
     source: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "unit": self.unit, "source": self.source}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ParamInfo":
-        return cls(
-            name=data["name"], unit=data["unit"], source=data["source"]
-        )
-
 
 @dataclass
 class CallArg:
@@ -93,23 +81,6 @@ class CallArg:
     term: Term
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "slot": self.slot,
-            "term": self.term,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallArg":
-        return cls(
-            slot=data["slot"],
-            term=data["term"],
-            line=data["line"],
-            col=data["col"],
-        )
 
 
 @dataclass
@@ -128,27 +99,6 @@ class CallSite:
     #: or ``obj.m()``): positional args then map to params[1:].
     instance_call: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "display": self.display,
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "args": [arg.to_dict() for arg in self.args],
-            "instance_call": self.instance_call,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            display=data["display"],
-            callee=data["callee"],
-            line=data["line"],
-            col=data["col"],
-            args=[CallArg.from_dict(a) for a in data["args"]],
-            instance_call=data["instance_call"],
-        )
-
 
 @dataclass
 class AddObligation:
@@ -159,25 +109,6 @@ class AddObligation:
     right: Term
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "left": self.left,
-            "right": self.right,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AddObligation":
-        return cls(
-            op=data["op"],
-            left=data["left"],
-            right=data["right"],
-            line=data["line"],
-            col=data["col"],
-        )
 
 
 @dataclass
@@ -190,23 +121,6 @@ class EffectInfo:
     detail: str
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EffectInfo":
-        return cls(
-            kind=data["kind"],
-            detail=data["detail"],
-            line=data["line"],
-            col=data["col"],
-        )
 
 
 @dataclass
@@ -228,39 +142,6 @@ class FunctionInfo:
     adds: List[AddObligation] = field(default_factory=list)
     effects: List[EffectInfo] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "is_method": self.is_method,
-            "is_cache_key": self.is_cache_key,
-            "params": [p.to_dict() for p in self.params],
-            "return_unit": self.return_unit,
-            "return_terms": self.return_terms,
-            "calls": [c.to_dict() for c in self.calls],
-            "adds": [a.to_dict() for a in self.adds],
-            "effects": [e.to_dict() for e in self.effects],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"],
-            name=data["name"],
-            line=data["line"],
-            col=data["col"],
-            is_method=data["is_method"],
-            is_cache_key=data["is_cache_key"],
-            params=[ParamInfo.from_dict(p) for p in data["params"]],
-            return_unit=data["return_unit"],
-            return_terms=list(data["return_terms"]),
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            adds=[AddObligation.from_dict(a) for a in data["adds"]],
-            effects=[EffectInfo.from_dict(e) for e in data["effects"]],
-        )
-
 
 @dataclass
 class FileSummary:
@@ -269,42 +150,11 @@ class FileSummary:
     path: str
     module: str
     is_test: bool
-    sha256: str
     #: Absolute module names this file imports (dependency edges).
     dep_modules: List[str] = field(default_factory=list)
     #: ``Name = Annotated[..., Unit("mV")]`` aliases declared here.
     unit_aliases: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionInfo] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_test": self.is_test,
-            "sha256": self.sha256,
-            "dep_modules": self.dep_modules,
-            "unit_aliases": self.unit_aliases,
-            "functions": [f.to_dict() for f in self.functions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileSummary":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_test=data["is_test"],
-            sha256=data["sha256"],
-            dep_modules=list(data["dep_modules"]),
-            unit_aliases=dict(data["unit_aliases"]),
-            functions=[
-                FunctionInfo.from_dict(f) for f in data["functions"]
-            ],
-        )
-
-
-def content_hash(data: bytes) -> str:
-    """Content hash used as the cache key of one file."""
-    return hashlib.sha256(data).hexdigest()
 
 
 # -- import resolution ---------------------------------------------------------
@@ -967,7 +817,6 @@ def build_summary(
     path: str,
     module: str,
     is_test: bool,
-    sha256: str,
 ) -> FileSummary:
     """Build the whole-program summary of one parsed file."""
     imports = ModuleImports(tree, module)
@@ -977,7 +826,6 @@ def build_summary(
         path=path,
         module=module,
         is_test=is_test,
-        sha256=sha256,
         dep_modules=sorted(set(imports.dep_modules)),
         unit_aliases=unit_aliases,
     )
